@@ -15,7 +15,8 @@ import time
 from . import io
 from .datagen import GenConfig, generate
 from .model import ConfigError, DataFormatError, MiningConfig
-from .pipeline import mine_snapshots, size2_indices
+from .pipeline import mine_series, mine_snapshots, size2_indices
+from .size2 import participation_index
 from .snapshots import diff_snapshots
 
 
@@ -55,20 +56,23 @@ def cmd_mine(args: argparse.Namespace) -> int:
     lifecycles = io.read_lifecycles_csv(args.lifecycles)
     config = _mining_config(args)
 
+    started = time.perf_counter()
     series = diff_snapshots(snapshots)
+    diff_ms = (time.perf_counter() - started) * 1000
     series_features = {f.base for f in series.features()}
     known = {f.id for f in lifecycles}
     unknown = sorted(known - series_features)
     if unknown:
         raise ConfigError(f"unknown feature(s) in {args.lifecycles}: {', '.join(unknown)}")
 
-    outcome = mine_snapshots(
-        snapshots, lifecycles, config,
+    outcome = mine_series(
+        series, lifecycles, config,
         algo=args.algo,
         early_abort=not args.no_prune1,
         shared_subclique=not args.no_prune2,
         derive_all=args.derive_all,
         workers=args.threads,
+        diff_ms=diff_ms,
     )
     io.write_pattern_report(args.output, outcome.report_results)
     _info(
@@ -78,7 +82,11 @@ def cmd_mine(args: argparse.Namespace) -> int:
     )
 
     if args.pairs_dump or args.size2_report:
-        tables, dpis = size2_indices(series, lifecycles, config, workers=args.threads)
+        if outcome.tables is None:  # the join baseline builds no pair tables
+            tables, dpis = size2_indices(series, lifecycles, config, workers=args.threads)
+        else:
+            tables = outcome.tables
+            dpis = {pat: participation_index(t, outcome.counts) for pat, t in tables.items()}
         if args.size2_report:
             io.write_size2_report_csv(args.size2_report, tables, dpis)
         if args.pairs_dump:

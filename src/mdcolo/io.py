@@ -48,9 +48,12 @@ def _check_header(row: list[str] | None, expected: list[str], path: str) -> None
 
 def _parse_float(text: str, path: str, line: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataFormatError(f"{path}:{line}: {column} is not a number: {text!r}")
+    if not math.isfinite(value):
+        raise DataFormatError(f"{path}:{line}: {column} is not a finite number: {text!r}")
+    return value
 
 
 def _parse_int(text: str, path: str, line: int, column: str) -> int:

@@ -52,8 +52,10 @@ class BaseFeature:
     def __post_init__(self):
         if not self.id:
             raise ConfigError("base feature id must be non-empty")
-        if not (self.life_cycle > 0):
-            raise ConfigError(f"life cycle of {self.id!r} must be positive, got {self.life_cycle}")
+        if not (0 < self.life_cycle < math.inf):
+            raise ConfigError(
+                f"life cycle of {self.id!r} must be positive and finite, got {self.life_cycle}"
+            )
 
 
 @dataclass(frozen=True)
@@ -206,12 +208,12 @@ class MiningConfig:
     prevalence_comparison: str = "inclusive"
 
     def __post_init__(self):
-        if not (self.d_d > 0):
-            raise ConfigError(f"d_d must be positive, got {self.d_d}")
+        if not (0 < self.d_d < math.inf):
+            raise ConfigError(f"d_d must be positive and finite, got {self.d_d}")
         if not (0.0 <= self.min_prev <= 1.0):
             raise ConfigError(f"min_prev must be within [0, 1], got {self.min_prev}")
-        if not (self.time_span > 0):
-            raise ConfigError(f"time_span must be positive, got {self.time_span}")
+        if not (0 < self.time_span < math.inf):
+            raise ConfigError(f"time_span must be positive and finite, got {self.time_span}")
         for mode in (self.temporal_comparison, self.prevalence_comparison):
             if mode not in ("inclusive", "strict"):
                 raise ConfigError(f"comparison mode must be 'inclusive' or 'strict', got {mode!r}")

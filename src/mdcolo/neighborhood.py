@@ -29,22 +29,28 @@ class GridIndex:
             raise ConfigError(f"cell size must be positive, got {cell_size}")
         self.cell_size = cell_size
         self.cells: dict[tuple[int, int], dict[int, list[DynamicInstance]]] = {}
+        # Windows that hold any instance; scans never look outside them.
+        self.t_min, self.t_max = 0, -1
         for inst in instances:
             cell = self.cell_of(inst.x, inst.y)
             self.cells.setdefault(cell, {}).setdefault(inst.t_index, []).append(inst)
+        if self.cells:
+            windows = [t for buckets in self.cells.values() for t in buckets]
+            self.t_min, self.t_max = min(windows), max(windows)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
 
     def candidates(self, cell: tuple[int, int], t_lo: int, t_hi: int) -> Iterator[DynamicInstance]:
         """Instances in the 3x3 block around `cell` with t_index in [t_lo, t_hi]."""
+        windows = range(max(t_lo, self.t_min), min(t_hi, self.t_max) + 1)
         cx, cy = cell
         for nx in (cx - 1, cx, cx + 1):
             for ny in (cy - 1, cy, cy + 1):
                 buckets = self.cells.get((nx, ny))
                 if not buckets:
                     continue
-                for t in range(t_lo, t_hi + 1):
+                for t in windows:
                     bucket = buckets.get(t)
                     if bucket:
                         yield from bucket
@@ -67,10 +73,9 @@ def _pairs_for_anchors(
     for a in anchors:
         a_key = a.sort_key
         a_span = spans[a.feature]
-        # Superset of any admissible window range; the exact per-pair check follows.
-        reach = max(a_span, max_span)
         cell = grid.cell_of(a.x, a.y)
-        for b in grid.candidates(cell, a.t_index - reach, a.t_index + reach):
+        # Superset of any admissible window range; the exact per-pair check follows.
+        for b in grid.candidates(cell, a.t_index - max_span, a.t_index + max_span):
             if b.sort_key <= a_key or b.feature == a.feature:
                 continue
             if not _temporal_ok(abs(a.t_index - b.t_index), max(a_span, spans[b.feature]), mode):

@@ -7,10 +7,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .cliques import maximal_cliques
-from .model import BaseFeature, ConfigError, MiningConfig, compute_spans
+from .model import BaseFeature, ConfigError, MiningConfig, Pattern, compute_spans
 from .neighborhood import neighbor_pairs
 from .oracles import join_based_mine
 from .size2 import (
+    FeatureCounts,
+    TableInstance,
     build_feature_graph,
     feature_counts,
     participation_index,
@@ -32,6 +34,10 @@ class MineOutcome:
     stats: VerifyStats
     timings_ms: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
+    # Instances per feature, and every pair table (the `join` baseline
+    # builds none, so it leaves `tables` None).
+    counts: FeatureCounts = field(default_factory=dict)
+    tables: dict[Pattern, TableInstance] | None = None
 
     @property
     def report_results(self) -> list[PatternResult]:
@@ -60,6 +66,12 @@ class MineOutcome:
         return entries
 
 
+def _life_map(lifecycles: Sequence[BaseFeature] | Mapping[str, float]) -> dict[str, float]:
+    if isinstance(lifecycles, Mapping):
+        return dict(lifecycles)
+    return {f.id: f.life_cycle for f in lifecycles}
+
+
 def mine_series(
     series: DynamicDatasetSeries,
     lifecycles: Sequence[BaseFeature] | Mapping[str, float],
@@ -70,16 +82,17 @@ def mine_series(
     shared_subclique: bool = True,
     derive_all: bool = False,
     workers: int = 1,
+    diff_ms: float | None = None,
 ) -> MineOutcome:
-    """Mine a dynamic dataset series end to end."""
+    """Mine a dynamic dataset series end to end.
+
+    `diff_ms`, the time the caller took to diff the series from snapshots,
+    is reported as the first stage and counted in the total.
+    """
     if algo not in ("mdc", "join"):
         raise ConfigError(f"algo must be 'mdc' or 'join', got {algo!r}")
-    life_map = (
-        dict(lifecycles)
-        if isinstance(lifecycles, Mapping)
-        else {f.id: f.life_cycle for f in lifecycles}
-    )
-    timings: dict[str, float] = {}
+    life_map = _life_map(lifecycles)
+    timings: dict[str, float] = {} if diff_ms is None else {"diff": diff_ms}
     counters: dict[str, int] = {}
     stats = VerifyStats()
 
@@ -92,7 +105,7 @@ def mine_series(
     if algo == "join":
         results = join_based_mine(series, spans, counts, config)
         timings["mine"] = (time.perf_counter() - t0) * 1000
-        return MineOutcome(results, None, config, algo, stats, timings, counters)
+        return MineOutcome(results, None, config, algo, stats, timings, counters, counts)
 
     pairs = neighbor_pairs(series, spans, config, workers=workers)
     counters["neighbor_pairs"] = len(pairs)
@@ -123,8 +136,10 @@ def mine_series(
         t4 = time.perf_counter()
         derived = derive_all_prevalent([r.pattern for r in results], tables, counts, config)
         timings["derive"] = (time.perf_counter() - t4) * 1000
-    timings["total"] = (time.perf_counter() - t0) * 1000
-    return MineOutcome(results, derived, config, algo, stats, timings, counters)
+    timings["total"] = (time.perf_counter() - t0) * 1000 + (diff_ms or 0.0)
+    return MineOutcome(
+        results, derived, config, algo, stats, timings, counters, counts, tables
+    )
 
 
 def mine_snapshots(
@@ -137,11 +152,7 @@ def mine_snapshots(
     t0 = time.perf_counter()
     series = diff_snapshots(snapshots)
     diff_ms = (time.perf_counter() - t0) * 1000
-    outcome = mine_series(series, lifecycles, config, **kwargs)
-    outcome.timings_ms = {"diff": diff_ms, **outcome.timings_ms}
-    if "total" in outcome.timings_ms:
-        outcome.timings_ms["total"] += diff_ms
-    return outcome
+    return mine_series(series, lifecycles, config, diff_ms=diff_ms, **kwargs)
 
 
 def size2_indices(
@@ -150,12 +161,9 @@ def size2_indices(
     config: MiningConfig,
     workers: int = 1,
 ):
-    """Pair tables with their participation indices (for the size-2 report)."""
-    life_map = (
-        dict(lifecycles)
-        if isinstance(lifecycles, Mapping)
-        else {f.id: f.life_cycle for f in lifecycles}
-    )
+    """Pair tables with their participation indices (for the size-2 report),
+    joined afresh; a mining outcome already carries its tables."""
+    life_map = _life_map(lifecycles)
     spans = compute_spans(series.features(), life_map, config.time_span)
     counts = feature_counts(series)
     tables = size2_table_instances(neighbor_pairs(series, spans, config, workers=workers))

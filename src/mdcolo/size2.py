@@ -32,7 +32,7 @@ class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
     in the pattern's canonical feature order."""
 
-    __slots__ = ("pattern", "rows", "_projections", "_row_set", "_partners")
+    __slots__ = ("pattern", "rows", "_projections", "_partners")
 
     def __init__(self, pattern: Pattern, rows: Iterable[Row]):
         self.pattern = pattern
@@ -40,7 +40,6 @@ class TableInstance:
             sorted(rows, key=lambda row: tuple(i.sort_key for i in row))
         )
         self._projections: dict[DynamicFeature, frozenset[DynamicInstance]] | None = None
-        self._row_set: frozenset[Row] | None = None
         self._partners: dict[DynamicInstance, tuple[DynamicInstance, ...]] | None = None
 
     def __len__(self) -> int:
@@ -67,12 +66,6 @@ class TableInstance:
         if feature not in self._projections:
             raise ValueError(f"{feature} is not part of pattern {self.pattern.label}")
         return self._projections[feature]
-
-    @property
-    def row_set(self) -> frozenset[Row]:
-        if self._row_set is None:
-            self._row_set = frozenset(self.rows)
-        return self._row_set
 
     def _partner_map(self) -> dict[DynamicInstance, tuple[DynamicInstance, ...]]:
         if len(self.pattern.features) != 2:
@@ -131,11 +124,14 @@ def passes_prevalence(index: float, row_count: int, config: MiningConfig) -> boo
     degenerate min_prev=0 case consistent across every mining route, where
     patterns without any realization simply do not occur.
     """
-    if row_count == 0:
-        return False
+    return row_count > 0 and meets_min_prev(index, config)
+
+
+def meets_min_prev(value: float, config: MiningConfig) -> bool:
+    """The threshold comparison alone, inclusive or strict per the config."""
     if config.prevalence_comparison == "inclusive":
-        return index >= config.min_prev
-    return index > config.min_prev
+        return value >= config.min_prev
+    return value > config.min_prev
 
 
 def prevalent_size2(

@@ -1,16 +1,18 @@
 """Verification of candidate patterns against the instance data.
 
 Candidates (feature cliques) are processed largest first.  A candidate's
-table instance is assembled from its pair tables: the canonically first
-feature acts as the anchor, its instances common to every anchor pair table
-seed the rows, and a row survives only if every remaining feature pair is
-itself a pair-table row.  Candidates whose participation index passes the
+table instance is defined by its pair tables: the canonically first feature
+acts as the anchor, its instances common to every anchor pair table seed the
+rows, and a row survives only if every remaining feature pair is itself a
+pair-table row.  Verification counts those rows and collects each feature's
+participating instances without building the rows; `candidate_table_instance`
+builds them as the reference.  Candidates whose participation index passes the
 threshold are accepted unless an accepted pattern already contains them;
 failed candidates of size three or more decompose into their one-smaller
 sub-cliques, which join the queue.
 
 Two optional shortcuts never change the outcome.  Participation ratios can be
-bounded from above before the rows are assembled, aborting hopeless
+bounded from above before the rows are counted, aborting hopeless
 candidates early.  And a sub-clique shared by several queued candidates can
 be verified first: participation ratios only shrink as patterns grow, so a
 failed sub-clique condemns every candidate containing it.
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import DynamicFeature, FeatureClique, MiningConfig, Pattern
-from .size2 import TableInstance, FeatureCounts, participation_ratio, passes_prevalence
+from .model import DynamicFeature, DynamicInstance, FeatureClique, MiningConfig, Pattern
+from .size2 import FeatureCounts, TableInstance, meets_min_prev, passes_prevalence
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,8 @@ class VerifyStats:
     shared_skips: int = 0
     subsumed_skips: int = 0
     decomposed: int = 0
+    # rows summed over every fully verified candidate
+    rows_counted: int = 0
     # (pattern, feature -> participation ratio) for every fully verified table
     ratio_log: list[tuple[Pattern, dict[DynamicFeature, float]]] = field(default_factory=list)
 
@@ -55,31 +59,36 @@ class VerifyStats:
             "shared_subclique_skips": self.shared_skips,
             "subsumed_skips": self.subsumed_skips,
             "decompositions": self.decomposed,
+            "rows_counted": self.rows_counted,
         }
 
 
-def candidate_table_instance(
-    clique: FeatureClique,
-    size2: Mapping[Pattern, TableInstance],
-    anchor_index: int = 0,
-) -> TableInstance:
-    """Assemble a candidate's table instance from its pair tables.
+class _CandidateIndex(NamedTuple):
+    """A candidate's pair tables indexed for anchor-seeded backtracking.
 
-    The anchor defaults to the canonically first feature; any other index
-    yields the same rows because the surviving rows are exactly those whose
-    feature pairs are all pair-table rows, a condition with no preferred
-    feature.  Missing pair tables mean the clique never came from a feature
-    graph over this data and are a caller bug.
+    Non-anchor instances get small integer codes so the inner joins intersect
+    plain int sets instead of hashing instances per combination.
     """
+
+    anchor: DynamicFeature
+    others: list[DynamicFeature]
+    insts: list[DynamicInstance]  # code -> instance
+    # per other feature: anchor instance -> codes of its partners
+    anchor_partners: list[dict[DynamicInstance, set[int]]]
+    # anchor instances partnered in every anchor pair table
+    common: set[DynamicInstance]
+    # (i, j) with i < j over `others`: code of an others[i] instance -> codes
+    # of its others[j] partners
+    adjacency: dict[tuple[int, int], dict[int, set[int]]]
+
+
+def _index_candidate(
+    clique: FeatureClique, size2: Mapping[Pattern, TableInstance], anchor_index: int
+) -> _CandidateIndex:
     feats = clique.features
-    if len(feats) == 2:
-        return _pair_table(clique, size2)
     anchor = feats[anchor_index]
     others = [f for f in feats if f != anchor]
     m = len(others)
-
-    # Instances get small integer codes so the inner joins intersect plain
-    # int sets instead of hashing instances per combination.
     codes: dict[DynamicInstance, int] = {}
     insts: list[DynamicInstance] = []
 
@@ -116,32 +125,140 @@ def candidate_table_instance(
                 if ca is not None and cb is not None:
                     related.setdefault(ca, set()).add(cb)
             adjacency[(i, j)] = related
+    return _CandidateIndex(anchor, others, insts, anchor_partners, common, adjacency)
 
+
+_NO_PARTNERS: frozenset[int] = frozenset()
+
+
+def _narrow(
+    adjacency: dict[tuple[int, int], dict[int, set[int]]],
+    level: int,
+    c: int,
+    allowed: list[set[int]],
+) -> list[set[int]] | None:
+    """Choices left at every deeper level once `c` is picked at `level`;
+    None when some deeper level has none.  Entries up to `level` are unused
+    placeholders, so the list stays indexed by level."""
+    narrowed = [_NO_PARTNERS] * (level + 1)
+    for j in range(level + 1, len(allowed)):
+        nxt = allowed[j] & adjacency[(level, j)].get(c, _NO_PARTNERS)
+        if not nxt:
+            return None
+        narrowed.append(nxt)
+    return narrowed
+
+
+def candidate_table_instance(
+    clique: FeatureClique,
+    size2: Mapping[Pattern, TableInstance],
+    anchor_index: int = 0,
+) -> TableInstance:
+    """Assemble a candidate's table instance from its pair tables.
+
+    This is the row-building reference for `candidate_summary`, which
+    verification uses instead.  The anchor defaults to the canonically first
+    feature; any other index yields the same rows because the surviving rows
+    are exactly those whose feature pairs are all pair-table rows, a
+    condition with no preferred feature.  Missing pair tables mean the
+    clique never came from a feature graph over this data and are a caller
+    bug.
+    """
+    if clique.size == 2:
+        return _pair_table(clique, size2)
+    index = _index_candidate(clique, size2, anchor_index)
+    m = len(index.others)
     rows: list[tuple] = []
     chosen: list = [None] * m
-    no_partners: set[int] = set()
-    pos = feats.index(anchor)  # others keep canonical order with anchor cut out
 
     def extend(level: int, anchor_inst, allowed: list[set[int]]) -> None:
         if level == m:
-            rows.append((*chosen[:pos], anchor_inst, *chosen[pos:]))
+            rows.append((*chosen[:anchor_index], anchor_inst, *chosen[anchor_index:]))
             return
         for c in allowed[level]:
-            narrowed = [no_partners] * (level + 1)
-            ok = True
-            for j in range(level + 1, m):
-                nxt = allowed[j] & adjacency[(level, j)].get(c, no_partners)
-                if not nxt:
-                    ok = False
-                    break
-                narrowed.append(nxt)
-            if ok:
-                chosen[level] = insts[c]
+            narrowed = _narrow(index.adjacency, level, c, allowed)
+            if narrowed is not None:
+                chosen[level] = index.insts[c]
                 extend(level + 1, anchor_inst, narrowed)
 
-    for anchor_inst in sorted(common, key=lambda i: i.sort_key):
-        extend(0, anchor_inst, [anchor_partners[i][anchor_inst] for i in range(m)])
+    for anchor_inst in index.common:
+        extend(0, anchor_inst, [partners[anchor_inst] for partners in index.anchor_partners])
     return TableInstance(clique, rows)
+
+
+@dataclass(frozen=True)
+class CandidateSummary:
+    """What prevalence needs of a candidate's table instance: its row count
+    and each feature's participating instances, without the rows."""
+
+    pattern: Pattern
+    row_count: int
+    projections: dict[DynamicFeature, frozenset[DynamicInstance]]
+
+    def ratios(self, counts: Mapping[DynamicFeature, int]) -> dict[DynamicFeature, float]:
+        """Participation ratio per feature, 0.0 for a feature without instances."""
+        out = {}
+        for f in self.pattern.features:
+            total = counts.get(f, 0)
+            out[f] = len(self.projections[f]) / total if total else 0.0
+        return out
+
+
+def candidate_summary(
+    clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
+) -> CandidateSummary:
+    """Row count and projections of `candidate_table_instance(clique, size2)`.
+
+    A pair reads them off its pair table.  A larger candidate runs the same
+    anchor-seeded backtracking but never picks at the last level: once the
+    earlier levels are chosen, each instance still allowed there completes
+    exactly one row, so the set's size adds to the count and its members
+    join the last feature's participants.  An earlier choice, or an anchor
+    instance, participates only when it completes at least one row.  Memory
+    stays linear in the pair tables however many rows the candidate has.
+    """
+    if clique.size == 2:
+        table = _pair_table(clique, size2)
+        return CandidateSummary(
+            clique, len(table), {f: table.projection(f) for f in clique.features}
+        )
+    index = _index_candidate(clique, size2, 0)
+    adjacency = index.adjacency
+    last = len(index.others) - 1
+    participants: list[set[int]] = [set() for _ in index.others]
+
+    def count(level: int, allowed: list[set[int]]) -> int:
+        rows = 0
+        if level == last - 1:
+            tail = allowed[last]
+            related = adjacency[(level, last)]
+            for c in allowed[level]:
+                completions = tail & related.get(c, _NO_PARTNERS)
+                if completions:
+                    participants[level].add(c)
+                    participants[last] |= completions
+                    rows += len(completions)
+            return rows
+        for c in allowed[level]:
+            narrowed = _narrow(adjacency, level, c, allowed)
+            if narrowed is not None:
+                n = count(level + 1, narrowed)
+                if n:
+                    participants[level].add(c)
+                    rows += n
+        return rows
+
+    row_count = 0
+    anchors = set()
+    for anchor_inst in index.common:
+        n = count(0, [partners[anchor_inst] for partners in index.anchor_partners])
+        if n:
+            anchors.add(anchor_inst)
+            row_count += n
+    projections = {index.anchor: frozenset(anchors)}
+    for f, codes in zip(index.others, participants):
+        projections[f] = frozenset(index.insts[c] for c in codes)
+    return CandidateSummary(clique, row_count, projections)
 
 
 def _pair_table(pair: Pattern, size2: Mapping[Pattern, TableInstance]) -> TableInstance:
@@ -168,15 +285,9 @@ def early_abort_check(
         if total == 0:
             return True
         bound = (tally + remaining_possible.get(feature, 0)) / total
-        if not _passes_threshold(bound, config):
+        if not meets_min_prev(bound, config):
             return True
     return False
-
-
-def _passes_threshold(value: float, config: MiningConfig) -> bool:
-    if config.prevalence_comparison == "inclusive":
-        return value >= config.min_prev
-    return value > config.min_prev
 
 
 def decompose(
@@ -259,12 +370,12 @@ def _verify(
         if early_abort_check({f: 0 for f in clique.features}, counts, bounds, config):
             stats.early_aborts += 1
             return None
-    table = candidate_table_instance(clique, size2)
+    summary = candidate_summary(clique, size2)
     stats.verified += 1
-    ratios = {f: participation_ratio(table, f, counts) for f in clique.features}
+    stats.rows_counted += summary.row_count
+    ratios = summary.ratios(counts)
     stats.ratio_log.append((clique, ratios))
-    dpi = min(ratios.values())
-    return _Verification(dpi, len(table), ratios)
+    return _Verification(min(ratios.values()), summary.row_count, ratios)
 
 
 def verify_all(
@@ -376,7 +487,7 @@ def derive_all_prevalent(
 
     Participation ratios never grow when a pattern does, so each subset of a
     prevalent maximal pattern is prevalent; enumerating subsets of size two or
-    more and re-deriving each table yields the complete prevalent set.
+    more and summarizing each one's table yields the complete prevalent set.
     """
     maximal_set = set(maximal)
     results: dict[Pattern, PatternResult] = {}
@@ -386,7 +497,7 @@ def derive_all_prevalent(
                 sub = Pattern(combo)
                 if sub in results:
                     continue
-                table = candidate_table_instance(sub, size2)
-                dpi = min(participation_ratio(table, f, counts) for f in sub.features)
-                results[sub] = PatternResult(sub, dpi, len(table), sub in maximal_set)
+                summary = candidate_summary(sub, size2)
+                dpi = min(summary.ratios(counts).values())
+                results[sub] = PatternResult(sub, dpi, summary.row_count, sub in maximal_set)
     return sorted(results.values(), key=lambda r: r.pattern.sort_key)

@@ -124,6 +124,7 @@ def test_mine_seedless_report(dataset, tmp_path):
     assert "_ms: " not in manifest
     assert "algo: mdc" in manifest
     assert "time_span: " in manifest
+    assert "rows_counted: " in manifest
 
 
 def test_mine_optional_dumps(dataset, tmp_path):
@@ -202,6 +203,46 @@ def test_mine_missing_lifecycle_feature_exits_2(dataset, tmp_path, capsys):
     )
     assert code == 2
     assert "life cycle" in capsys.readouterr().err
+
+
+def test_mine_nan_coordinate_exits_2(tmp_path, capsys):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n0,A,a1,1.0,2.0\n1,A,a2,nan,2.0\n")
+    lc = tmp_path / "lc.csv"
+    io.write_lifecycles_csv(str(lc), [BaseFeature("A", 9.0)])
+    code = main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "out.txt")])
+    assert code == 2
+    assert f"{snaps}:3: x is not a finite number" in capsys.readouterr().err
+
+
+def write_lifecycles_text(path, features, life_cycle: str) -> None:
+    path.write_text("feature,life_cycle\n" + "".join(f"{f.id},{life_cycle}\n" for f in features))
+
+
+def test_mine_infinite_life_cycle_exits_2(dataset, tmp_path, capsys):
+    lc = tmp_path / "inf.csv"
+    write_lifecycles_text(lc, io.read_lifecycles_csv(f"{dataset}.lifecycles.csv"), "inf")
+    code = main(
+        [
+            "mine", f"{dataset}.snapshots.csv", "--lifecycles", str(lc),
+            "-o", str(tmp_path / "out.txt"),
+        ]
+    )
+    assert code == 2
+    assert f"{lc}:2: life_cycle is not a finite number" in capsys.readouterr().err
+
+
+def test_mine_huge_life_cycle_finishes(dataset, tmp_path):
+    # A span of ~3e8 windows over an 11-snapshot series: the join scans only
+    # the windows that exist, so this mines like any long life cycle.
+    lc = tmp_path / "huge.csv"
+    write_lifecycles_text(lc, io.read_lifecycles_csv(f"{dataset}.lifecycles.csv"), "1e9")
+    report = str(tmp_path / "patterns.txt")
+    code = main(
+        ["mine", f"{dataset}.snapshots.csv", "--lifecycles", str(lc), "-o", report]
+    )
+    assert code == 0
+    assert "pattern_count: " in read_bytes(f"{report}.manifest").decode()
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

@@ -143,3 +143,15 @@ def test_mining_config_validation():
         MiningConfig(d_d=1.0, min_prev=0.5, time_span=1.0, temporal_comparison="loose")
     with pytest.raises(ConfigError):
         MiningConfig(d_d=1.0, min_prev=0.5, time_span=1.0, prevalence_comparison="always")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_numbers_are_rejected(value):
+    with pytest.raises(ConfigError, match="finite"):
+        BaseFeature("A", value)
+    with pytest.raises(ConfigError, match="finite"):
+        MiningConfig(d_d=value, min_prev=0.5, time_span=1.0)
+    with pytest.raises(ConfigError, match="finite"):
+        MiningConfig(d_d=1.0, min_prev=0.5, time_span=value)
+    with pytest.raises(ConfigError):
+        MiningConfig(d_d=1.0, min_prev=value, time_span=1.0)

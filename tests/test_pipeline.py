@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import ConfigError, mine_series, mine_snapshots
+from mdcolo import ConfigError, diff_snapshots, mine_series, mine_snapshots
+from mdcolo.pipeline import size2_indices
 
 from conftest import BURST_EXPECTED_MAXIMAL, small_series
 
@@ -76,7 +77,17 @@ def test_manifest_entries(burst, lifecycles, config):
     assert entries["patterns_size_2"] == 6
     assert entries["patterns_size_3"] == 1
     assert "verified_candidates" in entries
+    # Each of the four maximal candidates has exactly one row.
+    assert entries["rows_counted"] == 4
     assert any(k.startswith("time_") for k in entries)
+
+
+def test_outcome_carries_pair_tables(burst, lifecycles, config):
+    outcome = mine_snapshots(burst, lifecycles, config)
+    tables, _ = size2_indices(diff_snapshots(burst), lifecycles, config)
+    assert outcome.tables == tables
+    assert sum(outcome.counts.values()) == outcome.counters["instances"]
+    assert mine_snapshots(burst, lifecycles, config, algo="join").tables is None
 
 
 def test_stats_flow_through(burst, lifecycles, config):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+from itertools import combinations
+
 import pytest
 
 from mdcolo import (
+    DynamicInstance,
     MiningConfig,
     Pattern,
     VerifyStats,
@@ -18,7 +22,7 @@ from mdcolo import (
     size2_table_instances,
     verify_all,
 )
-from mdcolo.verify import early_abort_check
+from mdcolo.verify import candidate_summary, early_abort_check
 
 from conftest import (
     BURST_EXPECTED_MAXIMAL,
@@ -84,6 +88,64 @@ def test_anchor_choice_on_generated_series():
             baseline = candidate_table_instance(clique, tables)
             for anchor_index in range(1, clique.size):
                 assert candidate_table_instance(clique, tables, anchor_index) == baseline
+
+
+def test_summary_matches_row_tables_on_generated_series():
+    checked = 0
+    for seed in (0, 4):
+        series, features, cfg = small_series(seed, min_prev=0.05)
+        tables, counts, prevalent, cliques = mining_state(series, features, cfg)
+        subs = {
+            Pattern(combo)
+            for clique in cliques
+            for k in range(3, clique.size + 1)
+            for combo in combinations(clique.features, k)
+        }
+        for sub in sorted(subs, key=lambda p: p.sort_key):
+            table = candidate_table_instance(sub, tables)
+            summary = candidate_summary(sub, tables)
+            assert summary.row_count == len(table), sub.label
+            for f in sub.features:
+                assert summary.projections[f] == table.projection(f), (sub.label, f.label)
+            checked += 1
+    assert checked > 0
+
+
+def test_summary_marks_only_instances_in_complete_rows():
+    # a1, b1, c1, d1 relate pairwise except c1-d1, so b1 passes every
+    # check at its own level yet completes no row; a2..d2 form one row.
+    a1, a2, b1, b2, c1, c2, d1, d2 = (
+        DynamicInstance(feat(f"{base}_new"), i, 0.0, 0.0, 0) for base in "ABCD" for i in (1, 2)
+    )
+    pairs = [(a1, b1), (a1, c1), (a1, d1), (b1, c1), (b1, d1)]
+    pairs += list(combinations((a2, b2, c2, d2), 2))
+    tables = size2_table_instances(pairs)
+    pattern = Pattern([a1.feature, b1.feature, c1.feature, d1.feature])
+    summary = candidate_summary(pattern, tables)
+    table = candidate_table_instance(pattern, tables)
+    assert summary.row_count == len(table) == 1
+    for f, inst in zip(pattern.features, (a2, b2, c2, d2)):
+        assert summary.projections[f] == table.projection(f) == {inst}
+
+
+def test_summary_memory_does_not_grow_with_rows():
+    # A complete 4-partite clique: every instance relates to every instance
+    # of the other features, so the candidate has 40**4 rows.
+    n = 40
+    feats = [feat(label) for label in ("A_new", "B_new", "C_new", "D_new")]
+    insts = {f: [DynamicInstance(f, i, 0.0, 0.0, 0) for i in range(1, n + 1)] for f in feats}
+    tables = size2_table_instances(
+        (a, b) for f, g in combinations(feats, 2) for a in insts[f] for b in insts[g]
+    )
+    tracemalloc.start()
+    try:
+        summary = candidate_summary(Pattern(feats), tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.row_count == n**4 == 2_560_000
+    assert all(len(summary.projections[f]) == n for f in feats)
+    assert peak < 4 * 1024 * 1024, f"summary peak {peak} bytes"
 
 
 def test_candidate_table_requires_pair_tables(burst_series, lifecycles, config):
