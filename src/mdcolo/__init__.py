@@ -26,14 +26,9 @@ from .model import (
     parse_feature_label,
     span_constraint,
 )
+from .levelwise import join_based_mine
 from .neighborhood import GridIndex, neighbor_pairs
-from .oracles import (
-    OracleConfig,
-    all_pairs_scan,
-    bron_kerbosch,
-    brute_force_maximal,
-    join_based_mine,
-)
+from .oracles import OracleConfig, all_pairs_scan, bron_kerbosch, brute_force_maximal
 from .pipeline import MineOutcome, mine_series, mine_snapshots
 from .size2 import (
     FeatureGraph,

@@ -15,7 +15,7 @@ import time
 from . import io
 from .datagen import GenConfig, generate
 from .model import ConfigError, DataFormatError, MiningConfig
-from .pipeline import mine_series, mine_snapshots, size2_indices
+from .pipeline import mine_series, mine_snapshots
 from .size2 import participation_index
 from .snapshots import diff_snapshots
 
@@ -71,7 +71,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         early_abort=not args.no_prune1,
         shared_subclique=not args.no_prune2,
         derive_all=args.derive_all,
-        workers=args.threads,
         diff_ms=diff_ms,
     )
     io.write_pattern_report(args.output, outcome.report_results)
@@ -81,26 +80,21 @@ def cmd_mine(args: argparse.Namespace) -> int:
         + f" -> {args.output}"
     )
 
-    if args.pairs_dump or args.size2_report:
-        if outcome.tables is None:  # the join baseline builds no pair tables
-            tables, dpis = size2_indices(series, lifecycles, config, workers=args.threads)
-        else:
-            tables = outcome.tables
-            dpis = {pat: participation_index(t, outcome.counts) for pat, t in tables.items()}
-        if args.size2_report:
-            io.write_size2_report_csv(args.size2_report, tables, dpis)
-        if args.pairs_dump:
-            rows = [row for table in tables.values() for row in table.rows]
-            io.write_pairs_csv(args.pairs_dump, sorted(
-                rows, key=lambda p: (p[0].sort_key, p[1].sort_key)
-            ))
+    tables = outcome.tables
+    if args.size2_report:
+        dpis = {pat: participation_index(t, outcome.counts) for pat, t in tables.items()}
+        io.write_size2_report_csv(args.size2_report, tables, dpis)
+    if args.pairs_dump:
+        rows = [row for table in tables.values() for row in table.rows]
+        io.write_pairs_csv(args.pairs_dump, sorted(
+            rows, key=lambda p: (p[0].sort_key, p[1].sort_key)
+        ))
 
     manifest: dict[str, object] = {"command": "mine"}
     if not args.seedless_report:
         manifest["input"] = args.input
         manifest["input_sha256"] = _sha256(args.input)
         manifest["lifecycles_sha256"] = _sha256(args.lifecycles)
-    manifest["threads"] = args.threads
     manifest["prune_early_abort"] = not args.no_prune1
     manifest["prune_shared_subclique"] = not args.no_prune2
     manifest.update(outcome.manifest_entries())
@@ -268,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report every prevalent pattern, not only maximal ones")
     p_mine.add_argument("--temporal", choices=("inclusive", "strict"), default="inclusive")
     p_mine.add_argument("--prevalence", choices=("inclusive", "strict"), default="inclusive")
-    p_mine.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the proximity join (default 1)")
     p_mine.add_argument("--pairs-dump", help="write neighbor pairs CSV here")
     p_mine.add_argument("--size2-report", help="write pair pattern CSV here")
     p_mine.add_argument("--seedless-report", action="store_true",

@@ -10,7 +10,6 @@ of cells around an instance is ever scanned.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator, Mapping
 
 from .model import ConfigError, DynamicFeature, DynamicInstance, MiningConfig
@@ -60,17 +59,29 @@ def _temporal_ok(dt: int, limit: int, mode: str) -> bool:
     return dt <= limit if mode == "inclusive" else dt < limit
 
 
-def _pairs_for_anchors(
-    anchors: list[DynamicInstance],
-    grid: GridIndex,
+def neighbor_pairs(
+    series: DynamicDatasetSeries,
     spans: Mapping[DynamicFeature, int],
     config: MiningConfig,
-    max_span: int,
-) -> list[NeighborPair]:
+) -> tuple[NeighborPair, ...]:
+    """All related instance pairs, canonically ordered and sorted.
+
+    Every feature present in the series must have a span.
+    """
+    instances = [inst for inst in series.all_instances()]
+    missing = {inst.feature for inst in instances} - set(spans)
+    if missing:
+        names = ", ".join(sorted(f.label for f in missing))
+        raise ConfigError(f"no span for feature(s): {names}")
+    if not instances:
+        return ()
+
+    grid = GridIndex(instances, config.d_d)
+    max_span = max(spans[inst.feature] for inst in instances)
     dd_sq = config.d_d * config.d_d
     mode = config.temporal_comparison
-    out: list[NeighborPair] = []
-    for a in anchors:
+    pairs: list[NeighborPair] = []
+    for a in instances:
         a_key = a.sort_key
         a_span = spans[a.feature]
         cell = grid.cell_of(a.x, a.y)
@@ -81,41 +92,6 @@ def _pairs_for_anchors(
             if not _temporal_ok(abs(a.t_index - b.t_index), max(a_span, spans[b.feature]), mode):
                 continue
             if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= dd_sq:
-                out.append((a, b))
-    return out
-
-
-def neighbor_pairs(
-    series: DynamicDatasetSeries,
-    spans: Mapping[DynamicFeature, int],
-    config: MiningConfig,
-    workers: int = 1,
-) -> tuple[NeighborPair, ...]:
-    """All related instance pairs, canonically ordered and sorted.
-
-    Every feature present in the series must have a span.  The result is
-    independent of `workers`; partitioning only splits the anchor set.
-    """
-    instances = [inst for inst in series.all_instances()]
-    missing = {inst.feature for inst in instances} - set(spans)
-    if missing:
-        names = ", ".join(sorted(f.label for f in missing))
-        raise ConfigError(f"no span for feature(s): {names}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if not instances:
-        return ()
-
-    grid = GridIndex(instances, config.d_d)
-    max_span = max(spans[inst.feature] for inst in instances)
-    if workers == 1 or len(instances) < 2 * workers:
-        pairs = _pairs_for_anchors(instances, grid, spans, config, max_span)
-    else:
-        chunks = [instances[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda chunk: _pairs_for_anchors(chunk, grid, spans, config, max_span), chunks
-            )
-            pairs = [pair for part in parts for pair in part]
+                pairs.append((a, b))
     pairs.sort(key=lambda p: (p[0].sort_key, p[1].sort_key))
     return tuple(pairs)

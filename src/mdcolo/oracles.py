@@ -4,27 +4,17 @@ Each oracle recomputes its answer from first principles rather than through
 the production code paths: the pair scan compares every instance pair
 directly, the brute-force miner enumerates feature subsets and searches rows
 exhaustively, and the clique oracle is the classical pivoted enumeration.
-The join-based miner is the level-wise baseline algorithm; it shares the pair
-and table layers deliberately, since it serves as a performance baseline and
-a whole-result cross-check rather than a per-stage oracle.
+The level-wise baseline miner lives in `levelwise`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
 from .model import ConfigError, DynamicFeature, MiningConfig, Pattern
-from .neighborhood import NeighborPair, neighbor_pairs
-from .size2 import (
-    FeatureCounts,
-    FeatureGraph,
-    TableInstance,
-    participation_ratio,
-    passes_prevalence,
-    size2_table_instances,
-)
+from .neighborhood import NeighborPair
+from .size2 import FeatureCounts, FeatureGraph, passes_prevalence
 from .snapshots import DynamicDatasetSeries
 from .verify import PatternResult
 
@@ -192,65 +182,4 @@ def brute_force_maximal(
         )
         if is_max:
             results.append(PatternResult(pat, res.dpi, res.row_count, True))
-    return sorted(results, key=lambda r: r.pattern.sort_key)
-
-
-def join_based_mine(
-    series: DynamicDatasetSeries,
-    spans: Mapping[DynamicFeature, int],
-    counts: FeatureCounts,
-    config: MiningConfig,
-) -> list[PatternResult]:
-    """Level-wise miner: grow size-k patterns by joining prefix-sharing
-    size-(k-1) prevalent patterns and their tables.
-
-    Returns every prevalent pattern of size >= 2 with maximality flagged.
-    """
-    pairs = neighbor_pairs(series, spans, config)
-    related = {(a, b) for a, b in pairs}
-    tables = size2_table_instances(pairs)
-
-    def dpi_of(table: TableInstance) -> float:
-        return min(participation_ratio(table, f, counts) for f in table.pattern.features)
-
-    level: dict[Pattern, TableInstance] = {}
-    all_prevalent: dict[Pattern, tuple[float, int]] = {}
-    for pat, table in tables.items():
-        dpi = dpi_of(table)
-        if passes_prevalence(dpi, len(table), config):
-            level[pat] = table
-            all_prevalent[pat] = (dpi, len(table))
-
-    while level:
-        next_level: dict[Pattern, TableInstance] = {}
-        patterns = sorted(level, key=lambda p: p.sort_key)
-        for a_pat, b_pat in combinations(patterns, 2):
-            if a_pat.features[:-1] != b_pat.features[:-1]:
-                continue
-            candidate = Pattern(a_pat.features + (b_pat.features[-1],))
-            by_prefix: dict[tuple, list] = {}
-            for row in level[a_pat].rows:
-                by_prefix.setdefault(row[:-1], []).append(row[-1])
-            rows = []
-            for row in level[b_pat].rows:
-                for tail in by_prefix.get(row[:-1], ()):
-                    if (tail, row[-1]) in related:
-                        rows.append(row[:-1] + (tail, row[-1]))
-            if not rows:
-                continue
-            table = TableInstance(candidate, rows)
-            dpi = dpi_of(table)
-            if passes_prevalence(dpi, len(table), config):
-                next_level[candidate] = table
-                all_prevalent[candidate] = (dpi, len(table))
-        level = next_level
-
-    results = []
-    patterns = list(all_prevalent)
-    for pat in patterns:
-        is_max = not any(
-            pat.feature_set < other.feature_set for other in patterns if other.size > pat.size
-        )
-        dpi, rows = all_prevalent[pat]
-        results.append(PatternResult(pat, dpi, rows, is_max))
     return sorted(results, key=lambda r: r.pattern.sort_key)

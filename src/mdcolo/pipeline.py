@@ -7,15 +7,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .cliques import maximal_cliques
+from .levelwise import join_based_mine
 from .model import BaseFeature, ConfigError, MiningConfig, Pattern, compute_spans
 from .neighborhood import neighbor_pairs
-from .oracles import join_based_mine
 from .size2 import (
     FeatureCounts,
     TableInstance,
     build_feature_graph,
     feature_counts,
-    participation_index,
     prevalent_size2,
     size2_table_instances,
 )
@@ -34,10 +33,9 @@ class MineOutcome:
     stats: VerifyStats
     timings_ms: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    # Instances per feature, and every pair table (the `join` baseline
-    # builds none, so it leaves `tables` None).
+    # Instances per feature, and every pair table.
     counts: FeatureCounts = field(default_factory=dict)
-    tables: dict[Pattern, TableInstance] | None = None
+    tables: dict[Pattern, TableInstance] = field(default_factory=dict)
 
     @property
     def report_results(self) -> list[PatternResult]:
@@ -81,11 +79,11 @@ def mine_series(
     early_abort: bool = True,
     shared_subclique: bool = True,
     derive_all: bool = False,
-    workers: int = 1,
     diff_ms: float | None = None,
 ) -> MineOutcome:
     """Mine a dynamic dataset series end to end.
 
+    Both algorithms start from the same neighbor pairs and pair tables.
     `diff_ms`, the time the caller took to diff the series from snapshots,
     is reported as the first stage and counted in the total.
     """
@@ -102,20 +100,25 @@ def mine_series(
     counters["instances"] = sum(counts.values())
     counters["windows"] = series.window_count
 
-    if algo == "join":
-        results = join_based_mine(series, spans, counts, config)
-        timings["mine"] = (time.perf_counter() - t0) * 1000
-        return MineOutcome(results, None, config, algo, stats, timings, counters, counts)
-
-    pairs = neighbor_pairs(series, spans, config, workers=workers)
+    pairs = neighbor_pairs(series, spans, config)
     counters["neighbor_pairs"] = len(pairs)
     timings["pairs"] = (time.perf_counter() - t0) * 1000
 
     t1 = time.perf_counter()
     tables = size2_table_instances(pairs)
+    counters["size2_tables"] = len(tables)
+    if algo == "join":
+        timings["size2"] = (time.perf_counter() - t1) * 1000
+        t2 = time.perf_counter()
+        results = join_based_mine(tables, counts, config)
+        timings["mine"] = (time.perf_counter() - t2) * 1000
+        timings["total"] = (time.perf_counter() - t0) * 1000 + (diff_ms or 0.0)
+        return MineOutcome(
+            results, None, config, algo, stats, timings, counters, counts, tables
+        )
+
     prevalent2 = prevalent_size2(tables, counts, config)
     graph = build_feature_graph(prevalent2)
-    counters["size2_tables"] = len(tables)
     counters["prevalent_pairs"] = len(prevalent2)
     timings["size2"] = (time.perf_counter() - t1) * 1000
 
@@ -153,19 +156,3 @@ def mine_snapshots(
     series = diff_snapshots(snapshots)
     diff_ms = (time.perf_counter() - t0) * 1000
     return mine_series(series, lifecycles, config, diff_ms=diff_ms, **kwargs)
-
-
-def size2_indices(
-    series: DynamicDatasetSeries,
-    lifecycles: Sequence[BaseFeature] | Mapping[str, float],
-    config: MiningConfig,
-    workers: int = 1,
-):
-    """Pair tables with their participation indices (for the size-2 report),
-    joined afresh; a mining outcome already carries its tables."""
-    life_map = _life_map(lifecycles)
-    spans = compute_spans(series.features(), life_map, config.time_span)
-    counts = feature_counts(series)
-    tables = size2_table_instances(neighbor_pairs(series, spans, config, workers=workers))
-    dpis = {pat: participation_index(table, counts) for pat, table in tables.items()}
-    return tables, dpis

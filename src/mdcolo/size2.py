@@ -32,7 +32,7 @@ class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
     in the pattern's canonical feature order."""
 
-    __slots__ = ("pattern", "rows", "_projections", "_partners")
+    __slots__ = ("pattern", "rows", "_projections")
 
     def __init__(self, pattern: Pattern, rows: Iterable[Row]):
         self.pattern = pattern
@@ -40,7 +40,6 @@ class TableInstance:
             sorted(rows, key=lambda row: tuple(i.sort_key for i in row))
         )
         self._projections: dict[DynamicFeature, frozenset[DynamicInstance]] | None = None
-        self._partners: dict[DynamicInstance, tuple[DynamicInstance, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -67,33 +66,14 @@ class TableInstance:
             raise ValueError(f"{feature} is not part of pattern {self.pattern.label}")
         return self._projections[feature]
 
-    def _partner_map(self) -> dict[DynamicInstance, tuple[DynamicInstance, ...]]:
-        if len(self.pattern.features) != 2:
-            raise ValueError("anchor/partner views are defined for pair tables only")
-        if self._partners is None:
-            partners: dict[DynamicInstance, list[DynamicInstance]] = {}
-            for a, b in self.rows:
-                partners.setdefault(a, []).append(b)
-            self._partners = {a: tuple(bs) for a, bs in partners.items()}
-        return self._partners
-
-    def partners_of(self, anchor: DynamicInstance) -> tuple[DynamicInstance, ...]:
-        """Pair tables only: the second-column instances paired with `anchor`."""
-        return self._partner_map().get(anchor, ())
-
-    def anchors(self) -> tuple[DynamicInstance, ...]:
-        """Pair tables only: distinct first-column instances, sorted."""
-        return tuple(sorted(self._partner_map(), key=lambda i: i.sort_key))
-
 
 def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:
     """Group neighbor pairs into one table instance per feature pair."""
-    grouped: dict[Pattern, list[Row]] = {}
+    grouped: dict[tuple[DynamicFeature, DynamicFeature], list[Row]] = {}
     for a, b in pairs:
-        grouped.setdefault(Pattern((a.feature, b.feature)), []).append((a, b))
-    return {pat: TableInstance(pat, rows) for pat, rows in sorted(
-        grouped.items(), key=lambda kv: kv[0].sort_key
-    )}
+        grouped.setdefault((a.feature, b.feature), []).append((a, b))
+    tables = [TableInstance(Pattern(key), rows) for key, rows in grouped.items()]
+    return {t.pattern: t for t in sorted(tables, key=lambda t: t.pattern.sort_key)}
 
 
 def participation_ratio(

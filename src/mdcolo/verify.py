@@ -21,7 +21,8 @@ failed sub-clique condemns every candidate containing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import DynamicFeature, DynamicInstance, FeatureClique, MiningConfig, Pattern
@@ -73,46 +74,60 @@ class _CandidateIndex(NamedTuple):
     anchor: DynamicFeature
     others: list[DynamicFeature]
     insts: list[DynamicInstance]  # code -> instance
-    # per other feature: anchor instance -> codes of its partners
+    codes: dict[DynamicInstance, int]  # instance -> code
+    # per other feature: anchor instance in `common` -> codes of its partners
     anchor_partners: list[dict[DynamicInstance, set[int]]]
     # anchor instances partnered in every anchor pair table
     common: set[DynamicInstance]
     # (i, j) with i < j over `others`: code of an others[i] instance -> codes
-    # of its others[j] partners
+    # of its others[j] partners; empty until `_link` fills it
     adjacency: dict[tuple[int, int], dict[int, set[int]]]
 
 
 def _index_candidate(
     clique: FeatureClique, size2: Mapping[Pattern, TableInstance], anchor_index: int
 ) -> _CandidateIndex:
+    """The anchor side of a candidate's index; `_link` adds the rest."""
     feats = clique.features
     anchor = feats[anchor_index]
     others = [f for f in feats if f != anchor]
-    m = len(others)
+    tables = [_pair_table(Pattern((anchor, f)), size2) for f in others]
+    common = set(tables[0].projection(anchor))
+    for table in tables[1:]:
+        common &= table.projection(anchor)
+
+    # Only anchors in `common` can seed a row, so only their partners are coded.
     codes: dict[DynamicInstance, int] = {}
     insts: list[DynamicInstance] = []
 
+    def code(b: DynamicInstance) -> int:
+        c = codes.get(b)
+        if c is None:
+            c = codes[b] = len(insts)
+            insts.append(b)
+        return c
+
     anchor_partners: list[dict[DynamicInstance, set[int]]] = []
-    for f in others:
-        table = _pair_table(Pattern((anchor, f)), size2)
-        flip = f.sort_key < anchor.sort_key
+    for f, table in zip(others, tables):
         partners: dict[DynamicInstance, set[int]] = {}
-        for row in table.rows:
-            a, b = (row[1], row[0]) if flip else row
-            c = codes.get(b)
-            if c is None:
-                c = codes[b] = len(insts)
-                insts.append(b)
-            partners.setdefault(a, set()).add(c)
+        if f.sort_key < anchor.sort_key:  # the anchor is the second column
+            for b, a in table.rows:
+                if a in common:
+                    partners.setdefault(a, set()).add(code(b))
+        else:  # rows are sorted, so each anchor's rows are adjacent
+            for a, rows in groupby(table.rows, itemgetter(0)):
+                if a in common:
+                    partners[a] = {code(b) for _, b in rows}
         anchor_partners.append(partners)
+    return _CandidateIndex(anchor, others, insts, codes, anchor_partners, common, {})
 
-    common = set(anchor_partners[0])
-    for partners in anchor_partners[1:]:
-        common &= set(partners)
 
-    # Adjacency between non-anchor features, restricted to instances that
-    # partner the anchor at all; nothing else can appear in a row.
-    adjacency: dict[tuple[int, int], dict[int, set[int]]] = {}
+def _link(index: _CandidateIndex, size2: Mapping[Pattern, TableInstance]) -> _CandidateIndex:
+    """Fill the index's adjacency between non-anchor features, restricted to
+    the coded instances; nothing else can appear in a row.  Verification
+    defers this until the early bound has passed."""
+    others, codes, adjacency = index.others, index.codes, index.adjacency
+    m = len(others)
     for i in range(m):
         for j in range(i + 1, m):
             table = _pair_table(Pattern((others[i], others[j])), size2)
@@ -125,7 +140,7 @@ def _index_candidate(
                 if ca is not None and cb is not None:
                     related.setdefault(ca, set()).add(cb)
             adjacency[(i, j)] = related
-    return _CandidateIndex(anchor, others, insts, anchor_partners, common, adjacency)
+    return index
 
 
 _NO_PARTNERS: frozenset[int] = frozenset()
@@ -166,7 +181,7 @@ def candidate_table_instance(
     """
     if clique.size == 2:
         return _pair_table(clique, size2)
-    index = _index_candidate(clique, size2, anchor_index)
+    index = _link(_index_candidate(clique, size2, anchor_index), size2)
     m = len(index.others)
     rows: list[tuple] = []
     chosen: list = [None] * m
@@ -222,8 +237,15 @@ def candidate_summary(
         return CandidateSummary(
             clique, len(table), {f: table.projection(f) for f in clique.features}
         )
-    index = _index_candidate(clique, size2, 0)
-    adjacency = index.adjacency
+    return _summarize(clique, _index_candidate(clique, size2, 0), size2)
+
+
+def _summarize(
+    clique: FeatureClique, index: _CandidateIndex, size2: Mapping[Pattern, TableInstance]
+) -> CandidateSummary:
+    """`candidate_summary` of a candidate of size three or more, from the
+    anchor side of its index."""
+    adjacency = _link(index, size2).adjacency
     last = len(index.others) - 1
     participants: list[set[int]] = [set() for _ in index.others]
 
@@ -269,23 +291,19 @@ def _pair_table(pair: Pattern, size2: Mapping[Pattern, TableInstance]) -> TableI
 
 
 def early_abort_check(
-    tallies: Mapping[DynamicFeature, int],
     counts: Mapping[DynamicFeature, int],
-    remaining_possible: Mapping[DynamicFeature, int],
+    possible: Mapping[DynamicFeature, int],
     config: MiningConfig,
 ) -> bool:
     """True when the candidate can no longer reach the threshold.
 
-    For each feature, tally + remaining_possible bounds the number of its
-    instances that could still participate, so the bounded ratio is an upper
-    bound on the final one; aborting on it never loses a prevalent pattern.
+    For each feature, `possible` bounds the number of its instances that
+    could participate, so the bounded ratio is an upper bound on the final
+    one; aborting on it never loses a prevalent pattern.
     """
-    for feature, tally in tallies.items():
+    for feature, bound in possible.items():
         total = counts.get(feature, 0)
-        if total == 0:
-            return True
-        bound = (tally + remaining_possible.get(feature, 0)) / total
-        if not meets_min_prev(bound, config):
+        if total == 0 or not meets_min_prev(bound / total, config):
             return True
     return False
 
@@ -356,21 +374,23 @@ def _verify(
     early_abort: bool,
     stats: VerifyStats,
 ) -> _Verification | None:
-    """Full verification; None when the early bound already rules it out."""
-    if early_abort and clique.size > 2:
-        anchor = clique.features[0]
-        others = clique.features[1:]
-        tables = [_pair_table(Pattern((anchor, f)), size2) for f in others]
-        common = set(tables[0].anchors())
-        for t in tables[1:]:
-            common &= set(t.anchors())
-        bounds = {anchor: len(common)}
-        for f, t in zip(others, tables):
-            bounds[f] = len({b for a in common for b in t.partners_of(a)})
-        if early_abort_check({f: 0 for f in clique.features}, counts, bounds, config):
-            stats.early_aborts += 1
-            return None
-    summary = candidate_summary(clique, size2)
+    """Full verification; None when the early bound already rules it out.
+
+    The bound allows the anchor instances partnered in every anchor pair
+    table, and for each other feature their partners in its table.
+    """
+    if clique.size == 2:
+        summary = candidate_summary(clique, size2)
+    else:
+        index = _index_candidate(clique, size2, 0)
+        if early_abort:
+            bounds = {index.anchor: len(index.common)}
+            for f, partners in zip(index.others, index.anchor_partners):
+                bounds[f] = len(set().union(*partners.values()))
+            if early_abort_check(counts, bounds, config):
+                stats.early_aborts += 1
+                return None
+        summary = _summarize(clique, index, size2)
     stats.verified += 1
     stats.rows_counted += summary.row_count
     ratios = summary.ratios(counts)

@@ -95,19 +95,6 @@ def test_mine_derive_all_matches_join(dataset, tmp_path):
     assert read_bytes(mdc) == read_bytes(join)
 
 
-def test_mine_threads_do_not_change_report(dataset, tmp_path):
-    one = str(tmp_path / "one.txt")
-    eight = str(tmp_path / "eight.txt")
-    base = [
-        f"{dataset}.snapshots.csv",
-        "--lifecycles", f"{dataset}.lifecycles.csv",
-        "--dd", "35", "--min-prev", "0.1",
-    ]
-    assert main(["mine"] + base + ["-o", one, "--threads", "1"]) == 0
-    assert main(["mine"] + base + ["-o", eight, "--threads", "8"]) == 0
-    assert read_bytes(one) == read_bytes(eight)
-
-
 def test_mine_seedless_report(dataset, tmp_path):
     report = str(tmp_path / "patterns.txt")
     code = main(
@@ -141,6 +128,25 @@ def test_mine_optional_dumps(dataset, tmp_path):
     assert code == 0
     assert read_bytes(pairs).startswith(b"feature_a,")
     assert read_bytes(size2).startswith(b"pattern,dpi,rows")
+
+
+def test_join_and_mdc_write_identical_dumps(dataset, tmp_path):
+    dumps = {}
+    for algo in ("mdc", "join"):
+        pairs = str(tmp_path / f"{algo}.pairs.csv")
+        size2 = str(tmp_path / f"{algo}.size2.csv")
+        code = main(
+            [
+                "mine", f"{dataset}.snapshots.csv",
+                "--lifecycles", f"{dataset}.lifecycles.csv",
+                "-o", str(tmp_path / f"{algo}.txt"), "--algo", algo,
+                "--pairs-dump", pairs, "--size2-report", size2,
+            ]
+        )
+        assert code == 0
+        dumps[algo] = (read_bytes(pairs), read_bytes(size2))
+    assert dumps["mdc"] == dumps["join"]
+    assert dumps["mdc"][0].count(b"\n") > 1
 
 
 def test_mine_empty_result(tmp_path):

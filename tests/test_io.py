@@ -9,10 +9,11 @@ from mdcolo import (
     Pattern,
     compute_spans,
     diff_snapshots,
+    mine_snapshots,
     neighbor_pairs,
+    participation_index,
 )
 from mdcolo import io
-from mdcolo.pipeline import size2_indices
 
 from conftest import burst_snapshots, feat, shops_snapshots
 
@@ -131,8 +132,9 @@ def test_pairs_csv(tmp_path, lifecycles, config):
 
 
 def test_size2_report_csv(tmp_path, lifecycles, config):
-    series = diff_snapshots(burst_snapshots())
-    tables, dpis = size2_indices(series, lifecycles, config)
+    outcome = mine_snapshots(burst_snapshots(), lifecycles, config)
+    tables = outcome.tables
+    dpis = {pat: participation_index(t, outcome.counts) for pat, t in tables.items()}
     path = str(tmp_path / "size2.csv")
     io.write_size2_report_csv(path, tables, dpis)
     lines = open(path, encoding="utf-8").read().splitlines()

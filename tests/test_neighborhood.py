@@ -81,12 +81,6 @@ def test_missing_span_is_an_error(shops_series, lifecycles, config):
         neighbor_pairs(shops_series, spans, config)
 
 
-def test_bad_worker_count(shops_series, lifecycles, config):
-    spans = spans_for(shops_series, lifecycles, config)
-    with pytest.raises(ConfigError):
-        neighbor_pairs(shops_series, spans, config, workers=0)
-
-
 def test_grid_cell_assignment():
     grid = GridIndex([], 10.0)
     assert grid.cell_of(0.0, 0.0) == (0, 0)
@@ -125,20 +119,6 @@ def test_grid_matches_all_pairs_scan_strict_mode():
         )
         spans = spans_for(series, features, cfg)
         assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg)
-
-
-def test_worker_count_does_not_change_result(shops_series, lifecycles, config):
-    spans = spans_for(shops_series, lifecycles, config)
-    base = neighbor_pairs(shops_series, spans, config)
-    for workers in (2, 3, 8):
-        assert neighbor_pairs(shops_series, spans, config, workers=workers) == base
-
-
-def test_worker_count_on_generated_series():
-    series, features, cfg = small_series(3, n_dynamic_instances=120)
-    spans = spans_for(series, features, cfg)
-    base = neighbor_pairs(series, spans, cfg)
-    assert neighbor_pairs(series, spans, cfg, workers=4) == base
 
 
 def test_empty_series_yields_no_pairs():

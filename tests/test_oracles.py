@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import mdcolo
 
 from mdcolo import (
     FeatureGraph,
@@ -10,6 +15,8 @@ from mdcolo import (
     feature_counts,
     join_based_mine,
     mine_series,
+    neighbor_pairs,
+    size2_table_instances,
 )
 from mdcolo.oracles import CapExceededError, OracleConfig
 
@@ -25,6 +32,10 @@ from conftest import (
 def spans_for(series, lifecycles, config):
     life = {f.id: f.life_cycle for f in lifecycles}
     return compute_spans(series.features(), life, config.time_span)
+
+
+def pair_tables(series, spans, config):
+    return size2_table_instances(neighbor_pairs(series, spans, config))
 
 
 def result_map(results):
@@ -75,7 +86,7 @@ def test_pipeline_matches_brute_force_on_generated_series():
 def test_join_oracle_on_burst(burst_series, lifecycles, config):
     spans = spans_for(burst_series, lifecycles, config)
     counts = feature_counts(burst_series)
-    results = join_based_mine(burst_series, spans, counts, config)
+    results = join_based_mine(pair_tables(burst_series, spans, config), counts, config)
     by_label = {r.pattern.label: r for r in results}
     assert sorted(by_label) == sorted(
         list(BURST_EXPECTED_TABLES) + ["A_dead,B_new,C_dead"]
@@ -97,7 +108,7 @@ def test_join_results_are_downward_closed():
         series, features, cfg = small_series(seed, min_prev=0.15)
         spans = spans_for(series, features, cfg)
         counts = feature_counts(series)
-        results = join_based_mine(series, spans, counts, cfg)
+        results = join_based_mine(pair_tables(series, spans, cfg), counts, cfg)
         prevalent = {r.pattern for r in results}
         for pattern in prevalent:
             for k in range(2, pattern.size):
@@ -110,7 +121,7 @@ def test_join_matches_derive_all():
         series, features, cfg = small_series(seed)
         spans = spans_for(series, features, cfg)
         counts = feature_counts(series)
-        join = join_based_mine(series, spans, counts, cfg)
+        join = join_based_mine(pair_tables(series, spans, cfg), counts, cfg)
         mdc = mine_series(series, features, cfg, derive_all=True).derived
         got = {(r.pattern, round(r.dpi, 12), r.row_count, r.maximal) for r in mdc}
         want = {(r.pattern, round(r.dpi, 12), r.row_count, r.maximal) for r in join}
@@ -125,3 +136,21 @@ def test_bron_kerbosch_small_graphs():
         "C_new,D_new",
     ]
     assert bron_kerbosch(FeatureGraph({})) == ()
+
+
+def test_production_modules_do_not_import_oracles():
+    package = Path(mdcolo.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "oracles" for name in names):
+                importers.append(path.name)
+    assert importers == []

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import ConfigError, diff_snapshots, mine_series, mine_snapshots
-from mdcolo.pipeline import size2_indices
+from mdcolo import (
+    ConfigError,
+    compute_spans,
+    diff_snapshots,
+    mine_snapshots,
+    neighbor_pairs,
+    size2_table_instances,
+)
 
-from conftest import BURST_EXPECTED_MAXIMAL, small_series
+from conftest import BURST_EXPECTED_MAXIMAL
 
 
 def test_mine_snapshots_on_burst(burst, lifecycles, config):
@@ -34,7 +40,12 @@ def test_join_algo(burst, lifecycles, config):
     outcome = mine_snapshots(burst, lifecycles, config, algo="join")
     assert outcome.derived is None
     assert len(outcome.results) == 7
-    assert "mine" in outcome.timings_ms
+    entries = outcome.manifest_entries()
+    for stage in ("diff", "pairs", "size2", "mine", "total"):
+        assert f"time_{stage}_ms" in entries
+    assert entries["neighbor_pairs"] == sum(len(t) for t in outcome.tables.values())
+    assert entries["size2_tables"] == len(outcome.tables)
+    assert outcome.tables == mine_snapshots(burst, lifecycles, config).tables
     maximal = {r.pattern.label for r in outcome.results if r.maximal}
     assert maximal == set(BURST_EXPECTED_MAXIMAL)
 
@@ -57,15 +68,6 @@ def test_missing_lifecycle_entry(burst, lifecycles, config):
         mine_snapshots(burst, lifecycles[:-1], config)
 
 
-def test_workers_do_not_change_outcome():
-    series, features, cfg = small_series(2, n_dynamic_instances=120)
-    single = mine_series(series, features, cfg, workers=1)
-    threaded = mine_series(series, features, cfg, workers=4)
-    assert [(r.pattern, r.dpi, r.row_count) for r in single.results] == [
-        (r.pattern, r.dpi, r.row_count) for r in threaded.results
-    ]
-
-
 def test_manifest_entries(burst, lifecycles, config):
     outcome = mine_snapshots(burst, lifecycles, config, derive_all=True)
     entries = outcome.manifest_entries()
@@ -84,10 +86,11 @@ def test_manifest_entries(burst, lifecycles, config):
 
 def test_outcome_carries_pair_tables(burst, lifecycles, config):
     outcome = mine_snapshots(burst, lifecycles, config)
-    tables, _ = size2_indices(diff_snapshots(burst), lifecycles, config)
-    assert outcome.tables == tables
+    series = diff_snapshots(burst)
+    life = {f.id: f.life_cycle for f in lifecycles}
+    spans = compute_spans(series.features(), life, config.time_span)
+    assert outcome.tables == size2_table_instances(neighbor_pairs(series, spans, config))
     assert sum(outcome.counts.values()) == outcome.counters["instances"]
-    assert mine_snapshots(burst, lifecycles, config, algo="join").tables is None
 
 
 def test_stats_flow_through(burst, lifecycles, config):

@@ -101,21 +101,6 @@ def test_projection_is_distinct_instances(burst_tables):
     assert {i.label for i in table.projection(feat("B_new"))} == {"B_new.1", "B_new.2"}
 
 
-def test_anchor_partner_views(burst_tables):
-    table = burst_tables[Pattern([feat("A_dead"), feat("B_new")])]
-    anchors = table.anchors()
-    assert [a.label for a in anchors] == ["A_dead.1", "A_dead.2"]
-    by_label = {a.label: sorted(p.label for p in table.partners_of(a)) for a in anchors}
-    assert by_label == {"A_dead.1": ["B_new.1", "B_new.2"], "A_dead.2": ["B_new.1"]}
-
-
-def test_partner_views_rejected_for_larger_patterns():
-    pattern = Pattern([feat("A_new"), feat("B_new"), feat("C_new")])
-    table = TableInstance(pattern, [])
-    with pytest.raises(ValueError):
-        table.anchors()
-
-
 def test_passes_prevalence_modes():
     inclusive = MiningConfig(d_d=1.0, min_prev=0.5, time_span=1.0)
     strict = MiningConfig(

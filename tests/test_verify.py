@@ -177,11 +177,10 @@ def test_early_abort_check_bounds():
         d_d=1.0, min_prev=0.3, time_span=1.0, prevalence_comparison="strict"
     )
     a = feat("A_new")
-    assert early_abort_check({a: 0}, {a: 10}, {a: 2}, cfg)
-    assert not early_abort_check({a: 0}, {a: 10}, {a: 3}, cfg)
-    assert early_abort_check({a: 0}, {a: 10}, {a: 3}, strict)
-    assert not early_abort_check({a: 1}, {a: 10}, {a: 2}, cfg)
-    assert early_abort_check({a: 0}, {}, {a: 5}, cfg)
+    assert early_abort_check({a: 10}, {a: 2}, cfg)
+    assert not early_abort_check({a: 10}, {a: 3}, cfg)
+    assert early_abort_check({a: 10}, {a: 3}, strict)
+    assert early_abort_check({}, {a: 5}, cfg)
 
 
 def test_subsumed_candidates_are_skipped(burst_series, lifecycles, config):
