@@ -32,6 +32,14 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _parse(convert, text: str, what: str):
+    """`convert(text)`, or a ConfigError that names `what` and the value."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{what}: {text!r} is not a valid {convert.__name__}") from None
+
+
 def cmd_diff(args: argparse.Namespace) -> int:
     snapshots = io.read_snapshots_csv(args.input)
     series = diff_snapshots(snapshots)
@@ -59,9 +67,11 @@ def cmd_mine(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     series = diff_snapshots(snapshots)
     diff_ms = (time.perf_counter() - started) * 1000
-    series_features = {f.base for f in series.features()}
-    known = {f.id for f in lifecycles}
-    unknown = sorted(known - series_features)
+    # A feature without events has the same instances in every snapshot, so
+    # snapshot 0 names every snapshot feature the series lacks.
+    snapshot_features = {f.base for f in series.features()}
+    snapshot_features.update(record[0] for record in snapshots[0].records)
+    unknown = sorted({f.id for f in lifecycles} - snapshot_features)
     if unknown:
         raise ConfigError(f"unknown feature(s) in {args.lifecycles}: {', '.join(unknown)}")
 
@@ -110,7 +120,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     defaults = GenConfig.life_cycles
     life_cycles = (
-        tuple(float(v) for v in args.life_cycles.split(","))
+        tuple(_parse(float, v, "--life-cycles") for v in args.life_cycles.split(","))
         if args.life_cycles
         else tuple(defaults[i % len(defaults)] for i in range(args.features))
     )
@@ -146,30 +156,37 @@ _dataset_cache: dict[GenConfig, list] = {}
 def _bench_point(spec: dict[str, str], algo: str, prune: str) -> tuple[int, int, float]:
     """Generate (or reuse) the dataset for one sweep point and mine it;
     returns (maximal count, prevalent count, elapsed ms)."""
-    n_features = int(spec["features"])
+
+    def value(key: str, convert):
+        return _parse(convert, spec[key], f"sweep key {key!r}")
+
+    n_features = value("features", int)
     defaults = GenConfig.life_cycles
     life_values = (
-        tuple(float(v) for v in spec["lifecycles"].split(";"))
+        tuple(
+            _parse(float, v, "sweep key 'lifecycles'") for v in spec["lifecycles"].split(";")
+        )
         if "lifecycles" in spec
         else tuple(defaults[i % len(defaults)] for i in range(n_features))
     )
+    side = value("area", float)
     gen = GenConfig(
-        area=(float(spec["area"]), float(spec["area"])),
-        n_time_points=int(spec["time_points"]),
-        time_span=float(spec["time_span"]),
+        area=(side, side),
+        n_time_points=value("time_points", int),
+        time_span=value("time_span", float),
         n_base_features=n_features,
         life_cycles=life_values,
-        n_dynamic_instances=int(spec["instances"]),
-        cluster_count=int(spec["clusters"]),
-        cluster_radius=float(spec["cluster_radius"]),
-        churn_ratio=float(spec["churn"]),
-        seed=int(spec["seed"]),
+        n_dynamic_instances=value("instances", int),
+        cluster_count=value("clusters", int),
+        cluster_radius=value("cluster_radius", float),
+        churn_ratio=value("churn", float),
+        seed=value("seed", int),
     )
     if gen not in _dataset_cache:
         _dataset_cache[gen] = generate(gen)[0]
     snapshots = _dataset_cache[gen]
     config = MiningConfig(
-        d_d=float(spec["dd"]), min_prev=float(spec["min_prev"]), time_span=gen.time_span
+        d_d=value("dd", float), min_prev=value("min_prev", float), time_span=gen.time_span
     )
     started = time.perf_counter()
     outcome = mine_snapshots(

@@ -3,8 +3,8 @@
 Two instances of different dynamic features relate when they are within d_d
 of each other (Euclidean, inclusive) and their windows differ by at most the
 larger of the two features' spans (inclusive by default, strict optionally).
-Candidates come from a uniform grid with cell size d_d, so only the 3x3 block
-of cells around an instance is ever scanned.
+Candidates come from a uniform grid with cells just wider than d_d, so only
+the 3x3 block of cells around an instance is ever scanned.
 """
 
 from __future__ import annotations
@@ -18,6 +18,12 @@ from .snapshots import DynamicDatasetSeries
 # Canonically ordered: pair[0].sort_key < pair[1].sort_key, which also means
 # pair[0].feature sorts before pair[1].feature (same-feature pairs are dropped).
 NeighborPair = tuple[DynamicInstance, DynamicInstance]
+
+# A pair whose rounded distance passes the d_d test can be a rounding error
+# over d_d apart, which cells exactly d_d wide may place two cells apart.  The
+# slack outweighs the rounding of x / cell for coordinates within about 1e9
+# cells of the origin.
+_CELL_SLACK = 1 + 1e-6
 
 
 class GridIndex:
@@ -76,7 +82,7 @@ def neighbor_pairs(
     if not instances:
         return ()
 
-    grid = GridIndex(instances, config.d_d)
+    grid = GridIndex(instances, config.d_d * _CELL_SLACK)
     max_span = max(spans[inst.feature] for inst in instances)
     dd_sq = config.d_d * config.d_d
     mode = config.temporal_comparison

@@ -3,18 +3,21 @@
 Each oracle recomputes its answer from first principles rather than through
 the production code paths: the pair scan compares every instance pair
 directly, the brute-force miner enumerates feature subsets and searches rows
-exhaustively, and the clique oracle is the classical pivoted enumeration.
-The level-wise baseline miner lives in `levelwise`.
+exhaustively, the row reference lists a candidate's table instance without
+any anchor, and the clique oracle is the classical pivoted enumeration.  No
+production module imports this one.  The level-wise baseline miner lives in
+`levelwise`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
-from .model import ConfigError, DynamicFeature, MiningConfig, Pattern
+from .model import ConfigError, DynamicFeature, FeatureClique, MiningConfig, Pattern
 from .neighborhood import NeighborPair
-from .size2 import FeatureCounts, FeatureGraph, passes_prevalence
+from .size2 import FeatureCounts, FeatureGraph, TableInstance, passes_prevalence
 from .snapshots import DynamicDatasetSeries
 from .verify import PatternResult
 
@@ -76,6 +79,34 @@ def all_pairs_scan(
             if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= dd_sq:
                 out.append((a, b))
     return tuple(out)
+
+
+def candidate_table_instance(
+    clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
+) -> TableInstance:
+    """A candidate's table instance from its pair tables, no anchor involved:
+    every combination of one instance per feature whose feature pairs are
+    all pair-table rows.  A missing pair table means the clique never came
+    from a feature graph over this data."""
+    related: set[tuple] = set()
+    for pair in combinations(clique.features, 2):
+        table = size2.get(Pattern(pair))
+        if table is None:
+            raise ValueError(
+                f"no pair table for {Pattern(pair).label}; "
+                "candidate is not a clique over this data"
+            )
+        related.update(table.rows)
+    rows: list[tuple] = [()]
+    for f in clique.features:
+        insts = {inst for row in related for inst in row if inst.feature == f}
+        rows = [
+            row + (inst,)
+            for row in rows
+            for inst in insts
+            if all((prev, inst) in related for prev in row)
+        ]
+    return TableInstance(clique, rows)
 
 
 def bron_kerbosch(graph: FeatureGraph) -> tuple[Pattern, ...]:

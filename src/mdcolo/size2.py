@@ -129,47 +129,27 @@ def prevalent_size2(
 
 
 class FeatureGraph:
-    """Undirected graph of dynamic features; edges carry their pair tables.
+    """Undirected graph of dynamic features, one edge per pair pattern.
 
     Vertices are exactly the endpoints of edges unless extra isolated vertices
     are supplied (useful for synthetic graphs in tests).
     """
 
-    def __init__(
-        self,
-        edges: Mapping[Pattern, TableInstance | None],
-        vertices: Iterable[DynamicFeature] = (),
-    ):
+    def __init__(self, edges: Iterable[Pattern], vertices: Iterable[DynamicFeature] = ()):
+        self.edges: tuple[Pattern, ...] = tuple(sorted(set(edges), key=lambda p: p.sort_key))
         adjacency: dict[DynamicFeature, set[DynamicFeature]] = {v: set() for v in vertices}
-        for pat in edges:
+        for pat in self.edges:
             if pat.size != 2:
                 raise ValueError(f"feature graph edges must be pairs, got {pat.label}")
             a, b = pat.features
             adjacency.setdefault(a, set()).add(b)
             adjacency.setdefault(b, set()).add(a)
-        self.edges: dict[Pattern, TableInstance | None] = dict(
-            sorted(edges.items(), key=lambda kv: kv[0].sort_key)
-        )
         self.adjacency: dict[DynamicFeature, frozenset[DynamicFeature]] = {
             v: frozenset(neigh) for v, neigh in adjacency.items()
         }
         self.vertices: tuple[DynamicFeature, ...] = tuple(
             sorted(self.adjacency, key=lambda f: f.sort_key)
         )
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[tuple[DynamicFeature, DynamicFeature]],
-        vertices: Iterable[DynamicFeature] = (),
-    ) -> "FeatureGraph":
-        return cls({Pattern(pair): None for pair in pairs}, vertices)
-
-    def neighbors(self, feature: DynamicFeature) -> frozenset[DynamicFeature]:
-        return self.adjacency[feature]
-
-    def degree(self, feature: DynamicFeature) -> int:
-        return len(self.adjacency[feature])
 
 
 def build_feature_graph(prevalent: Mapping[Pattern, TableInstance]) -> FeatureGraph:

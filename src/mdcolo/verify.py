@@ -5,11 +5,10 @@ table instance is defined by its pair tables: the canonically first feature
 acts as the anchor, its instances common to every anchor pair table seed the
 rows, and a row survives only if every remaining feature pair is itself a
 pair-table row.  Verification counts those rows and collects each feature's
-participating instances without building the rows; `candidate_table_instance`
-builds them as the reference.  Candidates whose participation index passes the
-threshold are accepted unless an accepted pattern already contains them;
-failed candidates of size three or more decompose into their one-smaller
-sub-cliques, which join the queue.
+participating instances without building the rows.  Candidates whose
+participation index passes the threshold are accepted unless an accepted
+pattern already contains them; failed candidates of size three or more
+decompose into their one-smaller sub-cliques, which join the queue.
 
 Two optional shortcuts never change the outcome.  Participation ratios can be
 bounded from above before the rows are counted, aborting hopeless
@@ -85,12 +84,13 @@ class _CandidateIndex(NamedTuple):
 
 
 def _index_candidate(
-    clique: FeatureClique, size2: Mapping[Pattern, TableInstance], anchor_index: int
+    clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
 ) -> _CandidateIndex:
-    """The anchor side of a candidate's index; `_link` adds the rest."""
-    feats = clique.features
-    anchor = feats[anchor_index]
-    others = [f for f in feats if f != anchor]
+    """The anchor side of a candidate's index; `_link` adds the rest.
+
+    The anchor sorts first, so it is the first column of every anchor table.
+    """
+    anchor, *others = clique.features
     tables = [_pair_table(Pattern((anchor, f)), size2) for f in others]
     common = set(tables[0].projection(anchor))
     for table in tables[1:]:
@@ -110,14 +110,10 @@ def _index_candidate(
     anchor_partners: list[dict[DynamicInstance, set[int]]] = []
     for f, table in zip(others, tables):
         partners: dict[DynamicInstance, set[int]] = {}
-        if f.sort_key < anchor.sort_key:  # the anchor is the second column
-            for b, a in table.rows:
-                if a in common:
-                    partners.setdefault(a, set()).add(code(b))
-        else:  # rows are sorted, so each anchor's rows are adjacent
-            for a, rows in groupby(table.rows, itemgetter(0)):
-                if a in common:
-                    partners[a] = {code(b) for _, b in rows}
+        # rows are sorted, so each anchor's rows are adjacent
+        for a, rows in groupby(table.rows, itemgetter(0)):
+            if a in common:
+                partners[a] = {code(b) for _, b in rows}
         anchor_partners.append(partners)
     return _CandidateIndex(anchor, others, insts, codes, anchor_partners, common, {})
 
@@ -125,16 +121,15 @@ def _index_candidate(
 def _link(index: _CandidateIndex, size2: Mapping[Pattern, TableInstance]) -> _CandidateIndex:
     """Fill the index's adjacency between non-anchor features, restricted to
     the coded instances; nothing else can appear in a row.  Verification
-    defers this until the early bound has passed."""
+    defers this until the early bound has passed.  `others` is in canonical
+    order, so others[i] is the first column of the (i, j) table."""
     others, codes, adjacency = index.others, index.codes, index.adjacency
     m = len(others)
     for i in range(m):
         for j in range(i + 1, m):
             table = _pair_table(Pattern((others[i], others[j])), size2)
-            flip = others[j].sort_key < others[i].sort_key
             related: dict[int, set[int]] = {}
-            for row in table.rows:
-                a, b = (row[1], row[0]) if flip else row
+            for a, b in table.rows:
                 ca = codes.get(a)
                 cb = codes.get(b)
                 if ca is not None and cb is not None:
@@ -164,43 +159,6 @@ def _narrow(
     return narrowed
 
 
-def candidate_table_instance(
-    clique: FeatureClique,
-    size2: Mapping[Pattern, TableInstance],
-    anchor_index: int = 0,
-) -> TableInstance:
-    """Assemble a candidate's table instance from its pair tables.
-
-    This is the row-building reference for `candidate_summary`, which
-    verification uses instead.  The anchor defaults to the canonically first
-    feature; any other index yields the same rows because the surviving rows
-    are exactly those whose feature pairs are all pair-table rows, a
-    condition with no preferred feature.  Missing pair tables mean the
-    clique never came from a feature graph over this data and are a caller
-    bug.
-    """
-    if clique.size == 2:
-        return _pair_table(clique, size2)
-    index = _link(_index_candidate(clique, size2, anchor_index), size2)
-    m = len(index.others)
-    rows: list[tuple] = []
-    chosen: list = [None] * m
-
-    def extend(level: int, anchor_inst, allowed: list[set[int]]) -> None:
-        if level == m:
-            rows.append((*chosen[:anchor_index], anchor_inst, *chosen[anchor_index:]))
-            return
-        for c in allowed[level]:
-            narrowed = _narrow(index.adjacency, level, c, allowed)
-            if narrowed is not None:
-                chosen[level] = index.insts[c]
-                extend(level + 1, anchor_inst, narrowed)
-
-    for anchor_inst in index.common:
-        extend(0, anchor_inst, [partners[anchor_inst] for partners in index.anchor_partners])
-    return TableInstance(clique, rows)
-
-
 @dataclass(frozen=True)
 class CandidateSummary:
     """What prevalence needs of a candidate's table instance: its row count
@@ -222,10 +180,10 @@ class CandidateSummary:
 def candidate_summary(
     clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
 ) -> CandidateSummary:
-    """Row count and projections of `candidate_table_instance(clique, size2)`.
+    """Row count and projections of the candidate's table instance.
 
-    A pair reads them off its pair table.  A larger candidate runs the same
-    anchor-seeded backtracking but never picks at the last level: once the
+    A pair reads them off its pair table.  A larger candidate runs an
+    anchor-seeded backtracking that never picks at the last level: once the
     earlier levels are chosen, each instance still allowed there completes
     exactly one row, so the set's size adds to the count and its members
     join the last feature's participants.  An earlier choice, or an anchor
@@ -237,7 +195,7 @@ def candidate_summary(
         return CandidateSummary(
             clique, len(table), {f: table.projection(f) for f in clique.features}
         )
-    return _summarize(clique, _index_candidate(clique, size2, 0), size2)
+    return _summarize(clique, _index_candidate(clique, size2), size2)
 
 
 def _summarize(
@@ -382,7 +340,7 @@ def _verify(
     if clique.size == 2:
         summary = candidate_summary(clique, size2)
     else:
-        index = _index_candidate(clique, size2, 0)
+        index = _index_candidate(clique, size2)
         if early_abort:
             bounds = {index.anchor: len(index.common)}
             for f, partners in zip(index.others, index.anchor_partners):

@@ -14,14 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import (
-    BaseFeature,
-    MiningConfig,
-    Snapshot,
-    diff_snapshots,
-    parse_feature_label,
-)
+from mdcolo import BaseFeature, MiningConfig, Snapshot, diff_snapshots
 from mdcolo.datagen import GenConfig, generate
+from mdcolo.model import parse_feature_label
 
 
 def feat(label: str):

@@ -15,26 +15,30 @@ from mdcolo import (
     GenConfig,
     MiningConfig,
     Pattern,
-    SplitMix64,
+    diff_snapshots,
+    generate,
+    mine_series,
+)
+from mdcolo.cliques import maximal_cliques
+from mdcolo.datagen import SplitMix64
+from mdcolo.levelwise import join_based_mine
+from mdcolo.model import compute_spans
+from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.oracles import (
     all_pairs_scan,
     bron_kerbosch,
     brute_force_maximal,
-    build_feature_graph,
     candidate_table_instance,
-    compute_spans,
-    decompose,
-    diff_snapshots,
+)
+from mdcolo.size2 import (
+    build_feature_graph,
     feature_counts,
-    generate,
-    join_based_mine,
-    maximal_cliques,
-    mine_series,
-    neighbor_pairs,
     participation_index,
     participation_ratio,
     prevalent_size2,
     size2_table_instances,
 )
+from mdcolo.verify import decompose
 from mdcolo import cli
 
 from conftest import (

@@ -5,7 +5,7 @@ import pytest
 from mdcolo.cli import main
 
 from conftest import shops_snapshots
-from mdcolo import BaseFeature, io
+from mdcolo import BaseFeature, Snapshot, io
 
 
 def read_bytes(path) -> bytes:
@@ -197,6 +197,22 @@ def test_mine_unknown_lifecycle_feature_exits_2(dataset, tmp_path, capsys):
     assert "Z" in capsys.readouterr().err
 
 
+def test_mine_lifecycle_feature_without_events(tmp_path):
+    # C is present, unchanged, in both snapshots: a snapshot feature with no
+    # dynamic instances, so its life cycle is known but unused.
+    snaps = tmp_path / "snaps.csv"
+    io.write_snapshots_csv(str(snaps), [
+        Snapshot(0, (("A", "a1", 0.0, 0.0), ("C", "c1", 5.0, 5.0))),
+        Snapshot(1, (("A", "a2", 0.5, 0.0), ("B", "b1", 1.0, 0.0), ("C", "c1", 5.0, 5.0))),
+    ])
+    lc = tmp_path / "lc.csv"
+    io.write_lifecycles_csv(str(lc), [BaseFeature(f, 3.0) for f in "ABC"])
+    report = str(tmp_path / "out.txt")
+    code = main(["mine", str(snaps), "--lifecycles", str(lc), "--dd", "2", "-o", report])
+    assert code == 0
+    assert read_bytes(report) == b"A_new,A_dead,B_new;3;1.0;1;true\n"
+
+
 def test_mine_missing_lifecycle_feature_exits_2(dataset, tmp_path, capsys):
     lc = tmp_path / "short.csv"
     features = io.read_lifecycles_csv(f"{dataset}.lifecycles.csv")
@@ -251,6 +267,14 @@ def test_mine_huge_life_cycle_finishes(dataset, tmp_path):
     assert "pattern_count: " in read_bytes(f"{report}.manifest").decode()
 
 
+def test_gen_bad_life_cycle_exits_2(tmp_path, capsys):
+    code = main(
+        ["gen", "-o", str(tmp_path / "data"), "--features", "2", "--life-cycles", "9,abc"]
+    )
+    assert code == 2
+    assert "error: --life-cycles: 'abc'" in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     code = main(["diff", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "out.csv")])
     assert code == 2
@@ -287,6 +311,13 @@ def test_bench_rejects_unknown_key(tmp_path, capsys):
     spec.write_text("warp=9\n")
     assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
     assert "unknown sweep key" in capsys.readouterr().err
+
+
+def test_bench_bad_number_exits_2(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("instances=abc\n")
+    assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
+    assert "error: sweep key 'instances': 'abc'" in capsys.readouterr().err
 
 
 def test_bench_rejects_sweeping_fixed_key(tmp_path, capsys):

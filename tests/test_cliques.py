@@ -2,19 +2,19 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from mdcolo import (
+from mdcolo import Pattern
+from mdcolo.cliques import maximal_cliques
+from mdcolo.datagen import SplitMix64, feature_name
+from mdcolo.model import DEAD, NEW, DynamicFeature, compute_spans
+from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.oracles import bron_kerbosch
+from mdcolo.size2 import (
     FeatureGraph,
-    bron_kerbosch,
     build_feature_graph,
-    compute_spans,
     feature_counts,
-    maximal_cliques,
-    neighbor_pairs,
     prevalent_size2,
     size2_table_instances,
 )
-from mdcolo.datagen import SplitMix64, feature_name
-from mdcolo.model import DEAD, NEW, DynamicFeature
 
 from conftest import BURST_EXPECTED_CLIQUES, feat
 
@@ -30,24 +30,22 @@ def test_burst_cliques_exact(burst_series, lifecycles, config):
 
 
 def test_empty_graph():
-    assert maximal_cliques(FeatureGraph({})) == ()
+    assert maximal_cliques(FeatureGraph([])) == ()
 
 
 def test_single_edge():
-    graph = FeatureGraph.from_pairs([(feat("A_new"), feat("B_dead"))])
+    graph = FeatureGraph([Pattern([feat("A_new"), feat("B_dead")])])
     assert [c.label for c in maximal_cliques(graph)] == ["A_new,B_dead"]
 
 
 def test_isolated_vertex_never_appears():
-    graph = FeatureGraph.from_pairs(
-        [(feat("A_new"), feat("B_new"))], vertices=[feat("Z_dead")]
-    )
+    graph = FeatureGraph([Pattern([feat("A_new"), feat("B_new")])], vertices=[feat("Z_dead")])
     assert [c.label for c in maximal_cliques(graph)] == ["A_new,B_new"]
 
 
 def test_triangle_with_pendant():
     a, b, c, d = feat("A_new"), feat("B_new"), feat("C_new"), feat("D_new")
-    graph = FeatureGraph.from_pairs([(a, b), (a, c), (b, c), (c, d)])
+    graph = FeatureGraph(Pattern(pair) for pair in [(a, b), (a, c), (b, c), (c, d)])
     assert [cl.label for cl in maximal_cliques(graph)] == [
         "A_new,B_new,C_new",
         "C_new,D_new",
@@ -56,7 +54,7 @@ def test_triangle_with_pendant():
 
 def test_complete_graph_is_one_clique():
     feats = [feat(f"{feature_name(i)}_new") for i in range(6)]
-    graph = FeatureGraph.from_pairs(list(combinations(feats, 2)))
+    graph = FeatureGraph(Pattern(pair) for pair in combinations(feats, 2))
     cliques = maximal_cliques(graph)
     assert len(cliques) == 1
     assert cliques[0].size == 6
@@ -66,7 +64,7 @@ def test_two_disjoint_triangles():
     f = [feat(f"{feature_name(i)}_new") for i in range(6)]
     edges = [(f[0], f[1]), (f[0], f[2]), (f[1], f[2]),
              (f[3], f[4]), (f[3], f[5]), (f[4], f[5])]
-    cliques = maximal_cliques(FeatureGraph.from_pairs(edges))
+    cliques = maximal_cliques(FeatureGraph(Pattern(pair) for pair in edges))
     assert [c.label for c in cliques] == ["A_new,B_new,C_new", "D_new,E_new,F_new"]
 
 
@@ -78,7 +76,7 @@ def random_graph(rng: SplitMix64, n_vertices: int, density: float) -> FeatureGra
     edges = [
         pair for pair in combinations(vertices, 2) if rng.random() < density
     ]
-    return FeatureGraph.from_pairs(edges, vertices=vertices)
+    return FeatureGraph((Pattern(pair) for pair in edges), vertices=vertices)
 
 
 def test_matches_bron_kerbosch_on_random_graphs():

@@ -5,14 +5,14 @@ import pytest
 from mdcolo import (
     BaseFeature,
     DataFormatError,
-    PatternResult,
     Pattern,
-    compute_spans,
+    PatternResult,
     diff_snapshots,
     mine_snapshots,
-    neighbor_pairs,
-    participation_index,
 )
+from mdcolo.model import compute_spans
+from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.size2 import participation_index
 from mdcolo import io
 
 from conftest import burst_snapshots, feat, shops_snapshots

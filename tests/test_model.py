@@ -10,6 +10,8 @@ from mdcolo import (
     DynamicInstance,
     MiningConfig,
     Pattern,
+)
+from mdcolo.model import (
     canonical_features,
     compute_spans,
     parse_feature_label,

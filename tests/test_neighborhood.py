@@ -2,13 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import (
-    ConfigError,
-    GridIndex,
-    MiningConfig,
-    compute_spans,
-    neighbor_pairs,
-)
+from mdcolo import ConfigError, MiningConfig
+from mdcolo.model import compute_spans
+from mdcolo.neighborhood import GridIndex, neighbor_pairs
 from mdcolo.oracles import all_pairs_scan
 
 from conftest import (
@@ -72,6 +68,21 @@ def test_boundary_distance_is_inclusive():
     assert as_labels(neighbor_pairs(series, spans, cfg)) == {("A_new.1", "B_new.1")}
     just_under = MiningConfig(d_d=1.9999999, min_prev=0.1, time_span=3.0)
     assert neighbor_pairs(series, spans, just_under) == ()
+
+
+def test_pair_a_rounding_error_over_d_d_is_found():
+    # 0.5 - (-7e-78) rounds to exactly d_d, so the distance test passes,
+    # while the points sit in cells 1 and -1 of a grid exactly d_d wide.
+    from mdcolo import DynamicInstance
+    from mdcolo.snapshots import DynamicDatasetSeries
+    from conftest import feat
+
+    a = DynamicInstance(feat("A_new"), 1, 0.0, 0.5, 0)
+    b = DynamicInstance(feat("A_dead"), 1, 0.0, -6.895326947134782e-78, 0)
+    series = DynamicDatasetSeries(((a, b),))
+    spans = {a.feature: 1, b.feature: 1}
+    cfg = MiningConfig(d_d=0.5, min_prev=0.1, time_span=3.0)
+    assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg) == ((a, b),)
 
 
 def test_missing_span_is_an_error(shops_series, lifecycles, config):

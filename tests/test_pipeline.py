@@ -2,14 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import (
-    ConfigError,
-    compute_spans,
-    diff_snapshots,
-    mine_snapshots,
-    neighbor_pairs,
-    size2_table_instances,
-)
+from mdcolo import ConfigError, diff_snapshots, mine_snapshots
+from mdcolo.model import compute_spans
+from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.size2 import size2_table_instances
 
 from conftest import BURST_EXPECTED_MAXIMAL
 

@@ -2,20 +2,19 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import (
-    MiningConfig,
-    Pattern,
+from mdcolo import MiningConfig, Pattern
+from mdcolo.model import compute_spans
+from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.size2 import (
+    FeatureGraph,
     build_feature_graph,
-    compute_spans,
     feature_counts,
-    neighbor_pairs,
     participation_index,
     participation_ratio,
     passes_prevalence,
     prevalent_size2,
     size2_table_instances,
 )
-from mdcolo.size2 import FeatureGraph, TableInstance
 
 from conftest import (
     BURST_EXPECTED_TABLES,
@@ -136,23 +135,20 @@ def test_feature_graph_structure(burst_tables, burst_series, config):
         "C_new",
         "C_dead",
     ]
-    assert {n.label for n in graph.neighbors(feat("A_dead"))} == {
+    assert {n.label for n in graph.adjacency[feat("A_dead")]} == {
         "B_new",
         "B_dead",
         "C_dead",
     }
-    assert graph.degree(feat("C_new")) == 1
+    assert len(graph.adjacency[feat("C_new")]) == 1
 
 
 def test_feature_graph_rejects_non_pair_edges():
     triple = Pattern([feat("A_new"), feat("B_new"), feat("C_new")])
     with pytest.raises(ValueError):
-        FeatureGraph({triple: None})
+        FeatureGraph([triple])
 
 
 def test_feature_graph_isolated_vertices():
-    graph = FeatureGraph.from_pairs(
-        [(feat("A_new"), feat("B_new"))], vertices=[feat("Z_dead")]
-    )
-    assert feat("Z_dead") in graph.adjacency
-    assert graph.degree(feat("Z_dead")) == 0
+    graph = FeatureGraph([Pattern([feat("A_new"), feat("B_new")])], vertices=[feat("Z_dead")])
+    assert graph.adjacency[feat("Z_dead")] == frozenset()

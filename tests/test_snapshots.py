@@ -2,12 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import (
-    DataFormatError,
-    InsufficientDataError,
-    Snapshot,
-    diff_snapshots,
-)
+from mdcolo import DataFormatError, InsufficientDataError, Snapshot, diff_snapshots
 
 from conftest import SHOPS_EXPECTED_INSTANCES, instances_by_label, snap
 

@@ -5,24 +5,25 @@ from itertools import combinations
 
 import pytest
 
-from mdcolo import (
-    DynamicInstance,
-    MiningConfig,
-    Pattern,
-    VerifyStats,
+from mdcolo import DynamicInstance, MiningConfig, Pattern
+from mdcolo.cliques import maximal_cliques
+from mdcolo.model import compute_spans
+from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.oracles import candidate_table_instance
+from mdcolo.size2 import (
     build_feature_graph,
-    candidate_table_instance,
-    compute_spans,
-    decompose,
-    derive_all_prevalent,
     feature_counts,
-    maximal_cliques,
-    neighbor_pairs,
     prevalent_size2,
     size2_table_instances,
+)
+from mdcolo.verify import (
+    VerifyStats,
+    candidate_summary,
+    decompose,
+    derive_all_prevalent,
+    early_abort_check,
     verify_all,
 )
-from mdcolo.verify import candidate_summary, early_abort_check
 
 from conftest import (
     BURST_EXPECTED_MAXIMAL,
@@ -68,26 +69,6 @@ def test_triple_table_rows(burst_series, lifecycles, config):
     table = candidate_table_instance(triple, prevalent)
     got = {tuple(i.label for i in row) for row in table.rows}
     assert got == BURST_TRIPLE_ROWS
-
-
-def test_anchor_choice_does_not_change_rows(burst_series, lifecycles, config):
-    tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, config)
-    triple = Pattern([feat("A_dead"), feat("B_new"), feat("C_dead")])
-    baseline = candidate_table_instance(triple, prevalent, anchor_index=0)
-    for anchor_index in (1, 2):
-        assert candidate_table_instance(triple, prevalent, anchor_index) == baseline
-
-
-def test_anchor_choice_on_generated_series():
-    for seed in (0, 4):
-        series, features, cfg = small_series(seed, min_prev=0.05)
-        tables, counts, prevalent, cliques = mining_state(series, features, cfg)
-        for clique in cliques:
-            if clique.size < 3:
-                continue
-            baseline = candidate_table_instance(clique, tables)
-            for anchor_index in range(1, clique.size):
-                assert candidate_table_instance(clique, tables, anchor_index) == baseline
 
 
 def test_summary_matches_row_tables_on_generated_series():
