@@ -149,6 +149,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 _SWEEPABLE = ("instances", "features", "dd", "min_prev", "prune")
+_PRUNE_VALUES = ("on", "off", "p1", "p2")
 
 _dataset_cache: dict[GenConfig, list] = {}
 
@@ -216,6 +217,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown sweep key {key!r}")
         if len(values) > 1 and key not in _SWEEPABLE and key != "algos":
             raise ConfigError(f"key {key!r} cannot be swept")
+    for value in spec.get("prune", ()):
+        if value not in _PRUNE_VALUES:
+            raise ConfigError(
+                f"sweep key 'prune': {value!r} is not one of {', '.join(_PRUNE_VALUES)}"
+            )
     base = dict(_BENCH_DEFAULTS)
     for key, values in spec.items():
         if key == "algos":
@@ -313,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, FileNotFoundError) as exc:
+    except (ConfigError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

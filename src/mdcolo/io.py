@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
 from typing import Iterable, Mapping, Sequence
 
 from .model import BaseFeature, DataFormatError, DynamicFeature, DynamicInstance
@@ -26,8 +27,15 @@ SIZE2_HEADER = ["pattern", "dpi", "rows"]
 BENCH_HEADER = ["param", "value", "algo", "maximal_count", "prevalent_count", "millis"]
 
 
+@contextmanager
 def _open_reader(path: str):
-    return open(path, newline="", encoding="utf-8")
+    """The file opened for reading as UTF-8; a byte that does not decode is a
+    DataFormatError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def _open_writer(path: str):
@@ -220,7 +228,7 @@ def read_sweep_spec(path: str) -> dict[str, list[str]]:
     """Benchmark sweep spec: key=value lines, comma-separated value lists,
     '#' comments and blank lines ignored."""
     spec: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_reader(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -10,6 +10,8 @@ the 3x3 block of cells around an instance is ever scanned.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .model import ConfigError, DynamicFeature, DynamicInstance, MiningConfig
@@ -25,40 +27,34 @@ NeighborPair = tuple[DynamicInstance, DynamicInstance]
 # cells of the origin.
 _CELL_SLACK = 1 + 1e-6
 
+_T_INDEX = attrgetter("t_index")
+
 
 class GridIndex:
-    """Uniform spatial grid; every cell buckets its instances by t_index."""
+    """Uniform spatial grid; every cell lists its instances sorted by t_index."""
 
     def __init__(self, instances: Iterable[DynamicInstance], cell_size: float):
         if not (cell_size > 0):
             raise ConfigError(f"cell size must be positive, got {cell_size}")
         self.cell_size = cell_size
-        self.cells: dict[tuple[int, int], dict[int, list[DynamicInstance]]] = {}
-        # Windows that hold any instance; scans never look outside them.
-        self.t_min, self.t_max = 0, -1
+        self.cells: dict[tuple[int, int], list[DynamicInstance]] = {}
         for inst in instances:
-            cell = self.cell_of(inst.x, inst.y)
-            self.cells.setdefault(cell, {}).setdefault(inst.t_index, []).append(inst)
-        if self.cells:
-            windows = [t for buckets in self.cells.values() for t in buckets]
-            self.t_min, self.t_max = min(windows), max(windows)
+            self.cells.setdefault(self.cell_of(inst.x, inst.y), []).append(inst)
+        for bucket in self.cells.values():
+            bucket.sort(key=_T_INDEX)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
 
     def candidates(self, cell: tuple[int, int], t_lo: int, t_hi: int) -> Iterator[DynamicInstance]:
         """Instances in the 3x3 block around `cell` with t_index in [t_lo, t_hi]."""
-        windows = range(max(t_lo, self.t_min), min(t_hi, self.t_max) + 1)
         cx, cy = cell
         for nx in (cx - 1, cx, cx + 1):
             for ny in (cy - 1, cy, cy + 1):
-                buckets = self.cells.get((nx, ny))
-                if not buckets:
-                    continue
-                for t in windows:
-                    bucket = buckets.get(t)
-                    if bucket:
-                        yield from bucket
+                bucket = self.cells.get((nx, ny))
+                if bucket:
+                    lo = bisect_left(bucket, t_lo, key=_T_INDEX)
+                    yield from bucket[lo:bisect_right(bucket, t_hi, lo, key=_T_INDEX)]
 
 
 def _temporal_ok(dt: int, limit: int, mode: str) -> bool:

@@ -70,8 +70,9 @@ class TableInstance:
 def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:
     """Group neighbor pairs into one table instance per feature pair."""
     grouped: dict[tuple[DynamicFeature, DynamicFeature], list[Row]] = {}
-    for a, b in pairs:
-        grouped.setdefault((a.feature, b.feature), []).append((a, b))
+    for pair in pairs:
+        a, b = pair
+        grouped.setdefault((a.feature, b.feature), []).append(pair)
     tables = [TableInstance(Pattern(key), rows) for key, rows in grouped.items()]
     return {t.pattern: t for t in sorted(tables, key=lambda t: t.pattern.sort_key)}
 

@@ -5,7 +5,8 @@ table instance is defined by its pair tables: the canonically first feature
 acts as the anchor, its instances common to every anchor pair table seed the
 rows, and a row survives only if every remaining feature pair is itself a
 pair-table row.  Verification counts those rows and collects each feature's
-participating instances without building the rows.  Candidates whose
+participating instances without building the rows, reading pair tables that
+are coded and indexed once per run.  Candidates whose
 participation index passes the threshold are accepted unless an accepted
 pattern already contains them; failed candidates of size three or more
 decompose into their one-smaller sub-cliques, which join the queue.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import DynamicFeature, DynamicInstance, FeatureClique, MiningConfig, Pattern
 from .size2 import FeatureCounts, TableInstance, meets_min_prev, passes_prevalence
@@ -63,90 +64,50 @@ class VerifyStats:
         }
 
 
-class _CandidateIndex(NamedTuple):
-    """A candidate's pair tables indexed for anchor-seeded backtracking.
+class _PairIndex:
+    """Pair tables coded and indexed once per run.
 
-    Non-anchor instances get small integer codes so the inner joins intersect
-    plain int sets instead of hashing instances per combination.
+    Instances get small integer codes, one numbering shared by every table,
+    so the joins intersect plain int sets instead of hashing instances per
+    combination.  Each table is indexed the first time a candidate uses it.
     """
 
-    anchor: DynamicFeature
-    others: list[DynamicFeature]
-    insts: list[DynamicInstance]  # code -> instance
-    codes: dict[DynamicInstance, int]  # instance -> code
-    # per other feature: anchor instance in `common` -> codes of its partners
-    anchor_partners: list[dict[DynamicInstance, set[int]]]
-    # anchor instances partnered in every anchor pair table
-    common: set[DynamicInstance]
-    # (i, j) with i < j over `others`: code of an others[i] instance -> codes
-    # of its others[j] partners; empty until `_link` fills it
-    adjacency: dict[tuple[int, int], dict[int, set[int]]]
+    def __init__(self, size2: Mapping[Pattern, TableInstance]):
+        self.size2 = size2
+        self.insts: list[DynamicInstance] = []  # code -> instance
+        self._codes: dict[DynamicInstance, int] = {}
+        self._partners: dict[Pattern, dict[int, frozenset[int]]] = {}
 
-
-def _index_candidate(
-    clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
-) -> _CandidateIndex:
-    """The anchor side of a candidate's index; `_link` adds the rest.
-
-    The anchor sorts first, so it is the first column of every anchor table.
-    """
-    anchor, *others = clique.features
-    tables = [_pair_table(Pattern((anchor, f)), size2) for f in others]
-    common = set(tables[0].projection(anchor))
-    for table in tables[1:]:
-        common &= table.projection(anchor)
-
-    # Only anchors in `common` can seed a row, so only their partners are coded.
-    codes: dict[DynamicInstance, int] = {}
-    insts: list[DynamicInstance] = []
-
-    def code(b: DynamicInstance) -> int:
-        c = codes.get(b)
+    def _code(self, inst: DynamicInstance) -> int:
+        c = self._codes.get(inst)
         if c is None:
-            c = codes[b] = len(insts)
-            insts.append(b)
+            c = self._codes[inst] = len(self.insts)
+            self.insts.append(inst)
         return c
 
-    anchor_partners: list[dict[DynamicInstance, set[int]]] = []
-    for f, table in zip(others, tables):
-        partners: dict[DynamicInstance, set[int]] = {}
-        # rows are sorted, so each anchor's rows are adjacent
-        for a, rows in groupby(table.rows, itemgetter(0)):
-            if a in common:
-                partners[a] = {code(b) for _, b in rows}
-        anchor_partners.append(partners)
-    return _CandidateIndex(anchor, others, insts, codes, anchor_partners, common, {})
-
-
-def _link(index: _CandidateIndex, size2: Mapping[Pattern, TableInstance]) -> _CandidateIndex:
-    """Fill the index's adjacency between non-anchor features, restricted to
-    the coded instances; nothing else can appear in a row.  Verification
-    defers this until the early bound has passed.  `others` is in canonical
-    order, so others[i] is the first column of the (i, j) table."""
-    others, codes, adjacency = index.others, index.codes, index.adjacency
-    m = len(others)
-    for i in range(m):
-        for j in range(i + 1, m):
-            table = _pair_table(Pattern((others[i], others[j])), size2)
-            related: dict[int, set[int]] = {}
-            for a, b in table.rows:
-                ca = codes.get(a)
-                cb = codes.get(b)
-                if ca is not None and cb is not None:
-                    related.setdefault(ca, set()).add(cb)
-            adjacency[(i, j)] = related
-    return index
+    def partners(self, pair: Pattern) -> dict[int, frozenset[int]]:
+        """Code of each first-column instance of the pair's table -> codes
+        of its second-column partners."""
+        partners = self._partners.get(pair)
+        if partners is None:
+            code = self._code
+            # rows are sorted, so each first-column instance's rows are adjacent
+            partners = self._partners[pair] = {
+                code(a): frozenset(code(b) for _, b in rows)
+                for a, rows in groupby(_pair_table(pair, self.size2).rows, itemgetter(0))
+            }
+        return partners
 
 
 _NO_PARTNERS: frozenset[int] = frozenset()
 
 
 def _narrow(
-    adjacency: dict[tuple[int, int], dict[int, set[int]]],
+    adjacency: dict[tuple[int, int], dict[int, frozenset[int]]],
     level: int,
     c: int,
-    allowed: list[set[int]],
-) -> list[set[int]] | None:
+    allowed: list[frozenset[int]],
+) -> list[frozenset[int]] | None:
     """Choices left at every deeper level once `c` is picked at `level`;
     None when some deeper level has none.  Entries up to `level` are unused
     placeholders, so the list stays indexed by level."""
@@ -190,24 +151,47 @@ def candidate_summary(
     instance, participates only when it completes at least one row.  Memory
     stays linear in the pair tables however many rows the candidate has.
     """
+    return _summarize(clique, _PairIndex(size2))
+
+
+def _summarize(clique: FeatureClique, index: _PairIndex) -> CandidateSummary:
     if clique.size == 2:
-        table = _pair_table(clique, size2)
+        table = _pair_table(clique, index.size2)
         return CandidateSummary(
             clique, len(table), {f: table.projection(f) for f in clique.features}
         )
-    return _summarize(clique, _index_candidate(clique, size2), size2)
+    return _count_rows(clique, index, *_anchor_side(clique, index))
 
 
-def _summarize(
-    clique: FeatureClique, index: _CandidateIndex, size2: Mapping[Pattern, TableInstance]
+def _anchor_side(
+    clique: FeatureClique, index: _PairIndex
+) -> tuple[list[dict[int, frozenset[int]]], set[int]]:
+    """The anchor tables' partner maps, and the anchor codes partnered in
+    every one of them.  The anchor sorts first, so it is the first column
+    of every anchor table."""
+    anchor, *others = clique.features
+    maps = [index.partners(Pattern((anchor, f))) for f in others]
+    return maps, set(maps[0]).intersection(*maps[1:])
+
+
+def _count_rows(
+    clique: FeatureClique,
+    index: _PairIndex,
+    anchor_maps: list[dict[int, frozenset[int]]],
+    common: set[int],
 ) -> CandidateSummary:
-    """`candidate_summary` of a candidate of size three or more, from the
-    anchor side of its index."""
-    adjacency = _link(index, size2).adjacency
-    last = len(index.others) - 1
-    participants: list[set[int]] = [set() for _ in index.others]
+    """`candidate_summary` of a candidate of size three or more, from its
+    anchor side.  `others` is in canonical order, so others[i] is the first
+    column of the (i, j) table."""
+    others = clique.features[1:]
+    adjacency = {
+        (i, j): index.partners(Pattern((others[i], others[j])))
+        for i, j in combinations(range(len(others)), 2)
+    }
+    last = len(others) - 1
+    participants: list[set[int]] = [set() for _ in others]
 
-    def count(level: int, allowed: list[set[int]]) -> int:
+    def count(level: int, allowed: list[frozenset[int]]) -> int:
         rows = 0
         if level == last - 1:
             tail = allowed[last]
@@ -230,14 +214,16 @@ def _summarize(
 
     row_count = 0
     anchors = set()
-    for anchor_inst in index.common:
-        n = count(0, [partners[anchor_inst] for partners in index.anchor_partners])
+    for a in common:
+        n = count(0, [partners[a] for partners in anchor_maps])
         if n:
-            anchors.add(anchor_inst)
+            anchors.add(a)
             row_count += n
-    projections = {index.anchor: frozenset(anchors)}
-    for f, codes in zip(index.others, participants):
-        projections[f] = frozenset(index.insts[c] for c in codes)
+    insts = index.insts
+    projections = {
+        f: frozenset(insts[c] for c in codes)
+        for f, codes in zip(clique.features, [anchors, *participants])
+    }
     return CandidateSummary(clique, row_count, projections)
 
 
@@ -317,43 +303,37 @@ class CandidateQueue:
         return self._by_size.setdefault(size, set())
 
 
-@dataclass
-class _Verification:
-    dpi: float
-    row_count: int
-    ratios: dict[DynamicFeature, float]
-
-
 def _verify(
     clique: FeatureClique,
-    size2: Mapping[Pattern, TableInstance],
+    index: _PairIndex,
     counts: FeatureCounts,
     config: MiningConfig,
     early_abort: bool,
     stats: VerifyStats,
-) -> _Verification | None:
+) -> PatternResult | None:
     """Full verification; None when the early bound already rules it out.
 
     The bound allows the anchor instances partnered in every anchor pair
     table, and for each other feature their partners in its table.
     """
     if clique.size == 2:
-        summary = candidate_summary(clique, size2)
+        summary = _summarize(clique, index)
     else:
-        index = _index_candidate(clique, size2)
+        anchor_maps, common = _anchor_side(clique, index)
         if early_abort:
-            bounds = {index.anchor: len(index.common)}
-            for f, partners in zip(index.others, index.anchor_partners):
-                bounds[f] = len(set().union(*partners.values()))
+            anchor, *others = clique.features
+            bounds = {anchor: len(common)}
+            for f, partners in zip(others, anchor_maps):
+                bounds[f] = len(set().union(*(partners[a] for a in common)))
             if early_abort_check(counts, bounds, config):
                 stats.early_aborts += 1
                 return None
-        summary = _summarize(clique, index, size2)
+        summary = _count_rows(clique, index, anchor_maps, common)
     stats.verified += 1
     stats.rows_counted += summary.row_count
     ratios = summary.ratios(counts)
     stats.ratio_log.append((clique, ratios))
-    return _Verification(min(ratios.values()), summary.row_count, ratios)
+    return PatternResult(clique, min(ratios.values()), summary.row_count, True)
 
 
 def verify_all(
@@ -373,10 +353,11 @@ def verify_all(
     result is identical for every flag combination.
     """
     stats = stats if stats is not None else VerifyStats()
+    index = _PairIndex(size2)
     queue = CandidateQueue(cliques)
     accepted: dict[Pattern, PatternResult] = {}
     known_failed: list[frozenset[DynamicFeature]] = []
-    outcome_cache: dict[Pattern, _Verification | None] = {}
+    outcome_cache: dict[Pattern, PatternResult | None] = {}
 
     def subsumed(pattern: Pattern) -> bool:
         return any(pattern.feature_set <= acc.feature_set for acc in accepted)
@@ -388,27 +369,23 @@ def verify_all(
         level = queue.pop_level(size)
         if shared_subclique and size >= 4 and len(level) >= 2:
             _check_shared_subcliques(
-                level, size2, counts, config, early_abort, stats,
+                level, index, counts, config, early_abort, stats,
                 known_failed, outcome_cache, subsumed,
             )
         for clique in level:
             if subsumed(clique):
                 stats.subsumed_skips += 1
                 continue
-            verification: _Verification | None
+            result: PatternResult | None
             if shared_subclique and condemned(clique):
                 stats.shared_skips += 1
-                verification = None
+                result = None
             elif clique in outcome_cache:
-                verification = outcome_cache[clique]
+                result = outcome_cache[clique]
             else:
-                verification = _verify(clique, size2, counts, config, early_abort, stats)
-            if verification is not None and passes_prevalence(
-                verification.dpi, verification.row_count, config
-            ):
-                accepted[clique] = PatternResult(
-                    clique, verification.dpi, verification.row_count, True
-                )
+                result = _verify(clique, index, counts, config, early_abort, stats)
+            if result is not None and passes_prevalence(result.dpi, result.row_count, config):
+                accepted[clique] = result
                 continue
             if size > 2:
                 subs = decompose(clique, accepted, queue.pending_at(size - 1))
@@ -420,13 +397,13 @@ def verify_all(
 
 def _check_shared_subcliques(
     level: Sequence[FeatureClique],
-    size2: Mapping[Pattern, TableInstance],
+    index: _PairIndex,
     counts: FeatureCounts,
     config: MiningConfig,
     early_abort: bool,
     stats: VerifyStats,
     known_failed: list[frozenset[DynamicFeature]],
-    outcome_cache: dict[Pattern, "_Verification | None"],
+    outcome_cache: dict[Pattern, PatternResult | None],
     subsumed,
 ) -> None:
     """Verify sub-cliques shared by several queued candidates, largest first.
@@ -447,11 +424,8 @@ def _check_shared_subcliques(
         if any(failed <= sub.feature_set for failed in known_failed):
             continue
         stats.shared_checks += 1
-        verification = _verify(sub, size2, counts, config, early_abort, stats)
-        outcome_cache[sub] = verification
-        if verification is None or not passes_prevalence(
-            verification.dpi, verification.row_count, config
-        ):
+        result = outcome_cache[sub] = _verify(sub, index, counts, config, early_abort, stats)
+        if result is None or not passes_prevalence(result.dpi, result.row_count, config):
             known_failed.append(sub.feature_set)
 
 
@@ -468,6 +442,7 @@ def derive_all_prevalent(
     more and summarizing each one's table yields the complete prevalent set.
     """
     maximal_set = set(maximal)
+    index = _PairIndex(size2)
     results: dict[Pattern, PatternResult] = {}
     for pattern in sorted(maximal_set, key=lambda p: p.sort_key):
         for k in range(2, pattern.size + 1):
@@ -475,7 +450,7 @@ def derive_all_prevalent(
                 sub = Pattern(combo)
                 if sub in results:
                     continue
-                summary = candidate_summary(sub, size2)
+                summary = _summarize(sub, index)
                 dpi = min(summary.ratios(counts).values())
                 results[sub] = PatternResult(sub, dpi, summary.row_count, sub in maximal_set)
     return sorted(results.values(), key=lambda r: r.pattern.sort_key)

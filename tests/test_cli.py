@@ -237,6 +237,24 @@ def test_mine_nan_coordinate_exits_2(tmp_path, capsys):
     assert f"{snaps}:3: x is not a finite number" in capsys.readouterr().err
 
 
+def test_mine_non_utf8_input_exits_2(tmp_path, capsys):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_bytes(b"t_point,feature,instance_id,x,y\n0,A,a\xff,1.0,2.0\n")
+    lc = tmp_path / "lc.csv"
+    io.write_lifecycles_csv(str(lc), [BaseFeature("A", 9.0)])
+    code = main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "out.txt")])
+    assert code == 2
+    assert f"error: {snaps}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_mine_directory_input_exits_2(tmp_path, capsys):
+    lc = tmp_path / "lc.csv"
+    io.write_lifecycles_csv(str(lc), [BaseFeature("A", 9.0)])
+    code = main(["mine", str(tmp_path), "--lifecycles", str(lc), "-o", str(tmp_path / "out.txt")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def write_lifecycles_text(path, features, life_cycle: str) -> None:
     path.write_text("feature,life_cycle\n" + "".join(f"{f.id},{life_cycle}\n" for f in features))
 
@@ -318,6 +336,13 @@ def test_bench_bad_number_exits_2(tmp_path, capsys):
     spec.write_text("instances=abc\n")
     assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
     assert "error: sweep key 'instances': 'abc'" in capsys.readouterr().err
+
+
+def test_bench_bad_prune_exits_2(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("prune=xyz\ninstances=120\n")
+    assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
+    assert "error: sweep key 'prune': 'xyz'" in capsys.readouterr().err
 
 
 def test_bench_rejects_sweeping_fixed_key(tmp_path, capsys):

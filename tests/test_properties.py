@@ -1,5 +1,7 @@
-"""Randomized properties: the grid join against the all-pairs scan, and the
-row-free candidate summary against the anchorless row reference."""
+"""Randomized properties: the grid join against the all-pairs scan, the
+row-free candidate summary against the anchorless row reference, clique
+enumeration against Bron-Kerbosch, and the whole miner against the
+exhaustive search."""
 
 from __future__ import annotations
 
@@ -12,10 +14,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdcolo import DynamicInstance, MiningConfig, Pattern
+from mdcolo import DynamicInstance, MiningConfig, Pattern, mine_series
+from mdcolo.cliques import maximal_cliques
+from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
-from mdcolo.oracles import all_pairs_scan, candidate_table_instance
-from mdcolo.size2 import size2_table_instances
+from mdcolo.oracles import (
+    OracleConfig,
+    all_pairs_scan,
+    bron_kerbosch,
+    brute_force_maximal,
+    candidate_table_instance,
+)
+from mdcolo.size2 import FeatureGraph, feature_counts, size2_table_instances
 from mdcolo.snapshots import DynamicDatasetSeries
 from mdcolo.verify import candidate_summary
 
@@ -25,6 +35,18 @@ FEATURES = [feat(f"{base}_{kind}") for base in "ABCDE" for kind in ("new", "dead
 
 # Few examples keep the suite's run time; each one is a whole join or search.
 SETTINGS = settings(max_examples=120, deadline=None, database=None)
+
+
+def series_of(events, n_windows: int) -> DynamicDatasetSeries:
+    """A series of one instance per (feature, x, y, t_index) event."""
+    ordinals: dict = {}
+    windows: list[list[DynamicInstance]] = [[] for _ in range(n_windows)]
+    for f, x, y, t in events:
+        ordinals[f] = ordinals.get(f, 0) + 1
+        windows[t].append(DynamicInstance(f, ordinals[f], x, y, t))
+    return DynamicDatasetSeries(
+        tuple(tuple(sorted(w, key=lambda i: i.sort_key)) for w in windows)
+    )
 
 
 @st.composite
@@ -41,14 +63,7 @@ def join_inputs(draw):
         st.lists(st.tuples(st.sampled_from(FEATURES), coord, coord, st.integers(0, 4)),
                  max_size=30)
     )
-    ordinals: dict = {}
-    windows: list[list[DynamicInstance]] = [[] for _ in range(5)]
-    for f, x, y, t in events:
-        ordinals[f] = ordinals.get(f, 0) + 1
-        windows[t].append(DynamicInstance(f, ordinals[f], x, y, t))
-    series = DynamicDatasetSeries(
-        tuple(tuple(sorted(w, key=lambda i: i.sort_key)) for w in windows)
-    )
+    series = series_of(events, 5)
     span = st.one_of(st.integers(1, 6), st.just(10**9))
     spans = {f: draw(span) for f in FEATURES}
     mode = draw(st.sampled_from(["inclusive", "strict"]))
@@ -95,3 +110,63 @@ def test_summary_equals_row_reference(candidate):
     assert summary.row_count == len(table)
     for f in pattern.features:
         assert summary.projections[f] == table.projection(f), f.label
+
+
+@st.composite
+def feature_graphs(draw):
+    """A graph over up to ten features, isolated vertices included."""
+    vertices = draw(st.lists(st.sampled_from(FEATURES), max_size=10, unique=True))
+    pairs = list(combinations(vertices, 2))
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [Pattern(pair) for pair, keep in zip(pairs, kept) if keep]
+    return FeatureGraph(edges, vertices=vertices)
+
+
+@SETTINGS
+@given(feature_graphs())
+def test_maximal_cliques_equal_bron_kerbosch(graph):
+    assert maximal_cliques(graph) == bron_kerbosch(graph)
+
+
+CAPS = OracleConfig()
+
+
+@st.composite
+def small_series(draw):
+    """A series within the exhaustive search's caps, with instances packed
+    closely enough on a small grid that patterns of several features form,
+    life cycles from one window to all of them, and either temporal mode."""
+    n_windows = draw(st.integers(1, CAPS.max_windows))
+    features = FEATURES[:8]
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(features),
+                st.integers(0, 3).map(float),
+                st.integers(0, 3).map(float),
+                st.integers(0, n_windows - 1),
+            ),
+            max_size=60,
+        )
+    )
+    series = series_of(events, n_windows)
+    life = {f.base: draw(st.sampled_from([3.0, 9.0, 30.0])) for f in features}
+    config = MiningConfig(
+        d_d=draw(st.sampled_from([1.0, 1.5, 2.0])),
+        min_prev=draw(st.sampled_from([0.0, 0.1, 0.2, 0.4])),
+        time_span=3.0,
+        temporal_comparison=draw(st.sampled_from(["inclusive", "strict"])),
+    )
+    return series, life, config
+
+
+@SETTINGS
+@given(small_series())
+def test_miner_equals_exhaustive_search(inputs):
+    series, life, config = inputs
+    spans = compute_spans(series.features(), life, config.time_span)
+    brute = brute_force_maximal(series, spans, feature_counts(series), config, CAPS)
+    mined = mine_series(series, life, config).results
+    assert [(r.pattern, r.dpi, r.row_count, r.maximal) for r in mined] == [
+        (r.pattern, r.dpi, r.row_count, r.maximal) for r in brute
+    ]

@@ -18,6 +18,7 @@ from mdcolo.size2 import (
 )
 from mdcolo.verify import (
     VerifyStats,
+    _PairIndex,
     candidate_summary,
     decompose,
     derive_all_prevalent,
@@ -127,6 +128,18 @@ def test_summary_memory_does_not_grow_with_rows():
     assert summary.row_count == n**4 == 2_560_000
     assert all(len(summary.projections[f]) == n for f in feats)
     assert peak < 4 * 1024 * 1024, f"summary peak {peak} bytes"
+
+
+def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config):
+    tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, config)
+    index = _PairIndex(tables)
+    for pair, table in tables.items():
+        partners = index.partners(pair)
+        assert index.partners(pair) is partners, pair.label
+        decoded = {
+            (index.insts[a], index.insts[b]) for a, bs in partners.items() for b in bs
+        }
+        assert decoded == set(table.rows), pair.label
 
 
 def test_candidate_table_requires_pair_tables(burst_series, lifecycles, config):
