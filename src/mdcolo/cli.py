@@ -79,7 +79,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         series, lifecycles, config,
         algo=args.algo,
         early_abort=not args.no_prune1,
-        shared_subclique=not args.no_prune2,
         derive_all=args.derive_all,
         diff_ms=diff_ms,
     )
@@ -106,7 +105,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         manifest["input_sha256"] = _sha256(args.input)
         manifest["lifecycles_sha256"] = _sha256(args.lifecycles)
     manifest["prune_early_abort"] = not args.no_prune1
-    manifest["prune_shared_subclique"] = not args.no_prune2
     manifest.update(outcome.manifest_entries())
     if args.seedless_report:
         manifest = {
@@ -149,7 +147,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 _SWEEPABLE = ("instances", "features", "dd", "min_prev", "prune")
-_PRUNE_VALUES = ("on", "off", "p1", "p2")
+_PRUNE_VALUES = ("on", "off")
+# The early abort is the only pruning, so the old `p1` (early abort only) is
+# `on`; the old `p2` named the deleted shared sub-clique pre-check.
+_PRUNE_ALIASES = {"p1": "on"}
 
 _dataset_cache: dict[GenConfig, list] = {}
 
@@ -193,8 +194,7 @@ def _bench_point(spec: dict[str, str], algo: str, prune: str) -> tuple[int, int,
     outcome = mine_snapshots(
         snapshots, gen.base_features(), config,
         algo=algo,
-        early_abort=prune in ("on", "p1"),
-        shared_subclique=prune in ("on", "p2"),
+        early_abort=prune != "off",
         derive_all=(algo == "mdc"),
     )
     elapsed_ms = (time.perf_counter() - started) * 1000
@@ -218,7 +218,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if len(values) > 1 and key not in _SWEEPABLE and key != "algos":
             raise ConfigError(f"key {key!r} cannot be swept")
     for value in spec.get("prune", ()):
-        if value not in _PRUNE_VALUES:
+        if _PRUNE_ALIASES.get(value, value) not in _PRUNE_VALUES:
             raise ConfigError(
                 f"sweep key 'prune': {value!r} is not one of {', '.join(_PRUNE_VALUES)}"
             )
@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--algo", choices=("mdc", "join"), default="mdc")
     p_mine.add_argument("--no-prune1", action="store_true",
                         help="disable the early participation bound")
-    p_mine.add_argument("--no-prune2", action="store_true",
-                        help="disable shared sub-clique checks")
+    # Accepted and ignored: perfbench/run.py and perfbench/pin.py still pass it.
+    p_mine.add_argument("--no-prune2", action="store_true", help=argparse.SUPPRESS)
     p_mine.add_argument("--derive-all", action="store_true",
                         help="report every prevalent pattern, not only maximal ones")
     p_mine.add_argument("--temporal", choices=("inclusive", "strict"), default="inclusive")

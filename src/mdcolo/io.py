@@ -13,7 +13,7 @@ import os
 from contextlib import contextmanager
 from typing import Iterable, Mapping, Sequence
 
-from .model import BaseFeature, DataFormatError, DynamicFeature, DynamicInstance
+from .model import BaseFeature, DataFormatError
 from .neighborhood import NeighborPair
 from .size2 import TableInstance
 from .snapshots import DynamicDatasetSeries, Snapshot
@@ -112,35 +112,6 @@ def write_series_csv(path: str, series: DynamicDatasetSeries) -> None:
                     [inst.t_index, inst.feature.base, inst.feature.kind,
                      inst.ordinal, repr(inst.x), repr(inst.y)]
                 )
-
-
-def read_series_csv(path: str) -> DynamicDatasetSeries:
-    rows: list[DynamicInstance] = []
-    max_t = -1
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), SERIES_HEADER, path)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataFormatError(f"{path}:{line}: expected 6 columns, got {len(row)}")
-            t = _parse_int(row[0], path, line, "t_index")
-            ordinal = _parse_int(row[3], path, line, "ordinal")
-            x = _parse_float(row[4], path, line, "x")
-            y = _parse_float(row[5], path, line, "y")
-            try:
-                inst = DynamicInstance(DynamicFeature(row[1], row[2]), ordinal, x, y, t)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{line}: {exc}")
-            rows.append(inst)
-            max_t = max(max_t, t)
-    windows: list[list[DynamicInstance]] = [[] for _ in range(max_t + 1)]
-    for inst in rows:
-        windows[inst.t_index].append(inst)
-    return DynamicDatasetSeries(
-        tuple(tuple(sorted(w, key=lambda i: i.sort_key)) for w in windows)
-    )
 
 
 def read_lifecycles_csv(path: str) -> list[BaseFeature]:

@@ -88,14 +88,6 @@ class DynamicFeature:
         return self.label
 
 
-def parse_feature_label(label: str) -> DynamicFeature:
-    """Inverse of DynamicFeature.label: "A_new" -> DynamicFeature("A", "new")."""
-    base, sep, kind = label.rpartition("_")
-    if not sep or not base or kind not in _KIND_RANK:
-        raise DataFormatError(f"not a dynamic feature label: {label!r}")
-    return DynamicFeature(base, kind)
-
-
 @dataclass(frozen=True)
 class DynamicInstance:
     """One appearance or disappearance event, located in space and time.

@@ -77,7 +77,6 @@ def mine_series(
     *,
     algo: str = "mdc",
     early_abort: bool = True,
-    shared_subclique: bool = True,
     derive_all: bool = False,
     diff_ms: float | None = None,
 ) -> MineOutcome:
@@ -130,7 +129,7 @@ def mine_series(
     t3 = time.perf_counter()
     results = verify_all(
         cliques, tables, counts, config,
-        early_abort=early_abort, shared_subclique=shared_subclique, stats=stats,
+        early_abort=early_abort, stats=stats,
     )
     timings["verify"] = (time.perf_counter() - t3) * 1000
 

@@ -87,8 +87,10 @@ def diff_snapshots(snapshots: Sequence[Snapshot]) -> DynamicDatasetSeries:
 
     # (feature, kind) -> list of (window, instance id, x, y)
     events: dict[DynamicFeature, list[tuple[int, str, float, float]]] = {}
-    indexed = [_index_snapshot(s) for s in snaps]
-    for k, (before, after) in enumerate(zip(indexed, indexed[1:])):
+    # Two snapshots are indexed at a time; each is indexed exactly once.
+    after = _index_snapshot(snaps[0])
+    for k, snap in enumerate(snaps[1:]):
+        before, after = after, _index_snapshot(snap)
         for key in before.keys() - after.keys():
             feature, instance_id = key
             x, y = before[key]

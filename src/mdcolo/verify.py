@@ -11,11 +11,9 @@ participation index passes the threshold are accepted unless an accepted
 pattern already contains them; failed candidates of size three or more
 decompose into their one-smaller sub-cliques, which join the queue.
 
-Two optional shortcuts never change the outcome.  Participation ratios can be
+One optional shortcut never changes the outcome: participation ratios can be
 bounded from above before the rows are counted, aborting hopeless
-candidates early.  And a sub-clique shared by several queued candidates can
-be verified first: participation ratios only shrink as patterns grow, so a
-failed sub-clique condemns every candidate containing it.
+candidates early.
 """
 
 from __future__ import annotations
@@ -43,21 +41,20 @@ class VerifyStats:
 
     verified: int = 0
     early_aborts: int = 0
-    shared_checks: int = 0
-    shared_skips: int = 0
     subsumed_skips: int = 0
     decomposed: int = 0
     # rows summed over every fully verified candidate
     rows_counted: int = 0
     # (pattern, feature -> participation ratio) for every fully verified table
     ratio_log: list[tuple[Pattern, dict[DynamicFeature, float]]] = field(default_factory=list)
+    # Always 0: the shared sub-clique pre-check is gone, but perfbench/traced.py
+    # still reads these.  Class attributes, not fields, so no manifest shows them.
+    shared_checks = shared_skips = 0
 
     def as_manifest_entries(self) -> dict[str, int]:
         return {
             "verified_candidates": self.verified,
             "early_aborts": self.early_aborts,
-            "shared_subclique_checks": self.shared_checks,
-            "shared_subclique_skips": self.shared_skips,
             "subsumed_skips": self.subsumed_skips,
             "decompositions": self.decomposed,
             "rows_counted": self.rows_counted,
@@ -343,47 +340,25 @@ def verify_all(
     config: MiningConfig,
     *,
     early_abort: bool = True,
-    shared_subclique: bool = True,
     stats: VerifyStats | None = None,
 ) -> list[PatternResult]:
     """Largest-first verification of maximal-clique candidates.
 
-    Returns the prevalent maximal patterns, canonically sorted.  The two
-    pruning flags only skip work whose outcome is already decided, so the
-    result is identical for every flag combination.
+    Returns the prevalent maximal patterns, canonically sorted.  The early
+    abort only skips work whose outcome is already decided, so the result is
+    identical with or without it.
     """
     stats = stats if stats is not None else VerifyStats()
     index = _PairIndex(size2)
     queue = CandidateQueue(cliques)
     accepted: dict[Pattern, PatternResult] = {}
-    known_failed: list[frozenset[DynamicFeature]] = []
-    outcome_cache: dict[Pattern, PatternResult | None] = {}
-
-    def subsumed(pattern: Pattern) -> bool:
-        return any(pattern.feature_set <= acc.feature_set for acc in accepted)
-
-    def condemned(pattern: Pattern) -> bool:
-        return any(failed <= pattern.feature_set for failed in known_failed)
 
     while (size := queue.max_size()) is not None:
-        level = queue.pop_level(size)
-        if shared_subclique and size >= 4 and len(level) >= 2:
-            _check_shared_subcliques(
-                level, index, counts, config, early_abort, stats,
-                known_failed, outcome_cache, subsumed,
-            )
-        for clique in level:
-            if subsumed(clique):
+        for clique in queue.pop_level(size):
+            if any(clique.feature_set <= acc.feature_set for acc in accepted):
                 stats.subsumed_skips += 1
                 continue
-            result: PatternResult | None
-            if shared_subclique and condemned(clique):
-                stats.shared_skips += 1
-                result = None
-            elif clique in outcome_cache:
-                result = outcome_cache[clique]
-            else:
-                result = _verify(clique, index, counts, config, early_abort, stats)
+            result = _verify(clique, index, counts, config, early_abort, stats)
             if result is not None and passes_prevalence(result.dpi, result.row_count, config):
                 accepted[clique] = result
                 continue
@@ -393,40 +368,6 @@ def verify_all(
                 for sub in subs:
                     queue.push(sub)
     return sorted(accepted.values(), key=lambda r: r.pattern.sort_key)
-
-
-def _check_shared_subcliques(
-    level: Sequence[FeatureClique],
-    index: _PairIndex,
-    counts: FeatureCounts,
-    config: MiningConfig,
-    early_abort: bool,
-    stats: VerifyStats,
-    known_failed: list[frozenset[DynamicFeature]],
-    outcome_cache: dict[Pattern, PatternResult | None],
-    subsumed,
-) -> None:
-    """Verify sub-cliques shared by several queued candidates, largest first.
-
-    A failed shared sub-clique rules out every candidate containing it; a
-    passing one is cached for when decomposition queues it for real.  Only
-    ratios decide prevalence and those are fixed by the data, so doing or
-    skipping this work cannot change any outcome.
-    """
-    shared: set[Pattern] = set()
-    for a, b in combinations(level, 2):
-        inter = a.feature_set & b.feature_set
-        if len(inter) >= 3 and len(inter) < a.size and len(inter) < b.size:
-            shared.add(Pattern(inter))
-    for sub in sorted(shared, key=lambda p: (-p.size, p.sort_key)):
-        if sub in outcome_cache or subsumed(sub):
-            continue
-        if any(failed <= sub.feature_set for failed in known_failed):
-            continue
-        stats.shared_checks += 1
-        result = outcome_cache[sub] = _verify(sub, index, counts, config, early_abort, stats)
-        if result is None or not passes_prevalence(result.dpi, result.row_count, config):
-            known_failed.append(sub.feature_set)
 
 
 def derive_all_prevalent(

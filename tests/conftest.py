@@ -14,9 +14,24 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import BaseFeature, MiningConfig, Snapshot, diff_snapshots
+from mdcolo import (
+    BaseFeature,
+    DataFormatError,
+    DynamicFeature,
+    MiningConfig,
+    Snapshot,
+    diff_snapshots,
+)
 from mdcolo.datagen import GenConfig, generate
-from mdcolo.model import parse_feature_label
+from mdcolo.model import DEAD, NEW
+
+
+def parse_feature_label(label: str) -> DynamicFeature:
+    """Inverse of DynamicFeature.label: "A_new" -> DynamicFeature("A", "new")."""
+    base, sep, kind = label.rpartition("_")
+    if not sep or not base or kind not in (NEW, DEAD):
+        raise DataFormatError(f"not a dynamic feature label: {label!r}")
+    return DynamicFeature(base, kind)
 
 
 def feat(label: str):

@@ -54,8 +54,9 @@ def test_diff_roundtrip(tmp_path):
     io.write_snapshots_csv(snaps, shops_snapshots())
     out = str(tmp_path / "series.csv")
     assert main(["diff", snaps, "-o", out]) == 0
-    series = io.read_series_csv(out)
-    assert sum(len(w) for w in series.windows) == 12
+    header, *rows = read_bytes(out).decode().splitlines()
+    assert header == "t_index,feature,kind,ordinal,x,y"
+    assert len(rows) == 12
 
 
 def test_mine_end_to_end(dataset, tmp_path):
@@ -112,6 +113,22 @@ def test_mine_seedless_report(dataset, tmp_path):
     assert "algo: mdc" in manifest
     assert "time_span: " in manifest
     assert "rows_counted: " in manifest
+
+
+def test_mine_accepts_and_ignores_no_prune2(dataset, tmp_path):
+    outputs = []
+    for name, extra in (("plain", []), ("flagged", ["--no-prune2"])):
+        report = str(tmp_path / f"{name}.txt")
+        code = main(
+            [
+                "mine", f"{dataset}.snapshots.csv",
+                "--lifecycles", f"{dataset}.lifecycles.csv",
+                "-o", report, "--seedless-report", *extra,
+            ]
+        )
+        assert code == 0
+        outputs.append((read_bytes(report), read_bytes(f"{report}.manifest")))
+    assert outputs[0] == outputs[1]
 
 
 def test_mine_optional_dumps(dataset, tmp_path):
@@ -343,6 +360,20 @@ def test_bench_bad_prune_exits_2(tmp_path, capsys):
     spec.write_text("prune=xyz\ninstances=120\n")
     assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
     assert "error: sweep key 'prune': 'xyz'" in capsys.readouterr().err
+
+
+def test_bench_prune_values(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("prune=p2\ninstances=120\n")
+    assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
+    assert "'p2' is not one of on, off" in capsys.readouterr().err
+
+    # p1 (the early abort alone) is what `on` means now
+    spec.write_text("prune=on,p1\ninstances=120\nalgos=mdc\n")
+    out = tmp_path / "b.csv"
+    assert main(["bench", str(spec), "-o", str(out)]) == 0
+    _, on, p1 = out.read_text().splitlines()
+    assert on.split(",")[3:5] == p1.split(",")[3:5]
 
 
 def test_bench_rejects_sweeping_fixed_key(tmp_path, capsys):

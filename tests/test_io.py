@@ -54,11 +54,24 @@ def test_snapshot_wrong_column_count(tmp_path):
         io.read_snapshots_csv(str(path))
 
 
-def test_series_roundtrip(tmp_path):
+def test_series_csv_bytes(tmp_path):
+    # Window 0 holds every event of the t=0 -> t=1 step, window 1 only a4's
+    # appearance; ordinals follow instance ids, rows the canonical order.
     path = str(tmp_path / "series.csv")
-    series = diff_snapshots(burst_snapshots())
-    io.write_series_csv(path, series)
-    assert io.read_series_csv(path) == series
+    io.write_series_csv(path, diff_snapshots(burst_snapshots()))
+    assert open(path, "rb").read() == (
+        b"t_index,feature,kind,ordinal,x,y\n"
+        b"0,A,new,1,-0.4,1.9\n"
+        b"0,A,dead,1,1.8,0.0\n"
+        b"0,A,dead,2,-1.8,0.0\n"
+        b"0,B,new,1,0.0,0.0\n"
+        b"0,B,new,2,3.3,1.0\n"
+        b"0,B,dead,1,-3.6,-0.4\n"
+        b"0,C,new,1,-0.8,3.7\n"
+        b"0,C,dead,1,60.0,60.0\n"
+        b"0,C,dead,2,0.9,-1.55\n"
+        b"1,A,new,2,50.0,50.0\n"
+    )
 
 
 def test_lifecycles_roundtrip(tmp_path):

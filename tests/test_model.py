@@ -14,11 +14,10 @@ from mdcolo import (
 from mdcolo.model import (
     canonical_features,
     compute_spans,
-    parse_feature_label,
     span_constraint,
 )
 
-from conftest import feat
+from conftest import feat, parse_feature_label
 
 
 def test_dynamic_feature_ordering_new_before_dead():
