@@ -16,6 +16,7 @@ any permutation of the same features compare equal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -216,7 +217,8 @@ def span_constraint(kind: str, life_cycle: float, time_span: float) -> int:
 
     A disappearance stops mattering after one window.  An appearance stays
     relevant for its feature's whole life cycle, measured in time spans and
-    rounded up, but never less than one window.
+    rounded up, but never less than one window.  A quotient too large for a
+    float saturates: such a span outlasts any series anyway.
     """
     if kind not in _KIND_RANK:
         raise ConfigError(f"kind must be {NEW!r} or {DEAD!r}, got {kind!r}")
@@ -226,7 +228,7 @@ def span_constraint(kind: str, life_cycle: float, time_span: float) -> int:
         raise ConfigError(f"time span must be positive, got {time_span}")
     if kind == DEAD:
         return 1
-    return max(1, math.ceil(life_cycle / time_span))
+    return max(1, math.ceil(min(life_cycle / time_span, sys.float_info.max)))
 
 
 def compute_spans(

@@ -24,8 +24,10 @@ NeighborPair = tuple[DynamicInstance, DynamicInstance]
 # A pair whose rounded distance passes the d_d test can be a rounding error
 # over d_d apart, which cells exactly d_d wide may place two cells apart.  The
 # slack outweighs the rounding of x / cell for coordinates within about 1e9
-# cells of the origin.
+# cells of the origin, so cells are never narrower than 1 / _MAX_CELLS of the
+# largest coordinate (a tiny d_d would otherwise overflow x / cell).
 _CELL_SLACK = 1 + 1e-6
+_MAX_CELLS = 2**30
 
 _T_INDEX = attrgetter("t_index")
 
@@ -78,7 +80,8 @@ def neighbor_pairs(
     if not instances:
         return ()
 
-    grid = GridIndex(instances, config.d_d * _CELL_SLACK)
+    reach = max(max(abs(inst.x), abs(inst.y)) for inst in instances)
+    grid = GridIndex(instances, max(config.d_d, reach / _MAX_CELLS) * _CELL_SLACK)
     max_span = max(spans[inst.feature] for inst in instances)
     dd_sq = config.d_d * config.d_d
     mode = config.temporal_comparison

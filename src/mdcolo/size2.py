@@ -10,6 +10,7 @@ clique search.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
@@ -30,15 +31,14 @@ def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
 
 class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
-    in the pattern's canonical feature order."""
+    in the pattern's canonical feature order.  Rows keep the order they were
+    given: pair tables come out sorted because `neighbor_pairs` sorts."""
 
     __slots__ = ("pattern", "rows", "_projections")
 
     def __init__(self, pattern: Pattern, rows: Iterable[Row]):
         self.pattern = pattern
-        self.rows: tuple[Row, ...] = tuple(
-            sorted(rows, key=lambda row: tuple(i.sort_key for i in row))
-        )
+        self.rows: tuple[Row, ...] = tuple(rows)
         self._projections: dict[DynamicFeature, frozenset[DynamicInstance]] | None = None
 
     def __len__(self) -> int:
@@ -55,13 +55,10 @@ class TableInstance:
     def projection(self, feature: DynamicFeature) -> frozenset[DynamicInstance]:
         """Distinct instances of `feature` participating in any row."""
         if self._projections is None:
-            cols: dict[DynamicFeature, set[DynamicInstance]] = {
-                f: set() for f in self.pattern.features
+            self._projections = {
+                f: frozenset(map(itemgetter(i), self.rows))
+                for i, f in enumerate(self.pattern.features)
             }
-            for row in self.rows:
-                for f, inst in zip(self.pattern.features, row):
-                    cols[f].add(inst)
-            self._projections = {f: frozenset(s) for f, s in cols.items()}
         if feature not in self._projections:
             raise ValueError(f"{feature} is not part of pattern {self.pattern.label}")
         return self._projections[feature]
@@ -85,12 +82,11 @@ def participation_ratio(
     A feature with no instances at all gets ratio 0 rather than a division
     error; that only happens with externally supplied counts.
     """
-    if feature not in table.pattern.feature_set:
-        raise ValueError(f"{feature} is not part of pattern {table.pattern.label}")
+    participants = table.projection(feature)
     total = counts.get(feature, 0)
     if total == 0:
         return 0.0
-    return len(table.projection(feature)) / total
+    return len(participants) / total
 
 
 def participation_index(table: TableInstance, counts: Mapping[DynamicFeature, int]) -> float:

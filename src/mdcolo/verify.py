@@ -6,7 +6,7 @@ acts as the anchor, its instances common to every anchor pair table seed the
 rows, and a row survives only if every remaining feature pair is itself a
 pair-table row.  Verification counts those rows and collects each feature's
 participating instances without building the rows, reading pair tables that
-are coded and indexed once per run.  Candidates whose
+are coded and indexed once per pass.  Candidates whose
 participation index passes the threshold are accepted unless an accepted
 pattern already contains them; failed candidates of size three or more
 decompose into their one-smaller sub-cliques, which join the queue.
@@ -19,8 +19,7 @@ candidates early.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .model import DynamicFeature, DynamicInstance, FeatureClique, MiningConfig, Pattern
@@ -62,7 +61,7 @@ class VerifyStats:
 
 
 class _PairIndex:
-    """Pair tables coded and indexed once per run.
+    """Pair tables coded and indexed once per verification or derive pass.
 
     Instances get small integer codes, one numbering shared by every table,
     so the joins intersect plain int sets instead of hashing instances per
@@ -88,11 +87,10 @@ class _PairIndex:
         partners = self._partners.get(pair)
         if partners is None:
             code = self._code
-            # rows are sorted, so each first-column instance's rows are adjacent
-            partners = self._partners[pair] = {
-                code(a): frozenset(code(b) for _, b in rows)
-                for a, rows in groupby(_pair_table(pair, self.size2).rows, itemgetter(0))
-            }
+            grouped: dict[int, set[int]] = {}
+            for a, b in _pair_table(pair, self.size2).rows:
+                grouped.setdefault(code(a), set()).add(code(b))
+            partners = self._partners[pair] = {a: frozenset(bs) for a, bs in grouped.items()}
         return partners
 
 
@@ -272,34 +270,6 @@ def decompose(
     return out
 
 
-class CandidateQueue:
-    """Pending cliques grouped by size, processed largest level first.
-
-    Decomposition while one level runs only ever pushes smaller cliques, so
-    taking the largest pending size until the queue drains visits every
-    candidate exactly once.
-    """
-
-    def __init__(self, cliques: Iterable[FeatureClique] = ()):
-        self._by_size: dict[int, set[FeatureClique]] = {}
-        for clique in cliques:
-            self.push(clique)
-
-    def push(self, clique: FeatureClique) -> None:
-        self._by_size.setdefault(clique.size, set()).add(clique)
-
-    def max_size(self) -> int | None:
-        pending = [size for size, cliques in self._by_size.items() if cliques]
-        return max(pending) if pending else None
-
-    def pop_level(self, size: int) -> list[FeatureClique]:
-        level = sorted(self._by_size.pop(size, ()), key=lambda c: c.sort_key)
-        return level
-
-    def pending_at(self, size: int) -> set[FeatureClique]:
-        return self._by_size.setdefault(size, set())
-
-
 def _verify(
     clique: FeatureClique,
     index: _PairIndex,
@@ -350,11 +320,15 @@ def verify_all(
     """
     stats = stats if stats is not None else VerifyStats()
     index = _PairIndex(size2)
-    queue = CandidateQueue(cliques)
+    # Pending cliques by size.  Decomposition only adds cliques one size
+    # smaller, so visiting sizes largest first sees every candidate once.
+    by_size: dict[int, set[FeatureClique]] = {}
+    for clique in cliques:
+        by_size.setdefault(clique.size, set()).add(clique)
     accepted: dict[Pattern, PatternResult] = {}
 
-    while (size := queue.max_size()) is not None:
-        for clique in queue.pop_level(size):
+    for size in range(max(by_size, default=2), 1, -1):
+        for clique in sorted(by_size.pop(size, ()), key=lambda c: c.sort_key):
             if any(clique.feature_set <= acc.feature_set for acc in accepted):
                 stats.subsumed_skips += 1
                 continue
@@ -363,10 +337,9 @@ def verify_all(
                 accepted[clique] = result
                 continue
             if size > 2:
-                subs = decompose(clique, accepted, queue.pending_at(size - 1))
+                pending = by_size.setdefault(size - 1, set())
+                pending.update(decompose(clique, accepted, pending))
                 stats.decomposed += 1
-                for sub in subs:
-                    queue.push(sub)
     return sorted(accepted.values(), key=lambda r: r.pattern.sort_key)
 
 

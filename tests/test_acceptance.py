@@ -333,20 +333,20 @@ def test_criterion_6_pruning_neutral_and_not_slower():
     series = diff_snapshots(snapshots)
     feats = PRUNING_GEN.base_features()
 
-    runs: dict[bool, tuple[list, float]] = {}
-    for early_abort in (False, True):
-        times = []
-        rows = None
-        for _ in range(3):
+    # Alternate the settings within each repetition, so that drift in host
+    # speed reaches both alike.
+    times: dict[bool, list[float]] = {False: [], True: []}
+    rows: dict[bool, list] = {}
+    for _ in range(3):
+        for early_abort in (False, True):
             t0 = time.perf_counter()
             outcome = mine_series(series, feats, PRUNING_CONFIG, early_abort=early_abort)
-            times.append(time.perf_counter() - t0)
-            rows = result_rows(outcome.results)
-        runs[early_abort] = (rows, min(times))
+            times[early_abort].append(time.perf_counter() - t0)
+            rows[early_abort] = result_rows(outcome.results)
 
-    baseline_rows, t_none = runs[False]
-    identical = all(rows == baseline_rows for rows, _ in runs.values())
-    t_pruned = runs[True][1]
+    baseline_rows = rows[False]
+    identical = rows[True] == baseline_rows
+    t_none, t_pruned = min(times[False]), min(times[True])
     ok = identical and t_pruned <= 1.1 * t_none
     report(
         6,

@@ -302,6 +302,20 @@ def test_mine_huge_life_cycle_finishes(dataset, tmp_path):
     assert "pattern_count: " in read_bytes(f"{report}.manifest").decode()
 
 
+def test_mine_tiny_time_span_finishes(dataset, tmp_path):
+    # Every life cycle over 1e-310 overflows a float; the spans saturate.
+    report = str(tmp_path / "patterns.txt")
+    code = main(
+        [
+            "mine", f"{dataset}.snapshots.csv",
+            "--lifecycles", f"{dataset}.lifecycles.csv",
+            "-o", report, "--time-span", "1e-310",
+        ]
+    )
+    assert code == 0
+    assert "pattern_count: " in read_bytes(f"{report}.manifest").decode()
+
+
 def test_gen_bad_life_cycle_exits_2(tmp_path, capsys):
     code = main(
         ["gen", "-o", str(tmp_path / "data"), "--features", "2", "--life-cycles", "9,abc"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from mdcolo import (
@@ -12,6 +14,7 @@ from mdcolo import (
     Pattern,
 )
 from mdcolo.model import (
+    NEW,
     canonical_features,
     compute_spans,
     span_constraint,
@@ -102,6 +105,13 @@ def test_span_constraint_values():
 def test_span_constraint_monotone_in_life_cycle():
     spans = [span_constraint("new", lc, 3.0) for lc in (1, 2, 3, 7, 9, 10, 29, 30, 31)]
     assert spans == sorted(spans)
+
+
+def test_span_constraint_saturates_instead_of_overflowing():
+    # 3.0 / 5e-324 is infinite; a span past any series relates every window.
+    span = span_constraint(NEW, 3.0, 5e-324)
+    assert isinstance(span, int)
+    assert span == span_constraint(NEW, 1e308, 0.5) >= sys.float_info.max
 
 
 def test_span_constraint_validation():

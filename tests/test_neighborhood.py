@@ -85,6 +85,20 @@ def test_pair_a_rounding_error_over_d_d_is_found():
     assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg) == ((a, b),)
 
 
+def test_tiny_d_d_does_not_overflow_the_grid():
+    # x / d_d is infinite for d_d = 5e-324, so cells must be wider than d_d.
+    from mdcolo import DynamicInstance
+    from mdcolo.snapshots import DynamicDatasetSeries
+    from conftest import feat
+
+    a = DynamicInstance(feat("A_new"), 1, 1.0, 2.0, 0)
+    b = DynamicInstance(feat("B_new"), 1, 1.0, 2.0, 0)
+    series = DynamicDatasetSeries(((a, b),))
+    spans = {a.feature: 1, b.feature: 1}
+    cfg = MiningConfig(d_d=5e-324, min_prev=0.1, time_span=3.0)
+    assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg) == ((a, b),)
+
+
 def test_missing_span_is_an_error(shops_series, lifecycles, config):
     spans = spans_for(shops_series, lifecycles, config)
     del spans[next(iter(spans))]

@@ -11,6 +11,7 @@ from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
 from mdcolo.oracles import candidate_table_instance
 from mdcolo.size2 import (
+    TableInstance,
     build_feature_graph,
     feature_counts,
     prevalent_size2,
@@ -132,14 +133,26 @@ def test_summary_memory_does_not_grow_with_rows():
 
 def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config):
     tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, config)
-    index = _PairIndex(tables)
-    for pair, table in tables.items():
-        partners = index.partners(pair)
-        assert index.partners(pair) is partners, pair.label
-        decoded = {
-            (index.insts[a], index.insts[b]) for a, bs in partners.items() for b in bs
-        }
-        assert decoded == set(table.rows), pair.label
+    # The same pairs in reverse order: table rows keep it, the index must not care.
+    pairs = [row for table in tables.values() for row in table.rows]
+    reversed_tables = size2_table_instances(reversed(pairs))
+    assert any(reversed_tables[p].rows != t.rows for p, t in tables.items())
+    for given in (tables, reversed_tables):
+        index = _PairIndex(given)
+        for pair in given:
+            partners = index.partners(pair)
+            assert index.partners(pair) is partners, pair.label
+            decoded = {
+                (index.insts[a], index.insts[b]) for a, bs in partners.items() for b in bs
+            }
+            assert decoded == set(tables[pair].rows), pair.label
+    assert any(clique.size > 2 for clique in cliques)
+    for clique in cliques:
+        summary = candidate_summary(clique, reversed_tables)
+        assert summary == candidate_summary(clique, tables), clique.label
+    pattern, table = max(tables.items(), key=lambda kv: len(kv[1]))
+    rows = list(reversed(table.rows))
+    assert TableInstance(pattern, rows).rows == tuple(rows)
 
 
 def test_candidate_table_requires_pair_tables(burst_series, lifecycles, config):
