@@ -89,15 +89,11 @@ def cmd_mine(args: argparse.Namespace) -> int:
         + f" -> {args.output}"
     )
 
-    tables = outcome.tables
     if args.size2_report:
-        dpis = {pat: participation_index(t, outcome.counts) for pat, t in tables.items()}
-        io.write_size2_report_csv(args.size2_report, tables, dpis)
+        dpis = {pat: participation_index(t, outcome.counts) for pat, t in outcome.tables.items()}
+        io.write_size2_report_csv(args.size2_report, outcome.tables, dpis)
     if args.pairs_dump:
-        rows = [row for table in tables.values() for row in table.rows]
-        io.write_pairs_csv(args.pairs_dump, sorted(
-            rows, key=lambda p: (p[0].sort_key, p[1].sort_key)
-        ))
+        io.write_pairs_csv(args.pairs_dump, outcome.pairs)
 
     manifest: dict[str, object] = {"command": "mine"}
     if not args.seedless_report:

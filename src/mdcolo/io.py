@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from typing import Iterable, Mapping, Sequence
 
 from .model import BaseFeature, DataFormatError
-from .neighborhood import NeighborPair
+from .neighborhood import MAX_COORDINATE, NeighborPair
 from .size2 import TableInstance
 from .snapshots import DynamicDatasetSeries, Snapshot
 from .verify import PatternResult
@@ -72,7 +72,8 @@ def _parse_int(text: str, path: str, line: int, column: str) -> int:
 
 
 def read_snapshots_csv(path: str) -> list[Snapshot]:
-    """Snapshot CSV: t_point,feature,instance_id,x,y with a mandatory header."""
+    """Snapshot CSV: t_point,feature,instance_id,x,y with a mandatory header;
+    coordinates must be finite and at most MAX_COORDINATE in magnitude."""
     by_t: dict[int, list[tuple[str, str, float, float]]] = {}
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
@@ -89,6 +90,11 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
                 raise DataFormatError(f"{path}:{line}: empty instance id")
             x = _parse_float(row[3], path, line, "x")
             y = _parse_float(row[4], path, line, "y")
+            if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
+                raise DataFormatError(
+                    f"{path}:{line}: coordinates beyond +-{MAX_COORDINATE:g}: "
+                    f"x={row[3]!r}, y={row[4]!r}"
+                )
             by_t.setdefault(t, []).append((row[1], row[2], x, y))
     return [Snapshot(t, tuple(records)) for t, records in sorted(by_t.items())]
 

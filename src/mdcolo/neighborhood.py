@@ -3,16 +3,19 @@
 Two instances of different dynamic features relate when they are within d_d
 of each other (Euclidean, inclusive) and their windows differ by at most the
 larger of the two features' spans (inclusive by default, strict optionally).
-Candidates come from a uniform grid with cells just wider than d_d, so only
-the 3x3 block of cells around an instance is ever scanned.
+Candidates come from a uniform grid with cells just wider than d_d.  Each cell
+is joined with itself and with the 4 of its 8 neighbours that lie forward of
+it, so every pair of adjacent cells is joined once (a half-shell cell list).
+Each cell lists its instances by window, and no instance is compared with one
+more than the largest span away in time, so the work does not grow with the
+number of windows.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from itertools import islice
+from typing import Mapping
 
 from .model import ConfigError, DynamicFeature, DynamicInstance, MiningConfig
 from .snapshots import DynamicDatasetSeries
@@ -29,38 +32,14 @@ NeighborPair = tuple[DynamicInstance, DynamicInstance]
 _CELL_SLACK = 1 + 1e-6
 _MAX_CELLS = 2**30
 
-_T_INDEX = attrgetter("t_index")
+# Within this bound every squared distance is a finite float.  Beyond it a
+# distance far over d_d can overflow to infinity and pass the test against an
+# infinite d_d * d_d.
+MAX_COORDINATE = 1e150
 
-
-class GridIndex:
-    """Uniform spatial grid; every cell lists its instances sorted by t_index."""
-
-    def __init__(self, instances: Iterable[DynamicInstance], cell_size: float):
-        if not (cell_size > 0):
-            raise ConfigError(f"cell size must be positive, got {cell_size}")
-        self.cell_size = cell_size
-        self.cells: dict[tuple[int, int], list[DynamicInstance]] = {}
-        for inst in instances:
-            self.cells.setdefault(self.cell_of(inst.x, inst.y), []).append(inst)
-        for bucket in self.cells.values():
-            bucket.sort(key=_T_INDEX)
-
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
-
-    def candidates(self, cell: tuple[int, int], t_lo: int, t_hi: int) -> Iterator[DynamicInstance]:
-        """Instances in the 3x3 block around `cell` with t_index in [t_lo, t_hi]."""
-        cx, cy = cell
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                bucket = self.cells.get((nx, ny))
-                if bucket:
-                    lo = bisect_left(bucket, t_lo, key=_T_INDEX)
-                    yield from bucket[lo:bisect_right(bucket, t_hi, lo, key=_T_INDEX)]
-
-
-def _temporal_ok(dt: int, limit: int, mode: str) -> bool:
-    return dt <= limit if mode == "inclusive" else dt < limit
+# The cells joined with cell (cx, cy): itself and the 4 neighbours forward of
+# it.  Each of the other 4 neighbours has (cx, cy) forward of it.
+_HALF_SHELL = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 
 def neighbor_pairs(
@@ -70,33 +49,73 @@ def neighbor_pairs(
 ) -> tuple[NeighborPair, ...]:
     """All related instance pairs, canonically ordered and sorted.
 
-    Every feature present in the series must have a span.
+    Every feature present in the series must have a span, and no
+    coordinate may exceed MAX_COORDINATE in magnitude.
     """
-    instances = [inst for inst in series.all_instances()]
-    missing = {inst.feature for inst in instances} - set(spans)
+    # Instances (codes) and features (ranks) are numbered in canonical order,
+    # so the join compares plain ints.
+    instances = sorted(series.all_instances(), key=lambda inst: inst.sort_key)
+    features = sorted({inst.feature for inst in instances}, key=lambda f: f.sort_key)
+    missing = set(features) - set(spans)
     if missing:
         names = ", ".join(sorted(f.label for f in missing))
         raise ConfigError(f"no span for feature(s): {names}")
     if not instances:
         return ()
 
+    rank = {f: r for r, f in enumerate(features)}
+    max_span = max(spans[f] for f in features)
     reach = max(max(abs(inst.x), abs(inst.y)) for inst in instances)
-    grid = GridIndex(instances, max(config.d_d, reach / _MAX_CELLS) * _CELL_SLACK)
-    max_span = max(spans[inst.feature] for inst in instances)
+    if reach > MAX_COORDINATE:
+        raise ConfigError(f"a coordinate of magnitude {reach!r} is beyond {MAX_COORDINATE:g}")
+    width = max(config.d_d, reach / _MAX_CELLS) * _CELL_SLACK
+    # cell -> (t_index, code, rank, x, y, span) of its instances, by t_index
+    cells: dict[tuple[int, int], list[tuple]] = {}
+    for code, inst in enumerate(instances):
+        f = inst.feature
+        cells.setdefault(
+            (math.floor(inst.x / width), math.floor(inst.y / width)), []
+        ).append((inst.t_index, code, rank[f], inst.x, inst.y, spans[f]))
+    for bucket in cells.values():
+        bucket.sort()
+
+    n = len(instances)
     dd_sq = config.d_d * config.d_d
-    mode = config.temporal_comparison
-    pairs: list[NeighborPair] = []
-    for a in instances:
-        a_key = a.sort_key
-        a_span = spans[a.feature]
-        cell = grid.cell_of(a.x, a.y)
-        # Superset of any admissible window range; the exact per-pair check follows.
-        for b in grid.candidates(cell, a.t_index - max_span, a.t_index + max_span):
-            if b.sort_key <= a_key or b.feature == a.feature:
+    inclusive = config.temporal_comparison == "inclusive"
+    hits: list[int] = []
+    hit = hits.append
+    neighbour = cells.get
+    for (cx, cy), bucket in cells.items():
+        for ox, oy in _HALF_SHELL:
+            other = neighbour((cx + ox, cy + oy))
+            if other is None:
                 continue
-            if not _temporal_ok(abs(a.t_index - b.t_index), max(a_span, spans[b.feature]), mode):
-                continue
-            if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= dd_sq:
-                pairs.append((a, b))
-    pairs.sort(key=lambda p: (p[0].sort_key, p[1].sort_key))
-    return tuple(pairs)
+            same = other is bucket
+            # Within the cell, each instance meets those after it; across
+            # cells, a lower pointer slides up `other` as t_index grows.
+            lo = 0
+            end = len(other)
+            for i, (ta, ca, ra, xa, ya, sa) in enumerate(bucket, start=1):
+                if same:
+                    lo = i
+                else:
+                    t_lo = ta - max_span
+                    while lo < end and other[lo][0] < t_lo:
+                        lo += 1
+                t_hi = ta + max_span
+                for tb, cb, rb, xb, yb, sb in islice(other, lo, None):
+                    if tb > t_hi:
+                        break
+                    if rb == ra:
+                        continue
+                    dt = tb - ta if tb > ta else ta - tb
+                    limit = sa if sa > sb else sb
+                    if not (dt <= limit if inclusive else dt < limit):
+                        continue
+                    dx = xa - xb
+                    dy = ya - yb
+                    if dx * dx + dy * dy <= dd_sq:
+                        hit(ca * n + cb if ca < cb else cb * n + ca)
+    del cells, neighbour
+    hits.sort()
+    return tuple((instances[h // n], instances[h % n]) for h in hits)

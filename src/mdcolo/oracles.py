@@ -76,7 +76,9 @@ def all_pairs_scan(
             limit = max(spans[a.feature], spans[b.feature])
             if not (dt <= limit if inclusive else dt < limit):
                 continue
-            if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= dd_sq:
+            dx = a.x - b.x
+            dy = a.y - b.y
+            if dx * dx + dy * dy <= dd_sq:
                 out.append((a, b))
     return tuple(out)
 

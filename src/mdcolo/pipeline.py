@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 from .cliques import maximal_cliques
 from .levelwise import join_based_mine
 from .model import BaseFeature, ConfigError, MiningConfig, Pattern, compute_spans
-from .neighborhood import neighbor_pairs
+from .neighborhood import NeighborPair, neighbor_pairs
 from .size2 import (
     FeatureCounts,
     TableInstance,
@@ -33,9 +33,10 @@ class MineOutcome:
     stats: VerifyStats
     timings_ms: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    # Instances per feature, and every pair table.
+    # Instances per feature, every pair table, and the neighbor pairs sorted.
     counts: FeatureCounts = field(default_factory=dict)
     tables: dict[Pattern, TableInstance] = field(default_factory=dict)
+    pairs: tuple[NeighborPair, ...] = ()
 
     @property
     def report_results(self) -> list[PatternResult]:
@@ -113,7 +114,7 @@ def mine_series(
         timings["mine"] = (time.perf_counter() - t2) * 1000
         timings["total"] = (time.perf_counter() - t0) * 1000 + (diff_ms or 0.0)
         return MineOutcome(
-            results, None, config, algo, stats, timings, counters, counts, tables
+            results, None, config, algo, stats, timings, counters, counts, tables, pairs
         )
 
     prevalent2 = prevalent_size2(tables, counts, config)
@@ -140,7 +141,7 @@ def mine_series(
         timings["derive"] = (time.perf_counter() - t4) * 1000
     timings["total"] = (time.perf_counter() - t0) * 1000 + (diff_ms or 0.0)
     return MineOutcome(
-        results, derived, config, algo, stats, timings, counters, counts, tables
+        results, derived, config, algo, stats, timings, counters, counts, tables, pairs
     )
 
 

@@ -254,6 +254,28 @@ def test_mine_nan_coordinate_exits_2(tmp_path, capsys):
     assert f"{snaps}:3: x is not a finite number" in capsys.readouterr().err
 
 
+def test_mine_huge_coordinate_exits_2(tmp_path, capsys):
+    # Squared distances between these points overflow a float.
+    snaps = tmp_path / "snaps.csv"
+    lc = tmp_path / "lc.csv"
+    io.write_lifecycles_csv(str(lc), [BaseFeature("A", 9.0), BaseFeature("B", 9.0)])
+    argv = ["mine", str(snaps), "--lifecycles", str(lc), "--dd", "1e291",
+            "-o", str(tmp_path / "out.txt"), "--pairs-dump", str(tmp_path / "pairs.csv")]
+    snaps.write_text(
+        "t_point,feature,instance_id,x,y\n0,A,1,0.0,0.0\n1,B,1,1e300,0.0\n"
+        "1,A,2,1.0000000000000001e300,5e290\n"
+    )
+    assert main(argv) == 2
+    assert f"{snaps}:3: coordinates beyond +-1e+150: x='1e300', y='0.0'" in capsys.readouterr().err
+    # Coordinates at the bound still mine: every pair is far within d_d.
+    snaps.write_text(
+        "t_point,feature,instance_id,x,y\n0,A,1,0.0,0.0\n1,B,1,1e150,-1e150\n"
+        "1,A,2,-1e150,1e150\n"
+    )
+    assert main(argv) == 0
+    assert read_bytes(tmp_path / "pairs.csv").count(b"\n") == 1 + 3
+
+
 def test_mine_non_utf8_input_exits_2(tmp_path, capsys):
     snaps = tmp_path / "snaps.csv"
     snaps.write_bytes(b"t_point,feature,instance_id,x,y\n0,A,a\xff,1.0,2.0\n")

@@ -4,7 +4,7 @@ import pytest
 
 from mdcolo import ConfigError, MiningConfig
 from mdcolo.model import compute_spans
-from mdcolo.neighborhood import GridIndex, neighbor_pairs
+from mdcolo.neighborhood import neighbor_pairs
 from mdcolo.oracles import all_pairs_scan
 
 from conftest import (
@@ -99,6 +99,21 @@ def test_tiny_d_d_does_not_overflow_the_grid():
     assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg) == ((a, b),)
 
 
+def test_huge_coordinate_is_an_error():
+    # 5e290 apart, far beyond d_d, yet both sides of the squared-distance
+    # test overflow to infinity.
+    from mdcolo import DynamicInstance
+    from mdcolo.snapshots import DynamicDatasetSeries
+    from conftest import feat
+
+    a = DynamicInstance(feat("A_new"), 1, 1e300, 0.0, 0)
+    b = DynamicInstance(feat("B_new"), 1, 1.0000000005e300, 0.0, 0)
+    series = DynamicDatasetSeries(((a, b),))
+    cfg = MiningConfig(d_d=1e155, min_prev=0.1, time_span=3.0)
+    with pytest.raises(ConfigError, match="beyond"):
+        neighbor_pairs(series, {a.feature: 1, b.feature: 1}, cfg)
+
+
 def test_missing_span_is_an_error(shops_series, lifecycles, config):
     spans = spans_for(shops_series, lifecycles, config)
     del spans[next(iter(spans))]
@@ -106,27 +121,66 @@ def test_missing_span_is_an_error(shops_series, lifecycles, config):
         neighbor_pairs(shops_series, spans, config)
 
 
-def test_grid_cell_assignment():
-    grid = GridIndex([], 10.0)
-    assert grid.cell_of(0.0, 0.0) == (0, 0)
-    assert grid.cell_of(9.999, 9.999) == (0, 0)
-    assert grid.cell_of(10.0, -0.1) == (1, -1)
-    assert grid.cell_of(-10.0, 25.0) == (-1, 2)
+def test_partners_in_all_nine_cells_are_found_once():
+    # Cells are d_d * (1 + 1e-6) wide; the anchor at (-1.5, -1.5) lies in cell
+    # (-2, -2), and an offset of 0.6 along an axis crosses into the next cell.
+    # Partners sorting before the anchor sit one window before it, those
+    # sorting after one window after, so partners never pair with each other.
+    # Decoys pair with partners but not with the anchor.
+    from mdcolo import DynamicInstance
+    from mdcolo.snapshots import DynamicDatasetSeries
+    from conftest import feat
+
+    anchor = DynamicInstance(feat("B_new"), 1, -1.5, -1.5, 1)
+    before, after, far = [], [], []
+    offsets = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+    for i, (ox, oy) in enumerate(offsets):
+        x, y = -1.5 + 0.6 * ox, -1.5 + 0.6 * oy
+        if i % 2:
+            before.append(DynamicInstance(feat("A_new"), len(before) + 1, x, y, 0))
+        else:
+            after.append(DynamicInstance(feat("C_new"), len(after) + 1, x, y, 2))
+        # In a neighbouring cell but farther than d_d, or too late in time.
+        if ox or oy:
+            far.append(DynamicInstance(feat("D_new"), i + 1, -1.5 + 1.1 * ox, -1.5 + 1.1 * oy, 1))
+        far.append(DynamicInstance(feat("E_new"), i + 1, x, y, 3))
+    instances = [anchor, *before, *after, *far]
+    windows = tuple(
+        tuple(sorted((x for x in instances if x.t_index == t), key=lambda x: x.sort_key))
+        for t in range(4)
+    )
+    series = DynamicDatasetSeries(windows)
+    spans = {x.feature: 1 for x in instances}
+    cfg = MiningConfig(d_d=1.0, min_prev=0.1, time_span=3.0)
+    pairs = neighbor_pairs(series, spans, cfg)
+    assert pairs == all_pairs_scan(series, spans, cfg)
+    expected = tuple([(b, anchor) for b in before] + [(anchor, a) for a in after])
+    assert tuple(p for p in pairs if anchor in p) == expected
 
 
-def test_grid_scans_only_existing_windows(shops_series):
-    instances = list(shops_series.all_instances())
-    grid = GridIndex(instances, 5.0)
-    for inst in instances:
-        cell = grid.cell_of(inst.x, inst.y)
-        everything = list(grid.candidates(cell, 0, shops_series.window_count - 1))
-        # A range of 2e12 windows costs what the existing ones cost.
-        assert list(grid.candidates(cell, -10**12, 10**12)) == everything
+@pytest.mark.parametrize("mode", ["inclusive", "strict"])
+def test_pairs_only_inside_the_span_of_a_long_series(mode):
+    # 2000 windows, one A_new (span 2) and one B_dead (span 1) at the same
+    # point in each: every instance shares one cell, and pairs lie only
+    # within the span, 2 windows apart (inclusive) or 1 (strict).
+    from mdcolo import DynamicInstance
+    from mdcolo.snapshots import DynamicDatasetSeries
+    from conftest import feat
 
-
-def test_grid_rejects_bad_cell_size():
-    with pytest.raises(ConfigError):
-        GridIndex([], 0.0)
+    a_new, b_dead = feat("A_new"), feat("B_dead")
+    windows = tuple(
+        (DynamicInstance(a_new, t + 1, 0.0, 0.0, t), DynamicInstance(b_dead, t + 1, 0.0, 0.0, t))
+        for t in range(2000)
+    )
+    series = DynamicDatasetSeries(windows)
+    cfg = MiningConfig(d_d=1.0, min_prev=0.1, time_span=3.0, temporal_comparison=mode)
+    reach = 2 if mode == "inclusive" else 1
+    expected = tuple(
+        (a, b)
+        for a, _ in windows
+        for _, b in windows[max(a.t_index - reach, 0):a.t_index + reach + 1]
+    )
+    assert neighbor_pairs(series, {a_new: 2, b_dead: 1}, cfg) == expected
 
 
 def test_grid_matches_all_pairs_scan_on_generated_series():
