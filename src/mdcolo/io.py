@@ -11,7 +11,7 @@ import csv
 import math
 import os
 from contextlib import contextmanager
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .model import BaseFeature, DataFormatError
 from .neighborhood import MAX_COORDINATE, NeighborPair
@@ -71,6 +71,22 @@ def _parse_int(text: str, path: str, line: int, column: str) -> int:
         raise DataFormatError(f"{path}:{line}: {column} is not an integer: {text!r}")
 
 
+def _reject_snapshot_record(row: list[str], path: str, line: int) -> NoReturn:
+    """Raise the DataFormatError for the first problem of a bad snapshot
+    record of 5 columns, checking its fields in column order."""
+    _parse_int(row[0], path, line, "t_point")
+    if not row[1]:
+        raise DataFormatError(f"{path}:{line}: empty feature id")
+    if not row[2]:
+        raise DataFormatError(f"{path}:{line}: empty instance id")
+    _parse_float(row[3], path, line, "x")
+    _parse_float(row[4], path, line, "y")
+    raise DataFormatError(
+        f"{path}:{line}: coordinates beyond +-{MAX_COORDINATE:g}: "
+        f"x={row[3]!r}, y={row[4]!r}"
+    )
+
+
 def read_snapshots_csv(path: str) -> list[Snapshot]:
     """Snapshot CSV: t_point,feature,instance_id,x,y with a mandatory header;
     coordinates must be finite and at most MAX_COORDINATE in magnitude."""
@@ -83,18 +99,14 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
                 continue
             if len(row) != 5:
                 raise DataFormatError(f"{path}:{line}: expected 5 columns, got {len(row)}")
-            t = _parse_int(row[0], path, line, "t_point")
-            if not row[1]:
-                raise DataFormatError(f"{path}:{line}: empty feature id")
-            if not row[2]:
-                raise DataFormatError(f"{path}:{line}: empty instance id")
-            x = _parse_float(row[3], path, line, "x")
-            y = _parse_float(row[4], path, line, "y")
-            if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
-                raise DataFormatError(
-                    f"{path}:{line}: coordinates beyond +-{MAX_COORDINATE:g}: "
-                    f"x={row[3]!r}, y={row[4]!r}"
-                )
+            # A bad record is checked again field by field for its message.
+            try:
+                t, x, y = int(row[0]), float(row[3]), float(row[4])
+            except ValueError:
+                _reject_snapshot_record(row, path, line)
+            # NaN and infinities fail the bound too.
+            if not (row[1] and row[2] and abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
+                _reject_snapshot_record(row, path, line)
             by_t.setdefault(t, []).append((row[1], row[2], x, y))
     return [Snapshot(t, tuple(records)) for t, records in sorted(by_t.items())]
 

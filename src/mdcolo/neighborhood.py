@@ -22,6 +22,7 @@ from .snapshots import DynamicDatasetSeries
 
 # Canonically ordered: pair[0].sort_key < pair[1].sort_key, which also means
 # pair[0].feature sorts before pair[1].feature (same-feature pairs are dropped).
+# The order is strict because no two instances of a series share a name.
 NeighborPair = tuple[DynamicInstance, DynamicInstance]
 
 # A pair whose rounded distance passes the d_d test can be a rounding error
@@ -49,8 +50,9 @@ def neighbor_pairs(
 ) -> tuple[NeighborPair, ...]:
     """All related instance pairs, canonically ordered and sorted.
 
-    Every feature present in the series must have a span, and no
-    coordinate may exceed MAX_COORDINATE in magnitude.
+    Every feature present in the series must have a span, no coordinate
+    may exceed MAX_COORDINATE in magnitude, and no two instances may share
+    a name (feature and ordinal), which names them everywhere downstream.
     """
     # Instances (codes) and features (ranks) are numbered in canonical order,
     # so the join compares plain ints.
@@ -62,6 +64,9 @@ def neighbor_pairs(
         raise ConfigError(f"no span for feature(s): {names}")
     if not instances:
         return ()
+    for a, b in zip(instances, islice(instances, 1, None)):
+        if a.sort_key == b.sort_key:
+            raise ConfigError(f"two instances are named {a.label}")
 
     rank = {f: r for r, f in enumerate(features)}
     max_span = max(spans[f] for f in features)

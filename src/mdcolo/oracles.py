@@ -2,11 +2,11 @@
 
 Each oracle recomputes its answer from first principles rather than through
 the production code paths: the pair scan compares every instance pair
-directly, the brute-force miner enumerates feature subsets and searches rows
-exhaustively, the row reference lists a candidate's table instance without
-any anchor, and the clique oracle is the classical pivoted enumeration.  No
-production module imports this one.  The level-wise baseline miner lives in
-`levelwise`.
+directly, the brute-force miner enumerates feature subsets over the scan's
+pairs and searches rows exhaustively, the row reference lists a candidate's
+table instance without any anchor, and the clique oracle is the classical
+pivoted enumeration.  No production module imports this one.  The
+level-wise baseline miner lives in `levelwise`.
 """
 
 from __future__ import annotations
@@ -140,30 +140,21 @@ def brute_force_maximal(
 ) -> list[PatternResult]:
     """Prevalent maximal patterns by exhaustive search, within the caps.
 
-    Feature subsets whose members include a pair with no related instances at
-    all are skipped: their tables are empty by construction, never prevalent.
-    Everything else is enumerated outright.
+    Related instances come from `all_pairs_scan`, so the oracles share one
+    pair test.  Feature subsets whose members include a pair with no related
+    instances at all are skipped: their tables are empty by construction,
+    never prevalent.  Everything else is enumerated outright.
     """
     caps.check(series)
     instances = sorted(series.all_instances(), key=lambda i: i.sort_key)
-    dd_sq = config.d_d * config.d_d
-    inclusive = config.temporal_comparison == "inclusive"
 
     related: set[tuple] = set()
     linked_features: dict[DynamicFeature, set[DynamicFeature]] = {}
-    for i, a in enumerate(instances):
-        for b in instances[i + 1:]:
-            if a.feature == b.feature:
-                continue
-            dt = abs(a.t_index - b.t_index)
-            limit = max(spans[a.feature], spans[b.feature])
-            if not (dt <= limit if inclusive else dt < limit):
-                continue
-            if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= dd_sq:
-                related.add((a, b))
-                related.add((b, a))
-                linked_features.setdefault(a.feature, set()).add(b.feature)
-                linked_features.setdefault(b.feature, set()).add(a.feature)
+    for a, b in all_pairs_scan(series, spans, config):
+        related.add((a, b))
+        related.add((b, a))
+        linked_features.setdefault(a.feature, set()).add(b.feature)
+        linked_features.setdefault(b.feature, set()).add(a.feature)
 
     by_feature: dict[DynamicFeature, list] = {}
     for inst in instances:

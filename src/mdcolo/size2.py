@@ -32,14 +32,16 @@ def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
 class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
     in the pattern's canonical feature order.  Rows keep the order they were
-    given: pair tables come out sorted because `neighbor_pairs` sorts."""
+    given: pair tables come out sorted because `neighbor_pairs` sorts.
+    Projections and a pair table's partner index are built on first use."""
 
-    __slots__ = ("pattern", "rows", "_projections")
+    __slots__ = ("pattern", "rows", "_projections", "_partners")
 
     def __init__(self, pattern: Pattern, rows: Iterable[Row]):
         self.pattern = pattern
         self.rows: tuple[Row, ...] = tuple(rows)
         self._projections: dict[DynamicFeature, frozenset[DynamicInstance]] | None = None
+        self._partners: dict[int, frozenset[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -62,6 +64,18 @@ class TableInstance:
         if feature not in self._projections:
             raise ValueError(f"{feature} is not part of pattern {self.pattern.label}")
         return self._projections[feature]
+
+    def partners(self) -> dict[int, frozenset[int]]:
+        """A pair table's index: the ordinal of each first-column instance ->
+        the ordinals of its second-column partners.  Each column holds one
+        feature, within which ordinals are unique (`neighbor_pairs` checks),
+        so they name the instances."""
+        if self._partners is None:
+            grouped: dict[int, set[int]] = {}
+            for a, b in self.rows:
+                grouped.setdefault(a.ordinal, set()).add(b.ordinal)
+            self._partners = {a: frozenset(bs) for a, bs in grouped.items()}
+        return self._partners
 
 
 def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:

@@ -85,8 +85,8 @@ def diff_snapshots(snapshots: Sequence[Snapshot]) -> DynamicDatasetSeries:
                 f"snapshot t_points must be contiguous, got {prev.t_point} then {cur.t_point}"
             )
 
-    # (feature, kind) -> list of (window, instance id, x, y)
-    events: dict[DynamicFeature, list[tuple[int, str, float, float]]] = {}
+    # (feature id, kind) -> list of (window, instance id, x, y)
+    events: dict[tuple[str, str], list[tuple[int, str, float, float]]] = {}
     # Two snapshots are indexed at a time; each is indexed exactly once.
     after = _index_snapshot(snaps[0])
     for k, snap in enumerate(snaps[1:]):
@@ -94,16 +94,18 @@ def diff_snapshots(snapshots: Sequence[Snapshot]) -> DynamicDatasetSeries:
         for key in before.keys() - after.keys():
             feature, instance_id = key
             x, y = before[key]
-            events.setdefault(DynamicFeature(feature, DEAD), []).append((k, instance_id, x, y))
+            events.setdefault((feature, DEAD), []).append((k, instance_id, x, y))
         for key in after.keys() - before.keys():
             feature, instance_id = key
             x, y = after[key]
-            events.setdefault(DynamicFeature(feature, NEW), []).append((k, instance_id, x, y))
+            events.setdefault((feature, NEW), []).append((k, instance_id, x, y))
 
+    # Features in canonical order, each with ascending ordinals, fill every
+    # window already in canonical instance order.
     per_window: list[list[DynamicInstance]] = [[] for _ in range(len(snaps) - 1)]
-    for feature in sorted(events, key=lambda f: f.sort_key):
-        for ordinal, (k, _instance_id, x, y) in enumerate(sorted(events[feature]), start=1):
+    features = sorted((DynamicFeature(*key) for key in events), key=lambda f: f.sort_key)
+    for feature in features:
+        key = (feature.base, feature.kind)
+        for ordinal, (k, _instance_id, x, y) in enumerate(sorted(events[key]), start=1):
             per_window[k].append(DynamicInstance(feature, ordinal, x, y, k))
-    return DynamicDatasetSeries(
-        tuple(tuple(sorted(window, key=lambda i: i.sort_key)) for window in per_window)
-    )
+    return DynamicDatasetSeries(tuple(map(tuple, per_window)))

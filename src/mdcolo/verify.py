@@ -5,11 +5,12 @@ table instance is defined by its pair tables: the canonically first feature
 acts as the anchor, its instances common to every anchor pair table seed the
 rows, and a row survives only if every remaining feature pair is itself a
 pair-table row.  Verification counts those rows and collects each feature's
-participating instances without building the rows, reading pair tables that
-are coded and indexed once per pass.  Candidates whose
-participation index passes the threshold are accepted unless an accepted
-pattern already contains them; failed candidates of size three or more
-decompose into their one-smaller sub-cliques, which join the queue.
+participating instance ordinals without building the rows, reading each pair
+table's partner index (`TableInstance.partners`), which the table builds once
+and verify and derive share.  Candidates whose participation index passes the
+threshold are accepted unless an accepted pattern already contains them;
+failed candidates of size three or more decompose into their one-smaller
+sub-cliques, which join the queue.
 
 One optional shortcut never changes the outcome: participation ratios can be
 bounded from above before the rows are counted, aborting hopeless
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .model import DynamicFeature, DynamicInstance, FeatureClique, MiningConfig, Pattern
+from .model import DynamicFeature, FeatureClique, MiningConfig, Pattern
 from .size2 import FeatureCounts, TableInstance, meets_min_prev, passes_prevalence
 
 
@@ -60,40 +61,6 @@ class VerifyStats:
         }
 
 
-class _PairIndex:
-    """Pair tables coded and indexed once per verification or derive pass.
-
-    Instances get small integer codes, one numbering shared by every table,
-    so the joins intersect plain int sets instead of hashing instances per
-    combination.  Each table is indexed the first time a candidate uses it.
-    """
-
-    def __init__(self, size2: Mapping[Pattern, TableInstance]):
-        self.size2 = size2
-        self.insts: list[DynamicInstance] = []  # code -> instance
-        self._codes: dict[DynamicInstance, int] = {}
-        self._partners: dict[Pattern, dict[int, frozenset[int]]] = {}
-
-    def _code(self, inst: DynamicInstance) -> int:
-        c = self._codes.get(inst)
-        if c is None:
-            c = self._codes[inst] = len(self.insts)
-            self.insts.append(inst)
-        return c
-
-    def partners(self, pair: Pattern) -> dict[int, frozenset[int]]:
-        """Code of each first-column instance of the pair's table -> codes
-        of its second-column partners."""
-        partners = self._partners.get(pair)
-        if partners is None:
-            code = self._code
-            grouped: dict[int, set[int]] = {}
-            for a, b in _pair_table(pair, self.size2).rows:
-                grouped.setdefault(code(a), set()).add(code(b))
-            partners = self._partners[pair] = {a: frozenset(bs) for a, bs in grouped.items()}
-        return partners
-
-
 _NO_PARTNERS: frozenset[int] = frozenset()
 
 
@@ -118,69 +85,68 @@ def _narrow(
 @dataclass(frozen=True)
 class CandidateSummary:
     """What prevalence needs of a candidate's table instance: its row count
-    and each feature's participating instances, without the rows."""
+    and the ordinals of each feature's participating instances, without the
+    rows."""
 
     pattern: Pattern
     row_count: int
-    projections: dict[DynamicFeature, frozenset[DynamicInstance]]
+    participants: dict[DynamicFeature, frozenset[int]]
 
     def ratios(self, counts: Mapping[DynamicFeature, int]) -> dict[DynamicFeature, float]:
         """Participation ratio per feature, 0.0 for a feature without instances."""
         out = {}
         for f in self.pattern.features:
             total = counts.get(f, 0)
-            out[f] = len(self.projections[f]) / total if total else 0.0
+            out[f] = len(self.participants[f]) / total if total else 0.0
         return out
 
 
 def candidate_summary(
     clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
 ) -> CandidateSummary:
-    """Row count and projections of the candidate's table instance.
+    """Row count and participant ordinals of the candidate's table instance.
 
-    A pair reads them off its pair table.  A larger candidate runs an
-    anchor-seeded backtracking that never picks at the last level: once the
-    earlier levels are chosen, each instance still allowed there completes
-    exactly one row, so the set's size adds to the count and its members
-    join the last feature's participants.  An earlier choice, or an anchor
-    instance, participates only when it completes at least one row.  Memory
-    stays linear in the pair tables however many rows the candidate has.
+    A pair reads them off its pair table's projections.  A larger candidate
+    runs an anchor-seeded backtracking over the pair tables' partner indexes
+    that never picks at the last level: once the earlier levels are chosen,
+    each instance still allowed there completes exactly one row, so the
+    set's size adds to the count and its members join the last feature's
+    participants.  An earlier choice, or an anchor instance, participates
+    only when it completes at least one row.  Memory stays linear in the
+    pair tables however many rows the candidate has.
     """
-    return _summarize(clique, _PairIndex(size2))
-
-
-def _summarize(clique: FeatureClique, index: _PairIndex) -> CandidateSummary:
     if clique.size == 2:
-        table = _pair_table(clique, index.size2)
-        return CandidateSummary(
-            clique, len(table), {f: table.projection(f) for f in clique.features}
-        )
-    return _count_rows(clique, index, *_anchor_side(clique, index))
+        table = _pair_table(clique, size2)
+        return CandidateSummary(clique, len(table), {
+            f: frozenset(inst.ordinal for inst in table.projection(f)) for f in clique.features
+        })
+    return _count_rows(clique, size2, *_anchor_side(clique, size2))
 
 
 def _anchor_side(
-    clique: FeatureClique, index: _PairIndex
+    clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
 ) -> tuple[list[dict[int, frozenset[int]]], set[int]]:
-    """The anchor tables' partner maps, and the anchor codes partnered in
+    """The anchor tables' partner maps, and the anchor ordinals partnered in
     every one of them.  The anchor sorts first, so it is the first column
     of every anchor table."""
     anchor, *others = clique.features
-    maps = [index.partners(Pattern((anchor, f))) for f in others]
+    maps = [_pair_table(Pattern((anchor, f)), size2).partners() for f in others]
     return maps, set(maps[0]).intersection(*maps[1:])
 
 
 def _count_rows(
     clique: FeatureClique,
-    index: _PairIndex,
+    size2: Mapping[Pattern, TableInstance],
     anchor_maps: list[dict[int, frozenset[int]]],
     common: set[int],
 ) -> CandidateSummary:
     """`candidate_summary` of a candidate of size three or more, from its
     anchor side.  `others` is in canonical order, so others[i] is the first
-    column of the (i, j) table."""
+    column of the (i, j) table, and each level's sets hold ordinals of that
+    level's feature."""
     others = clique.features[1:]
     adjacency = {
-        (i, j): index.partners(Pattern((others[i], others[j])))
+        (i, j): _pair_table(Pattern((others[i], others[j])), size2).partners()
         for i, j in combinations(range(len(others)), 2)
     }
     last = len(others) - 1
@@ -214,12 +180,8 @@ def _count_rows(
         if n:
             anchors.add(a)
             row_count += n
-    insts = index.insts
-    projections = {
-        f: frozenset(insts[c] for c in codes)
-        for f, codes in zip(clique.features, [anchors, *participants])
-    }
-    return CandidateSummary(clique, row_count, projections)
+    ordinals = map(frozenset, [anchors, *participants])
+    return CandidateSummary(clique, row_count, dict(zip(clique.features, ordinals)))
 
 
 def _pair_table(pair: Pattern, size2: Mapping[Pattern, TableInstance]) -> TableInstance:
@@ -272,7 +234,7 @@ def decompose(
 
 def _verify(
     clique: FeatureClique,
-    index: _PairIndex,
+    size2: Mapping[Pattern, TableInstance],
     counts: FeatureCounts,
     config: MiningConfig,
     early_abort: bool,
@@ -284,9 +246,9 @@ def _verify(
     table, and for each other feature their partners in its table.
     """
     if clique.size == 2:
-        summary = _summarize(clique, index)
+        summary = candidate_summary(clique, size2)
     else:
-        anchor_maps, common = _anchor_side(clique, index)
+        anchor_maps, common = _anchor_side(clique, size2)
         if early_abort:
             anchor, *others = clique.features
             bounds = {anchor: len(common)}
@@ -295,7 +257,7 @@ def _verify(
             if early_abort_check(counts, bounds, config):
                 stats.early_aborts += 1
                 return None
-        summary = _count_rows(clique, index, anchor_maps, common)
+        summary = _count_rows(clique, size2, anchor_maps, common)
     stats.verified += 1
     stats.rows_counted += summary.row_count
     ratios = summary.ratios(counts)
@@ -319,7 +281,6 @@ def verify_all(
     identical with or without it.
     """
     stats = stats if stats is not None else VerifyStats()
-    index = _PairIndex(size2)
     # Pending cliques by size.  Decomposition only adds cliques one size
     # smaller, so visiting sizes largest first sees every candidate once.
     by_size: dict[int, set[FeatureClique]] = {}
@@ -332,7 +293,7 @@ def verify_all(
             if any(clique.feature_set <= acc.feature_set for acc in accepted):
                 stats.subsumed_skips += 1
                 continue
-            result = _verify(clique, index, counts, config, early_abort, stats)
+            result = _verify(clique, size2, counts, config, early_abort, stats)
             if result is not None and passes_prevalence(result.dpi, result.row_count, config):
                 accepted[clique] = result
                 continue
@@ -356,7 +317,6 @@ def derive_all_prevalent(
     more and summarizing each one's table yields the complete prevalent set.
     """
     maximal_set = set(maximal)
-    index = _PairIndex(size2)
     results: dict[Pattern, PatternResult] = {}
     for pattern in sorted(maximal_set, key=lambda p: p.sort_key):
         for k in range(2, pattern.size + 1):
@@ -364,7 +324,7 @@ def derive_all_prevalent(
                 sub = Pattern(combo)
                 if sub in results:
                     continue
-                summary = _summarize(sub, index)
+                summary = candidate_summary(sub, size2)
                 dpi = min(summary.ratios(counts).values())
                 results[sub] = PatternResult(sub, dpi, summary.row_count, sub in maximal_set)
     return sorted(results.values(), key=lambda r: r.pattern.sort_key)

@@ -121,6 +121,22 @@ def test_missing_span_is_an_error(shops_series, lifecycles, config):
         neighbor_pairs(shops_series, spans, config)
 
 
+def test_two_instances_with_one_name_are_an_error():
+    # Instances are named by feature and ordinal everywhere downstream, so a
+    # hand-built series reusing a name would have the two merged.
+    from mdcolo import DynamicInstance
+    from mdcolo.snapshots import DynamicDatasetSeries
+    from conftest import feat
+
+    a1 = DynamicInstance(feat("A_new"), 1, 0.0, 0.0, 0)
+    b1 = DynamicInstance(feat("B_new"), 1, 1.0, 0.0, 0)
+    a1_again = DynamicInstance(feat("A_new"), 1, 5.0, 0.0, 1)
+    series = DynamicDatasetSeries(((a1, b1), (a1_again,)))
+    spans = {a1.feature: 1, b1.feature: 1}
+    with pytest.raises(ConfigError, match=r"two instances are named A_new\.1"):
+        neighbor_pairs(series, spans, CONFIG_SMALL)
+
+
 def test_partners_in_all_nine_cells_are_found_once():
     # Cells are d_d * (1 + 1e-6) wide; the anchor at (-1.5, -1.5) lies in cell
     # (-2, -2), and an offset of 0.6 along an axis crosses into the next cell.

@@ -19,7 +19,6 @@ from mdcolo.size2 import (
 )
 from mdcolo.verify import (
     VerifyStats,
-    _PairIndex,
     candidate_summary,
     decompose,
     derive_all_prevalent,
@@ -44,6 +43,10 @@ def mining_state(series, lifecycles, config):
     prevalent = prevalent_size2(tables, counts, config)
     cliques = maximal_cliques(build_feature_graph(prevalent))
     return tables, counts, prevalent, cliques
+
+
+def ordinals(instances):
+    return {inst.ordinal for inst in instances}
 
 
 def as_result_map(results):
@@ -89,7 +92,9 @@ def test_summary_matches_row_tables_on_generated_series():
             summary = candidate_summary(sub, tables)
             assert summary.row_count == len(table), sub.label
             for f in sub.features:
-                assert summary.projections[f] == table.projection(f), (sub.label, f.label)
+                assert summary.participants[f] == ordinals(table.projection(f)), (
+                    sub.label, f.label,
+                )
             checked += 1
     assert checked > 0
 
@@ -108,7 +113,8 @@ def test_summary_marks_only_instances_in_complete_rows():
     table = candidate_table_instance(pattern, tables)
     assert summary.row_count == len(table) == 1
     for f, inst in zip(pattern.features, (a2, b2, c2, d2)):
-        assert summary.projections[f] == table.projection(f) == {inst}
+        assert table.projection(f) == {inst}
+        assert summary.participants[f] == ordinals(table.projection(f)) == {inst.ordinal}
 
 
 def test_summary_memory_does_not_grow_with_rows():
@@ -127,7 +133,7 @@ def test_summary_memory_does_not_grow_with_rows():
     finally:
         tracemalloc.stop()
     assert summary.row_count == n**4 == 2_560_000
-    assert all(len(summary.projections[f]) == n for f in feats)
+    assert all(len(summary.participants[f]) == n for f in feats)
     assert peak < 4 * 1024 * 1024, f"summary peak {peak} bytes"
 
 
@@ -138,14 +144,12 @@ def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config):
     reversed_tables = size2_table_instances(reversed(pairs))
     assert any(reversed_tables[p].rows != t.rows for p, t in tables.items())
     for given in (tables, reversed_tables):
-        index = _PairIndex(given)
-        for pair in given:
-            partners = index.partners(pair)
-            assert index.partners(pair) is partners, pair.label
-            decoded = {
-                (index.insts[a], index.insts[b]) for a, bs in partners.items() for b in bs
-            }
-            assert decoded == set(tables[pair].rows), pair.label
+        for pair, table in given.items():
+            partners = table.partners()
+            assert table.partners() is partners, pair.label
+            decoded = {(a, b) for a, bs in partners.items() for b in bs}
+            rows = {(a.ordinal, b.ordinal) for a, b in tables[pair].rows}
+            assert decoded == rows, pair.label
     assert any(clique.size > 2 for clique in cliques)
     for clique in cliques:
         summary = candidate_summary(clique, reversed_tables)
