@@ -15,7 +15,7 @@ import time
 from . import io
 from .datagen import GenConfig, generate
 from .model import ConfigError, DataFormatError, MiningConfig
-from .pipeline import mine_series, mine_snapshots
+from .pipeline import ALGOS, mine_series, mine_snapshots
 from .size2 import participation_index
 from .snapshots import diff_snapshots
 
@@ -218,6 +218,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"sweep key 'prune': {value!r} is not one of {', '.join(_PRUNE_VALUES)}"
             )
+    for value in spec.get("algos", ()):
+        if value not in ALGOS:
+            raise ConfigError(f"sweep key 'algos': {value!r} is not one of {', '.join(ALGOS)}")
     base = dict(_BENCH_DEFAULTS)
     for key, values in spec.items():
         if key == "algos":
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="participation index threshold (default 0.1)")
     p_mine.add_argument("--time-span", type=float, default=3.0,
                         help="duration of one window (default 3)")
-    p_mine.add_argument("--algo", choices=("mdc", "join"), default="mdc")
+    p_mine.add_argument("--algo", choices=ALGOS, default="mdc")
     p_mine.add_argument("--no-prune1", action="store_true",
                         help="disable the early participation bound")
     # Accepted and ignored: perfbench/run.py and perfbench/pin.py still pass it.

@@ -147,8 +147,9 @@ def read_lifecycles_csv(path: str) -> list[BaseFeature]:
             if row[0] in seen:
                 raise DataFormatError(f"{path}:{line}: duplicate feature {row[0]!r}")
             seen.add(row[0])
+            life_cycle = _parse_float(row[1], path, line, "life_cycle")
             try:
-                features.append(BaseFeature(row[0], _parse_float(row[1], path, line, "life_cycle")))
+                features.append(BaseFeature(row[0], life_cycle))
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{line}: {exc}")
     return features

@@ -37,25 +37,29 @@ def join_based_mine(
     while level:
         next_level: dict[Pattern, TableInstance] = {}
         patterns = sorted(level, key=lambda p: p.sort_key)
-        for a_pat, b_pat in combinations(patterns, 2):
-            if a_pat.features[:-1] != b_pat.features[:-1]:
-                continue
-            candidate = Pattern(a_pat.features + (b_pat.features[-1],))
-            by_prefix: dict[tuple, list] = {}
-            for row in level[a_pat].rows:
-                by_prefix.setdefault(row[:-1], []).append(row[-1])
-            rows = []
-            for row in level[b_pat].rows:
-                for tail in by_prefix.get(row[:-1], ()):
-                    if (tail, row[-1]) in related:
-                        rows.append(row[:-1] + (tail, row[-1]))
-            if not rows:
-                continue
-            table = TableInstance(candidate, rows)
-            dpi = participation_index(table, counts)
-            if passes_prevalence(dpi, len(table), config):
-                next_level[candidate] = table
-                all_prevalent[candidate] = (dpi, len(table))
+        for i, a_pat in enumerate(patterns):
+            # a_pat's last instances by row prefix, built on its first join
+            by_prefix: dict[tuple, list] | None = None
+            for b_pat in patterns[i + 1:]:
+                if a_pat.features[:-1] != b_pat.features[:-1]:
+                    continue
+                candidate = Pattern(a_pat.features + (b_pat.features[-1],))
+                if by_prefix is None:
+                    by_prefix = {}
+                    for row in level[a_pat].rows:
+                        by_prefix.setdefault(row[:-1], []).append(row[-1])
+                rows = []
+                for row in level[b_pat].rows:
+                    for tail in by_prefix.get(row[:-1], ()):
+                        if (tail, row[-1]) in related:
+                            rows.append(row[:-1] + (tail, row[-1]))
+                if not rows:
+                    continue
+                table = TableInstance(candidate, rows)
+                dpi = participation_index(table, counts)
+                if passes_prevalence(dpi, len(table), config):
+                    next_level[candidate] = table
+                    all_prevalent[candidate] = (dpi, len(table))
         level = next_level
 
     results = []

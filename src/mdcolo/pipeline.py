@@ -71,6 +71,10 @@ def _life_map(lifecycles: Sequence[BaseFeature] | Mapping[str, float]) -> dict[s
     return {f.id: f.life_cycle for f in lifecycles}
 
 
+# The maximal miner and the level-wise baseline.
+ALGOS = ("mdc", "join")
+
+
 def mine_series(
     series: DynamicDatasetSeries,
     lifecycles: Sequence[BaseFeature] | Mapping[str, float],
@@ -87,7 +91,7 @@ def mine_series(
     `diff_ms`, the time the caller took to diff the series from snapshots,
     is reported as the first stage and counted in the total.
     """
-    if algo not in ("mdc", "join"):
+    if algo not in ALGOS:
         raise ConfigError(f"algo must be 'mdc' or 'join', got {algo!r}")
     life_map = _life_map(lifecycles)
     timings: dict[str, float] = {} if diff_ms is None else {"diff": diff_ms}

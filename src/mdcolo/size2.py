@@ -11,7 +11,7 @@ clique search.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
 from .neighborhood import NeighborPair
@@ -29,19 +29,33 @@ def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
     return counts
 
 
+class PairIndex(NamedTuple):
+    """A pair table's partners as int bitsets.  Each column holds one
+    feature, within which ordinals are unique (`neighbor_pairs` checks) and
+    start at 1, so bit `o` of a mask stands for the instance with ordinal `o`
+    of that column's feature."""
+
+    # first-column ordinal -> mask of its second-column partners
+    forward: dict[int, int]
+    # second-column ordinal -> mask of its first-column partners
+    reverse: dict[int, int]
+    # per column, the mask of the ordinals that have any partner
+    columns: tuple[int, int]
+
+
 class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
     in the pattern's canonical feature order.  Rows keep the order they were
     given: pair tables come out sorted because `neighbor_pairs` sorts.
-    Projections and a pair table's partner index are built on first use."""
+    Projections and a pair table's index are built on first use."""
 
-    __slots__ = ("pattern", "rows", "_projections", "_partners")
+    __slots__ = ("pattern", "rows", "_projections", "_pair_index")
 
     def __init__(self, pattern: Pattern, rows: Iterable[Row]):
         self.pattern = pattern
         self.rows: tuple[Row, ...] = tuple(rows)
         self._projections: dict[DynamicFeature, frozenset[DynamicInstance]] | None = None
-        self._partners: dict[int, frozenset[int]] | None = None
+        self._pair_index: PairIndex | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -65,17 +79,18 @@ class TableInstance:
             raise ValueError(f"{feature} is not part of pattern {self.pattern.label}")
         return self._projections[feature]
 
-    def partners(self) -> dict[int, frozenset[int]]:
-        """A pair table's index: the ordinal of each first-column instance ->
-        the ordinals of its second-column partners.  Each column holds one
-        feature, within which ordinals are unique (`neighbor_pairs` checks),
-        so they name the instances."""
-        if self._partners is None:
-            grouped: dict[int, set[int]] = {}
+    def pair_index(self) -> PairIndex:
+        """A pair table's partner index, shared by verify and derive."""
+        if self._pair_index is None:
+            forward: dict[int, int] = {}
+            reverse: dict[int, int] = {}
             for a, b in self.rows:
-                grouped.setdefault(a.ordinal, set()).add(b.ordinal)
-            self._partners = {a: frozenset(bs) for a, bs in grouped.items()}
-        return self._partners
+                i, j = a.ordinal, b.ordinal
+                forward[i] = forward.get(i, 0) | 1 << j
+                reverse[j] = reverse.get(j, 0) | 1 << i
+            columns = (sum(1 << o for o in forward), sum(1 << o for o in reverse))
+            self._pair_index = PairIndex(forward, reverse, columns)
+        return self._pair_index
 
 
 def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:

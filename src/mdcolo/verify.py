@@ -1,30 +1,31 @@
 """Verification of candidate patterns against the instance data.
 
 Candidates (feature cliques) are processed largest first.  A candidate's
-table instance is defined by its pair tables: the canonically first feature
-acts as the anchor, its instances common to every anchor pair table seed the
-rows, and a row survives only if every remaining feature pair is itself a
-pair-table row.  Verification counts those rows and collects each feature's
-participating instance ordinals without building the rows, reading each pair
-table's partner index (`TableInstance.partners`), which the table builds once
-and verify and derive share.  Candidates whose participation index passes the
-threshold are accepted unless an accepted pattern already contains them;
-failed candidates of size three or more decompose into their one-smaller
-sub-cliques, which join the queue.
+table instance is defined by its pair tables: a row picks one instance per
+feature such that every feature pair is itself a pair-table row.
+Verification counts those rows and collects each feature's participating
+instance ordinals without building the rows.  It reads one bitset index per
+pair table (`TableInstance.pair_index`), which the table builds once and
+verify, the early abort and derive share.  The search is fail-first: the
+feature with the fewest instances partnered in every pair table of the
+candidate (the smallest domain) is picked first.  Candidates whose
+participation index passes the threshold are accepted unless an accepted
+pattern already contains them; failed candidates of size three or more
+decompose into their one-smaller sub-cliques, which join the queue.
 
 One optional shortcut never changes the outcome: participation ratios can be
 bounded from above before the rows are counted, aborting hopeless
-candidates early.
+candidates early.  The bound is anchored on the canonically first feature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import DynamicFeature, FeatureClique, MiningConfig, Pattern
-from .size2 import FeatureCounts, TableInstance, meets_min_prev, passes_prevalence
+from .size2 import FeatureCounts, PairIndex, TableInstance, meets_min_prev, passes_prevalence
 
 
 @dataclass(frozen=True)
@@ -61,27 +62,6 @@ class VerifyStats:
         }
 
 
-_NO_PARTNERS: frozenset[int] = frozenset()
-
-
-def _narrow(
-    adjacency: dict[tuple[int, int], dict[int, frozenset[int]]],
-    level: int,
-    c: int,
-    allowed: list[frozenset[int]],
-) -> list[frozenset[int]] | None:
-    """Choices left at every deeper level once `c` is picked at `level`;
-    None when some deeper level has none.  Entries up to `level` are unused
-    placeholders, so the list stays indexed by level."""
-    narrowed = [_NO_PARTNERS] * (level + 1)
-    for j in range(level + 1, len(allowed)):
-        nxt = allowed[j] & adjacency[(level, j)].get(c, _NO_PARTNERS)
-        if not nxt:
-            return None
-        narrowed.append(nxt)
-    return narrowed
-
-
 @dataclass(frozen=True)
 class CandidateSummary:
     """What prevalence needs of a candidate's table instance: its row count
@@ -107,88 +87,130 @@ def candidate_summary(
     """Row count and participant ordinals of the candidate's table instance.
 
     A pair reads them off its pair table's projections.  A larger candidate
-    runs an anchor-seeded backtracking over the pair tables' partner indexes
-    that never picks at the last level: once the earlier levels are chosen,
-    each instance still allowed there completes exactly one row, so the
-    set's size adds to the count and its members join the last feature's
-    participants.  An earlier choice, or an anchor instance, participates
-    only when it completes at least one row.  Memory stays linear in the
-    pair tables however many rows the candidate has.
+    runs a backtracking over the pair tables' bitset indexes that never
+    picks at the last level: once the earlier levels are chosen, each
+    instance still allowed there completes exactly one row, so the mask's
+    bit count adds to the count and its bits join the last feature's
+    participants.  The last two levels trade places when the last one holds
+    fewer instances, so the loop runs over the smaller mask.  An earlier
+    choice participates only when it completes at least one row.  Memory
+    stays linear in the pair tables however many rows the candidate has.
     """
+    return _summarize(clique, _by_features(size2))
+
+
+# Pair tables by their feature tuple, so that a candidate finds its tables
+# without building a Pattern for each of its feature pairs.
+PairTables = dict[tuple[DynamicFeature, ...], TableInstance]
+
+
+def _by_features(size2: Mapping[Pattern, TableInstance]) -> PairTables:
+    return {pair.features: table for pair, table in size2.items()}
+
+
+def _summarize(clique: FeatureClique, tables: PairTables) -> CandidateSummary:
     if clique.size == 2:
-        table = _pair_table(clique, size2)
+        table = _pair_table(tables, clique.features)
         return CandidateSummary(clique, len(table), {
             f: frozenset(inst.ordinal for inst in table.projection(f)) for f in clique.features
         })
-    return _count_rows(clique, size2, *_anchor_side(clique, size2))
+    return _count_rows(clique, _indexes(clique, tables, combinations(range(clique.size), 2)))
 
 
-def _anchor_side(
-    clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
-) -> tuple[list[dict[int, frozenset[int]]], set[int]]:
-    """The anchor tables' partner maps, and the anchor ordinals partnered in
-    every one of them.  The anchor sorts first, so it is the first column
-    of every anchor table."""
-    anchor, *others = clique.features
-    maps = [_pair_table(Pattern((anchor, f)), size2).partners() for f in others]
-    return maps, set(maps[0]).intersection(*maps[1:])
+Indexes = dict[tuple[int, int], PairIndex]
 
 
-def _count_rows(
-    clique: FeatureClique,
-    size2: Mapping[Pattern, TableInstance],
-    anchor_maps: list[dict[int, frozenset[int]]],
-    common: set[int],
-) -> CandidateSummary:
-    """`candidate_summary` of a candidate of size three or more, from its
-    anchor side.  `others` is in canonical order, so others[i] is the first
-    column of the (i, j) table, and each level's sets hold ordinals of that
-    level's feature."""
-    others = clique.features[1:]
-    adjacency = {
-        (i, j): _pair_table(Pattern((others[i], others[j])), size2).partners()
-        for i, j in combinations(range(len(others)), 2)
+def _indexes(
+    clique: FeatureClique, tables: PairTables, positions: Iterable[tuple[int, int]]
+) -> Indexes:
+    """The indexes of the candidate's pair tables at canonical positions
+    (i, j), i < j; feature i is the first column of table (i, j)."""
+    features = clique.features
+    return {
+        (i, j): _pair_table(tables, (features[i], features[j])).pair_index()
+        for i, j in positions
     }
-    last = len(others) - 1
-    participants: list[set[int]] = [set() for _ in others]
 
-    def count(level: int, allowed: list[frozenset[int]]) -> int:
+
+def _count_rows(clique: FeatureClique, indexes: Indexes) -> CandidateSummary:
+    """`candidate_summary` of a candidate of size three or more, from the
+    indexes of all its pair tables.  A feature's domain is the mask of its
+    instances partnered in every one of them.  The search takes its levels
+    fail-first, smallest domain first (ties in canonical order), and narrows
+    every deeper level's mask with `&` at each pick."""
+    k = clique.size
+    domains = [-1] * k
+    for (i, j), index in indexes.items():
+        domains[i] &= index.columns[0]
+        domains[j] &= index.columns[1]
+    order = sorted(range(k), key=lambda i: (domains[i].bit_count(), i))
+
+    def toward(i: int, j: int) -> dict[int, int]:
+        """Ordinal of feature i -> mask of its partners of feature j."""
+        return indexes[i, j].forward if i < j else indexes[j, i].reverse
+
+    # deeper[p][d]: ordinal picked at level p -> mask of partners at level p + 1 + d
+    deeper = [[toward(order[p], order[q]) for q in range(p + 1, k)] for p in range(k - 1)]
+    last = k - 1
+    back = toward(order[last], order[last - 1])
+    found = [0] * k
+
+    def count(level: int, mask: int, *rest: int) -> int:
+        """Rows through this level's `mask` and the deeper levels' `rest`."""
         rows = 0
+        partners = deeper[level]
         if level == last - 1:
-            tail = allowed[last]
-            related = adjacency[(level, last)]
-            for c in allowed[level]:
-                completions = tail & related.get(c, _NO_PARTNERS)
+            tail, related = rest[0], partners[0]
+            near, far = level, last
+            if tail.bit_count() < mask.bit_count():
+                mask, tail, related, near, far = tail, mask, back, far, near
+            hits = completed = 0
+            while mask:
+                c = mask.bit_length() - 1
+                bit = 1 << c
+                mask ^= bit
+                completions = tail & related[c]
                 if completions:
-                    participants[level].add(c)
-                    participants[last] |= completions
-                    rows += len(completions)
+                    hits |= bit
+                    completed |= completions
+                    rows += completions.bit_count()
+            found[near] |= hits
+            found[far] |= completed
             return rows
-        for c in allowed[level]:
-            narrowed = _narrow(adjacency, level, c, allowed)
-            if narrowed is not None:
-                n = count(level + 1, narrowed)
+        while mask:
+            c = mask.bit_length() - 1
+            bit = 1 << c
+            mask ^= bit
+            narrowed = [m & p[c] for m, p in zip(rest, partners)]
+            if all(narrowed):
+                n = count(level + 1, *narrowed)
                 if n:
-                    participants[level].add(c)
+                    found[level] |= bit
                     rows += n
         return rows
 
-    row_count = 0
-    anchors = set()
-    for a in common:
-        n = count(0, [partners[a] for partners in anchor_maps])
-        if n:
-            anchors.add(a)
-            row_count += n
-    ordinals = map(frozenset, [anchors, *participants])
-    return CandidateSummary(clique, row_count, dict(zip(clique.features, ordinals)))
+    row_count = count(0, *[domains[i] for i in order])
+    found_at = dict(zip(order, found))
+    return CandidateSummary(clique, row_count, {
+        f: frozenset(_ordinals(found_at[i])) for i, f in enumerate(clique.features)
+    })
 
 
-def _pair_table(pair: Pattern, size2: Mapping[Pattern, TableInstance]) -> TableInstance:
+def _ordinals(mask: int) -> Iterator[int]:
+    """The ordinals whose bits are set in `mask`, descending."""
+    while mask:
+        o = mask.bit_length() - 1
+        mask ^= 1 << o
+        yield o
+
+
+def _pair_table(tables: PairTables, pair: tuple[DynamicFeature, ...]) -> TableInstance:
     try:
-        return size2[pair]
+        return tables[pair]
     except KeyError:
-        raise ValueError(f"no pair table for {pair.label}; candidate is not a clique over this data")
+        raise ValueError(
+            f"no pair table for {Pattern(pair).label}; candidate is not a clique over this data"
+        )
 
 
 def early_abort_check(
@@ -234,7 +256,7 @@ def decompose(
 
 def _verify(
     clique: FeatureClique,
-    size2: Mapping[Pattern, TableInstance],
+    tables: PairTables,
     counts: FeatureCounts,
     config: MiningConfig,
     early_abort: bool,
@@ -242,22 +264,34 @@ def _verify(
 ) -> PatternResult | None:
     """Full verification; None when the early bound already rules it out.
 
-    The bound allows the anchor instances partnered in every anchor pair
-    table, and for each other feature their partners in its table.
+    The bound takes the canonically first feature as the anchor: it allows
+    the anchor instances partnered in every anchor pair table, and for each
+    other feature their partners in its table.  Only the anchor tables are
+    indexed before the bound is checked.
     """
     if clique.size == 2:
-        summary = candidate_summary(clique, size2)
+        summary = _summarize(clique, tables)
     else:
-        anchor_maps, common = _anchor_side(clique, size2)
+        k = clique.size
+        indexes = _indexes(clique, tables, ((0, j) for j in range(1, k)))
         if early_abort:
             anchor, *others = clique.features
-            bounds = {anchor: len(common)}
-            for f, partners in zip(others, anchor_maps):
-                bounds[f] = len(set().union(*(partners[a] for a in common)))
+            anchor_side = [indexes[0, j] for j in range(1, k)]
+            common = -1
+            for index in anchor_side:
+                common &= index.columns[0]
+            anchors = list(_ordinals(common))
+            bounds = {anchor: len(anchors)}
+            for f, index in zip(others, anchor_side):
+                union = 0
+                for a in anchors:
+                    union |= index.forward[a]
+                bounds[f] = union.bit_count()
             if early_abort_check(counts, bounds, config):
                 stats.early_aborts += 1
                 return None
-        summary = _count_rows(clique, size2, anchor_maps, common)
+        indexes.update(_indexes(clique, tables, combinations(range(1, k), 2)))
+        summary = _count_rows(clique, indexes)
     stats.verified += 1
     stats.rows_counted += summary.row_count
     ratios = summary.ratios(counts)
@@ -287,13 +321,14 @@ def verify_all(
     for clique in cliques:
         by_size.setdefault(clique.size, set()).add(clique)
     accepted: dict[Pattern, PatternResult] = {}
+    tables = _by_features(size2)
 
     for size in range(max(by_size, default=2), 1, -1):
         for clique in sorted(by_size.pop(size, ()), key=lambda c: c.sort_key):
             if any(clique.feature_set <= acc.feature_set for acc in accepted):
                 stats.subsumed_skips += 1
                 continue
-            result = _verify(clique, size2, counts, config, early_abort, stats)
+            result = _verify(clique, tables, counts, config, early_abort, stats)
             if result is not None and passes_prevalence(result.dpi, result.row_count, config):
                 accepted[clique] = result
                 continue
@@ -317,6 +352,7 @@ def derive_all_prevalent(
     more and summarizing each one's table yields the complete prevalent set.
     """
     maximal_set = set(maximal)
+    tables = _by_features(size2)
     results: dict[Pattern, PatternResult] = {}
     for pattern in sorted(maximal_set, key=lambda p: p.sort_key):
         for k in range(2, pattern.size + 1):
@@ -324,7 +360,7 @@ def derive_all_prevalent(
                 sub = Pattern(combo)
                 if sub in results:
                     continue
-                summary = candidate_summary(sub, size2)
+                summary = _summarize(sub, tables)
                 dpi = min(summary.ratios(counts).values())
                 results[sub] = PatternResult(sub, dpi, summary.row_count, sub in maximal_set)
     return sorted(results.values(), key=lambda r: r.pattern.sort_key)

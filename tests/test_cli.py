@@ -298,9 +298,11 @@ def write_lifecycles_text(path, features, life_cycle: str) -> None:
     path.write_text("feature,life_cycle\n" + "".join(f"{f.id},{life_cycle}\n" for f in features))
 
 
-def test_mine_infinite_life_cycle_exits_2(dataset, tmp_path, capsys):
-    lc = tmp_path / "inf.csv"
-    write_lifecycles_text(lc, io.read_lifecycles_csv(f"{dataset}.lifecycles.csv"), "inf")
+def mine_error_with_life_cycle(dataset, tmp_path, capsys, life_cycle: str) -> tuple[str, str]:
+    """(life-cycle CSV path, stderr) of a mine whose every life cycle reads
+    `life_cycle`; the mine must exit 2."""
+    lc = tmp_path / "lc.csv"
+    write_lifecycles_text(lc, io.read_lifecycles_csv(f"{dataset}.lifecycles.csv"), life_cycle)
     code = main(
         [
             "mine", f"{dataset}.snapshots.csv", "--lifecycles", str(lc),
@@ -308,7 +310,19 @@ def test_mine_infinite_life_cycle_exits_2(dataset, tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert f"{lc}:2: life_cycle is not a finite number" in capsys.readouterr().err
+    return str(lc), capsys.readouterr().err
+
+
+def test_mine_infinite_life_cycle_exits_2(dataset, tmp_path, capsys):
+    lc, err = mine_error_with_life_cycle(dataset, tmp_path, capsys, "inf")
+    assert f"error: {lc}:2: life_cycle is not a finite number: 'inf'" in err
+    assert err.count(f"{lc}:2:") == 1
+
+
+def test_mine_non_numeric_life_cycle_exits_2(dataset, tmp_path, capsys):
+    lc, err = mine_error_with_life_cycle(dataset, tmp_path, capsys, "abc")
+    assert f"error: {lc}:2: life_cycle is not a number: 'abc'" in err
+    assert err.count(f"{lc}:2:") == 1
 
 
 def test_mine_huge_life_cycle_finishes(dataset, tmp_path):
@@ -396,6 +410,16 @@ def test_bench_bad_prune_exits_2(tmp_path, capsys):
     spec.write_text("prune=xyz\ninstances=120\n")
     assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
     assert "error: sweep key 'prune': 'xyz'" in capsys.readouterr().err
+
+
+def test_bench_bad_algo_exits_2_before_mining(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("algos=mdc,foo\ninstances=120\n")
+    out = tmp_path / "b.csv"
+    assert main(["bench", str(spec), "-o", str(out)]) == 2
+    # No sweep point was mined: the error is all of stderr.
+    assert capsys.readouterr().err == "error: sweep key 'algos': 'foo' is not one of mdc, join\n"
+    assert not out.exists()
 
 
 def test_bench_prune_values(tmp_path, capsys):

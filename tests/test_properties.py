@@ -1,7 +1,7 @@
 """Randomized properties: the grid join against the all-pairs scan, the
-row-free candidate summary against the anchorless row reference, clique
-enumeration against Bron-Kerbosch, and the whole miner against the
-exhaustive search."""
+row-free candidate summary against the anchorless row reference (on small
+and on multi-word ordinals), clique enumeration against Bron-Kerbosch, and
+the whole miner against the exhaustive search."""
 
 from __future__ import annotations
 
@@ -110,6 +110,47 @@ def test_summary_equals_row_reference(candidate):
     assert summary.row_count == len(table)
     for f in pattern.features:
         assert summary.participants[f] == {i.ordinal for i in table.projection(f)}, f.label
+
+
+@st.composite
+def wide_candidates(draw):
+    """A pattern of 3-4 features over instance ordinals from 1 to 130, so
+    masks span several machine words and tables differ in their largest
+    ordinal.  Every instance of the canonically first feature has a partner
+    in each of its tables, so its domain is the largest and a fail-first
+    search takes it last.  The other features' partners are drawn per
+    table, so some feature's domain may come out empty."""
+    feats = sorted(
+        draw(st.lists(st.sampled_from(FEATURES), min_size=3, max_size=4, unique=True)),
+        key=lambda f: f.sort_key,
+    )
+    ordinals = [
+        draw(st.sets(st.integers(1, 130), min_size=6, max_size=8)),
+        *(draw(st.sets(st.integers(1, 130), min_size=1, max_size=4)) for _ in feats[1:]),
+    ]
+    insts = [
+        [DynamicInstance(f, o, 0.0, 0.0, 0) for o in sorted(os)] for f, os in zip(feats, ordinals)
+    ]
+    pairs = []
+    for i, j in combinations(range(len(feats)), 2):
+        side = st.sampled_from(insts[j])
+        if i == 0:
+            pairs.extend((a, draw(side)) for a in insts[0])
+        rows = st.tuples(st.sampled_from(insts[i]), side)
+        pairs.extend(draw(st.sets(rows, min_size=1, max_size=6)))
+    return Pattern(feats), size2_table_instances(dict.fromkeys(pairs))
+
+
+@SETTINGS
+@given(wide_candidates())
+def test_bitset_summary_equals_row_reference(candidate):
+    pattern, tables = candidate
+    summary = candidate_summary(pattern, tables)
+    table = candidate_table_instance(pattern, tables)
+    assert summary.row_count == len(table)
+    for f in pattern.features:
+        assert summary.participants[f] == {i.ordinal for i in table.projection(f)}, f.label
+    assert all(summary.participants.values()) == (summary.row_count > 0)
 
 
 @st.composite

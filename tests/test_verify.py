@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from mdcolo import DynamicInstance, MiningConfig, Pattern
+from mdcolo import DynamicInstance, MiningConfig, Pattern, size2
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
@@ -137,19 +137,35 @@ def test_summary_memory_does_not_grow_with_rows():
     assert peak < 4 * 1024 * 1024, f"summary peak {peak} bytes"
 
 
-def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config):
+def bits(mask: int) -> set[int]:
+    return {o for o in range(mask.bit_length()) if mask >> o & 1}
+
+
+def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, monkeypatch):
     tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, config)
+    # Verify, the early abort and derive all read the one index of each table.
+    built = []
+    pair_index = size2.PairIndex
+    monkeypatch.setattr(size2, "PairIndex", lambda *parts: built.append(parts) or pair_index(*parts))
+    results = verify_all(cliques, tables, counts, config)
+    derive_all_prevalent([r.pattern for r in results], tables, counts, config)
+    assert built
+    for table in tables.values():
+        table.pair_index()
+    assert len(built) == len(tables)
     # The same pairs in reverse order: table rows keep it, the index must not care.
     pairs = [row for table in tables.values() for row in table.rows]
     reversed_tables = size2_table_instances(reversed(pairs))
     assert any(reversed_tables[p].rows != t.rows for p, t in tables.items())
     for given in (tables, reversed_tables):
         for pair, table in given.items():
-            partners = table.partners()
-            assert table.partners() is partners, pair.label
-            decoded = {(a, b) for a, bs in partners.items() for b in bs}
+            index = table.pair_index()
+            assert table.pair_index() is index, pair.label
             rows = {(a.ordinal, b.ordinal) for a, b in tables[pair].rows}
-            assert decoded == rows, pair.label
+            forward = {(a, b) for a, mask in index.forward.items() for b in bits(mask)}
+            reverse = {(a, b) for b, mask in index.reverse.items() for a in bits(mask)}
+            assert forward == reverse == rows, pair.label
+            assert tuple(map(bits, index.columns)) == tuple(map(set, zip(*rows))), pair.label
     assert any(clique.size > 2 for clique in cliques)
     for clique in cliques:
         summary = candidate_summary(clique, reversed_tables)
