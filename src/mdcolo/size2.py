@@ -3,9 +3,10 @@
 A pattern's table instance lists every instance combination realizing it.  A
 feature's participation ratio in a table is the share of its instances (over
 the whole series) that appear in at least one row; the participation index of
-the table is the minimum ratio over the pattern's features.  Pairs whose index
-passes the threshold become the edges of the feature graph that seeds the
-clique search.
+the table is the minimum ratio over the pattern's features, whose
+participants every stage reads as one ordinal bitmask each
+(`TableInstance.columns`).  Pairs whose index passes the threshold become the
+edges of the feature graph that seeds the clique search.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
 
 
 class PairIndex(NamedTuple):
-    """A pair table's partners as int bitsets.  Each column holds one
-    feature, within which ordinals are unique (`neighbor_pairs` checks) and
-    start at 1, so bit `o` of a mask stands for the instance with ordinal `o`
-    of that column's feature."""
+    """A pair table's partners as int bitsets, in the ordinal bits of
+    `TableInstance.columns`."""
 
     # first-column ordinal -> mask of its second-column partners
     forward: dict[int, int]
     # second-column ordinal -> mask of its first-column partners
     reverse: dict[int, int]
-    # per column, the mask of the ordinals that have any partner
+    # the table's `columns()`: per column, the ordinals that have any partner
     columns: tuple[int, int]
 
 
@@ -47,14 +46,14 @@ class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
     in the pattern's canonical feature order.  Rows keep the order they were
     given: pair tables come out sorted because `neighbor_pairs` sorts.
-    Projections and a pair table's index are built on first use."""
+    The participant masks and a pair table's index are built on first use."""
 
-    __slots__ = ("pattern", "rows", "_projections", "_pair_index")
+    __slots__ = ("pattern", "rows", "_columns", "_pair_index")
 
     def __init__(self, pattern: Pattern, rows: Iterable[Row]):
         self.pattern = pattern
         self.rows: tuple[Row, ...] = tuple(rows)
-        self._projections: dict[DynamicFeature, frozenset[DynamicInstance]] | None = None
+        self._columns: tuple[int, ...] | None = None
         self._pair_index: PairIndex | None = None
 
     def __len__(self) -> int:
@@ -68,16 +67,17 @@ class TableInstance:
     def __repr__(self) -> str:
         return f"TableInstance({self.pattern.label}, {len(self.rows)} rows)"
 
-    def projection(self, feature: DynamicFeature) -> frozenset[DynamicInstance]:
-        """Distinct instances of `feature` participating in any row."""
-        if self._projections is None:
-            self._projections = {
-                f: frozenset(map(itemgetter(i), self.rows))
-                for i, f in enumerate(self.pattern.features)
-            }
-        if feature not in self._projections:
-            raise ValueError(f"{feature} is not part of pattern {self.pattern.label}")
-        return self._projections[feature]
+    def columns(self) -> tuple[int, ...]:
+        """Per feature in canonical order, the mask of its participants: bit
+        `o` is set when its instance with ordinal `o` is in any row.  Within
+        a feature ordinals are unique (`neighbor_pairs` checks) and start at
+        1, so the mask's bit count is the number of participants."""
+        if self._columns is None:
+            self._columns = tuple(
+                sum(1 << o for o in {inst.ordinal for inst in map(itemgetter(i), self.rows)})
+                for i in range(self.pattern.size)
+            )
+        return self._columns
 
     def pair_index(self) -> PairIndex:
         """A pair table's partner index, shared by verify and derive."""
@@ -88,8 +88,7 @@ class TableInstance:
                 i, j = a.ordinal, b.ordinal
                 forward[i] = forward.get(i, 0) | 1 << j
                 reverse[j] = reverse.get(j, 0) | 1 << i
-            columns = (sum(1 << o for o in forward), sum(1 << o for o in reverse))
-            self._pair_index = PairIndex(forward, reverse, columns)
+            self._pair_index = PairIndex(forward, reverse, self.columns())
         return self._pair_index
 
 
@@ -103,19 +102,20 @@ def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableI
     return {t.pattern: t for t in sorted(tables, key=lambda t: t.pattern.sort_key)}
 
 
+def participation_share(participants: int, total: int) -> float:
+    """Share of a feature's `total` instances set in the `participants` mask;
+    0.0 rather than a division error when externally supplied counts say 0."""
+    return participants.bit_count() / total if total else 0.0
+
+
 def participation_ratio(
     table: TableInstance, feature: DynamicFeature, counts: Mapping[DynamicFeature, int]
 ) -> float:
-    """Share of the feature's instances that participate in the table.
-
-    A feature with no instances at all gets ratio 0 rather than a division
-    error; that only happens with externally supplied counts.
-    """
-    participants = table.projection(feature)
-    total = counts.get(feature, 0)
-    if total == 0:
-        return 0.0
-    return len(participants) / total
+    """Share of the feature's instances that participate in the table."""
+    if feature not in table.pattern:
+        raise ValueError(f"{feature} is not part of pattern {table.pattern.label}")
+    participants = table.columns()[table.pattern.features.index(feature)]
+    return participation_share(participants, counts.get(feature, 0))
 
 
 def participation_index(table: TableInstance, counts: Mapping[DynamicFeature, int]) -> float:

@@ -3,8 +3,8 @@
 Candidates (feature cliques) are processed largest first.  A candidate's
 table instance is defined by its pair tables: a row picks one instance per
 feature such that every feature pair is itself a pair-table row.
-Verification counts those rows and collects each feature's participating
-instance ordinals without building the rows.  It reads one bitset index per
+Verification counts those rows and collects each feature's participants as
+an ordinal bitmask, without building the rows.  It reads one bitset index per
 pair table (`TableInstance.pair_index`), which the table builds once and
 verify, the early abort and derive share.  The search is fail-first: the
 feature with the fewest instances partnered in every pair table of the
@@ -22,10 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .model import DynamicFeature, FeatureClique, MiningConfig, Pattern
-from .size2 import FeatureCounts, PairIndex, TableInstance, meets_min_prev, passes_prevalence
+from .size2 import (
+    FeatureCounts, PairIndex, TableInstance, meets_min_prev, participation_share,
+    passes_prevalence,
+)
 
 
 @dataclass(frozen=True)
@@ -65,28 +68,24 @@ class VerifyStats:
 @dataclass(frozen=True)
 class CandidateSummary:
     """What prevalence needs of a candidate's table instance: its row count
-    and the ordinals of each feature's participating instances, without the
-    rows."""
+    and each feature's participants as a mask of ordinal bits, as in
+    `TableInstance.columns`, without the rows."""
 
     pattern: Pattern
     row_count: int
-    participants: dict[DynamicFeature, frozenset[int]]
+    participants: dict[DynamicFeature, int]
 
     def ratios(self, counts: Mapping[DynamicFeature, int]) -> dict[DynamicFeature, float]:
         """Participation ratio per feature, 0.0 for a feature without instances."""
-        out = {}
-        for f in self.pattern.features:
-            total = counts.get(f, 0)
-            out[f] = len(self.participants[f]) / total if total else 0.0
-        return out
+        return {f: participation_share(m, counts.get(f, 0)) for f, m in self.participants.items()}
 
 
 def candidate_summary(
     clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
 ) -> CandidateSummary:
-    """Row count and participant ordinals of the candidate's table instance.
+    """Row count and participant masks of the candidate's table instance.
 
-    A pair reads them off its pair table's projections.  A larger candidate
+    A pair reads them off its pair table's `columns()`.  A larger candidate
     runs a backtracking over the pair tables' bitset indexes that never
     picks at the last level: once the earlier levels are chosen, each
     instance still allowed there completes exactly one row, so the mask's
@@ -111,9 +110,7 @@ def _by_features(size2: Mapping[Pattern, TableInstance]) -> PairTables:
 def _summarize(clique: FeatureClique, tables: PairTables) -> CandidateSummary:
     if clique.size == 2:
         table = _pair_table(tables, clique.features)
-        return CandidateSummary(clique, len(table), {
-            f: frozenset(inst.ordinal for inst in table.projection(f)) for f in clique.features
-        })
+        return CandidateSummary(clique, len(table), dict(zip(clique.features, table.columns())))
     return _count_rows(clique, _indexes(clique, tables, combinations(range(clique.size), 2)))
 
 
@@ -190,10 +187,8 @@ def _count_rows(clique: FeatureClique, indexes: Indexes) -> CandidateSummary:
         return rows
 
     row_count = count(0, *[domains[i] for i in order])
-    found_at = dict(zip(order, found))
-    return CandidateSummary(clique, row_count, {
-        f: frozenset(_ordinals(found_at[i])) for i, f in enumerate(clique.features)
-    })
+    participants = {clique.features[i]: mask for i, mask in zip(order, found)}
+    return CandidateSummary(clique, row_count, participants)
 
 
 def _ordinals(mask: int) -> Iterator[int]:
@@ -233,22 +228,21 @@ def early_abort_check(
 
 def decompose(
     clique: FeatureClique,
-    accepted: Iterable[Pattern],
-    pending: Iterable[FeatureClique],
+    accepted: Sequence[frozenset[DynamicFeature]],
+    pending: Collection[FeatureClique],
 ) -> list[FeatureClique]:
     """One-smaller sub-cliques of a failed candidate still worth queueing.
 
-    Sub-cliques contained in an accepted pattern are prevalent but can never
-    be maximal; ones already queued would only be duplicates.
+    `accepted` holds the feature sets of the accepted patterns.  Sub-cliques
+    contained in one are prevalent but can never be maximal; ones already
+    queued would only be duplicates.
     """
-    accepted_sets = [p.feature_set for p in accepted]
-    pending_set = set(pending)
     out = []
     for combo in combinations(clique.features, clique.size - 1):
         sub = Pattern(combo)
-        if sub in pending_set:
+        if sub in pending:
             continue
-        if any(sub.feature_set <= acc for acc in accepted_sets):
+        if any(sub.feature_set <= acc for acc in accepted):
             continue
         out.append(sub)
     return out
@@ -320,23 +314,26 @@ def verify_all(
     by_size: dict[int, set[FeatureClique]] = {}
     for clique in cliques:
         by_size.setdefault(clique.size, set()).add(clique)
-    accepted: dict[Pattern, PatternResult] = {}
+    accepted: list[PatternResult] = []
+    # The accepted patterns' feature sets, read by the subsumed check and decompose.
+    covering: list[frozenset[DynamicFeature]] = []
     tables = _by_features(size2)
 
     for size in range(max(by_size, default=2), 1, -1):
         for clique in sorted(by_size.pop(size, ()), key=lambda c: c.sort_key):
-            if any(clique.feature_set <= acc.feature_set for acc in accepted):
+            if any(clique.feature_set <= acc for acc in covering):
                 stats.subsumed_skips += 1
                 continue
             result = _verify(clique, tables, counts, config, early_abort, stats)
             if result is not None and passes_prevalence(result.dpi, result.row_count, config):
-                accepted[clique] = result
+                accepted.append(result)
+                covering.append(clique.feature_set)
                 continue
             if size > 2:
                 pending = by_size.setdefault(size - 1, set())
-                pending.update(decompose(clique, accepted, pending))
+                pending.update(decompose(clique, covering, pending))
                 stats.decomposed += 1
-    return sorted(accepted.values(), key=lambda r: r.pattern.sort_key)
+    return sorted(accepted, key=lambda r: r.pattern.sort_key)
 
 
 def derive_all_prevalent(

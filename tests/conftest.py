@@ -46,6 +46,11 @@ def instances_by_label(series) -> dict:
     return {inst.label: inst for inst in series.all_instances()}
 
 
+def bits(mask: int) -> set[int]:
+    """The ordinals whose bits are set in a participant or partner mask."""
+    return {o for o in range(mask.bit_length()) if mask >> o & 1}
+
+
 # Life cycles shared by both hand-checked series: with time span 3, "new"
 # events of A reach 3 windows, of B 1 window, of C 2 windows; "dead" events
 # always reach 1.

@@ -1,7 +1,8 @@
 """Randomized properties: the grid join against the all-pairs scan, the
 row-free candidate summary against the anchorless row reference (on small
-and on multi-word ordinals), clique enumeration against Bron-Kerbosch, and
-the whole miner against the exhaustive search."""
+and on multi-word ordinals), table participant masks against their rows,
+clique enumeration against Bron-Kerbosch, and the whole miner against the
+exhaustive search."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from mdcolo.size2 import FeatureGraph, feature_counts, size2_table_instances
 from mdcolo.snapshots import DynamicDatasetSeries
 from mdcolo.verify import candidate_summary
 
-from conftest import feat
+from conftest import bits, feat
 
 FEATURES = [feat(f"{base}_{kind}") for base in "ABCDE" for kind in ("new", "dead")]
 
@@ -108,8 +109,8 @@ def test_summary_equals_row_reference(candidate):
     summary = candidate_summary(pattern, tables)
     table = candidate_table_instance(pattern, tables)
     assert summary.row_count == len(table)
-    for f in pattern.features:
-        assert summary.participants[f] == {i.ordinal for i in table.projection(f)}, f.label
+    for i, f in enumerate(pattern.features):
+        assert bits(summary.participants[f]) == {row[i].ordinal for row in table.rows}, f.label
 
 
 @st.composite
@@ -148,9 +149,18 @@ def test_bitset_summary_equals_row_reference(candidate):
     summary = candidate_summary(pattern, tables)
     table = candidate_table_instance(pattern, tables)
     assert summary.row_count == len(table)
-    for f in pattern.features:
-        assert summary.participants[f] == {i.ordinal for i in table.projection(f)}, f.label
+    for i, f in enumerate(pattern.features):
+        assert bits(summary.participants[f]) == {row[i].ordinal for row in table.rows}, f.label
     assert all(summary.participants.values()) == (summary.row_count > 0)
+
+
+@SETTINGS
+@given(wide_candidates())
+def test_columns_are_distinct_ordinals(candidate):
+    pattern, tables = candidate
+    for table in (*tables.values(), candidate_table_instance(pattern, tables)):
+        for i, mask in enumerate(table.columns()):
+            assert bits(mask) == {row[i].ordinal for row in table.rows}, table.pattern.label
 
 
 @st.composite

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import MiningConfig, Pattern
+from mdcolo import MiningConfig, Pattern, levelwise
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
 from mdcolo.size2 import (
@@ -19,7 +19,9 @@ from mdcolo.size2 import (
 from conftest import (
     BURST_EXPECTED_TABLES,
     SHOPS_EXPECTED_TABLES,
+    bits,
     feat,
+    small_series,
 )
 
 
@@ -94,10 +96,34 @@ def test_participation_ratio_rejects_foreign_feature(burst_tables, burst_series)
         participation_ratio(table, feat("Z_new"), counts)
 
 
-def test_projection_is_distinct_instances(burst_tables):
+def test_columns_are_distinct_instances(burst_tables):
+    # Three rows, in which A_dead.1 and B_new.1 each take part twice.
     table = burst_tables[Pattern([feat("A_dead"), feat("B_new")])]
-    assert {i.label for i in table.projection(feat("A_dead"))} == {"A_dead.1", "A_dead.2"}
-    assert {i.label for i in table.projection(feat("B_new"))} == {"B_new.1", "B_new.2"}
+    assert len(table) == 3
+    assert [bits(mask) for mask in table.columns()] == [{1, 2}, {1, 2}]
+
+
+def test_join_tables_index_is_distinct_instance_ratio(monkeypatch):
+    # The level-wise miner builds tables of 3 and more features and reads
+    # their index; the reference counts each column's distinct instances.
+    seen = []
+    monkeypatch.setattr(
+        levelwise, "participation_index",
+        lambda table, counts: seen.append((table, counts)) or participation_index(table, counts),
+    )
+    for seed in (0, 4):
+        series, features, cfg = small_series(seed, min_prev=0.05)
+        life = {f.id: f.life_cycle for f in features}
+        spans = compute_spans(series.features(), life, cfg.time_span)
+        tables = size2_table_instances(neighbor_pairs(series, spans, cfg))
+        levelwise.join_based_mine(tables, feature_counts(series), cfg)
+    assert any(table.pattern.size >= 3 for table, _ in seen)
+    for table, counts in seen:
+        distinct = min(
+            len({row[i] for row in table.rows}) / counts[f]
+            for i, f in enumerate(table.pattern.features)
+        )
+        assert participation_index(table, counts) == distinct, table.pattern.label
 
 
 def test_passes_prevalence_modes():

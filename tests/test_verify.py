@@ -30,6 +30,7 @@ from conftest import (
     BURST_EXPECTED_MAXIMAL,
     BURST_TRIPLE_ROWS,
     SHOPS_EXPECTED_MAXIMAL,
+    bits,
     feat,
     small_series,
 )
@@ -45,8 +46,9 @@ def mining_state(series, lifecycles, config):
     return tables, counts, prevalent, cliques
 
 
-def ordinals(instances):
-    return {inst.ordinal for inst in instances}
+def ordinals(table, i):
+    """The distinct ordinals in column i of the table's rows."""
+    return {row[i].ordinal for row in table.rows}
 
 
 def as_result_map(results):
@@ -91,8 +93,8 @@ def test_summary_matches_row_tables_on_generated_series():
             table = candidate_table_instance(sub, tables)
             summary = candidate_summary(sub, tables)
             assert summary.row_count == len(table), sub.label
-            for f in sub.features:
-                assert summary.participants[f] == ordinals(table.projection(f)), (
+            for i, f in enumerate(sub.features):
+                assert bits(summary.participants[f]) == ordinals(table, i), (
                     sub.label, f.label,
                 )
             checked += 1
@@ -112,9 +114,9 @@ def test_summary_marks_only_instances_in_complete_rows():
     summary = candidate_summary(pattern, tables)
     table = candidate_table_instance(pattern, tables)
     assert summary.row_count == len(table) == 1
-    for f, inst in zip(pattern.features, (a2, b2, c2, d2)):
-        assert table.projection(f) == {inst}
-        assert summary.participants[f] == ordinals(table.projection(f)) == {inst.ordinal}
+    for i, (f, inst) in enumerate(zip(pattern.features, (a2, b2, c2, d2))):
+        assert {row[i] for row in table.rows} == {inst}
+        assert bits(summary.participants[f]) == ordinals(table, i) == {inst.ordinal}
 
 
 def test_summary_memory_does_not_grow_with_rows():
@@ -133,12 +135,8 @@ def test_summary_memory_does_not_grow_with_rows():
     finally:
         tracemalloc.stop()
     assert summary.row_count == n**4 == 2_560_000
-    assert all(len(summary.participants[f]) == n for f in feats)
+    assert all(bits(summary.participants[f]) == set(range(1, n + 1)) for f in feats)
     assert peak < 4 * 1024 * 1024, f"summary peak {peak} bytes"
-
-
-def bits(mask: int) -> set[int]:
-    return {o for o in range(mask.bit_length()) if mask >> o & 1}
 
 
 def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, monkeypatch):
@@ -184,7 +182,7 @@ def test_candidate_table_requires_pair_tables(burst_series, lifecycles, config):
 
 def test_decompose_excludes_accepted_and_pending():
     failed = Pattern([feat("A_dead"), feat("B_new"), feat("C_dead"), feat("D_new")])
-    accepted = [Pattern([feat("A_dead"), feat("B_new"), feat("C_dead")])]
+    accepted = [Pattern([feat("A_dead"), feat("B_new"), feat("C_dead")]).feature_set]
     subs = decompose(failed, accepted, [])
     assert [s.label for s in subs] == [
         "A_dead,B_new,D_new",
