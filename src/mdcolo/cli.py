@@ -15,7 +15,7 @@ import time
 from . import io
 from .datagen import GenConfig, generate
 from .model import ConfigError, DataFormatError, MiningConfig
-from .pipeline import ALGOS, mine_series, mine_snapshots
+from .pipeline import ALGOS, mine_snapshots
 from .size2 import participation_index
 from .snapshots import diff_snapshots
 
@@ -64,23 +64,16 @@ def cmd_mine(args: argparse.Namespace) -> int:
     lifecycles = io.read_lifecycles_csv(args.lifecycles)
     config = _mining_config(args)
 
-    started = time.perf_counter()
-    series = diff_snapshots(snapshots)
-    diff_ms = (time.perf_counter() - started) * 1000
-    # A feature without events has the same instances in every snapshot, so
-    # snapshot 0 names every snapshot feature the series lacks.
-    snapshot_features = {f.base for f in series.features()}
-    snapshot_features.update(record[0] for record in snapshots[0].records)
+    snapshot_features = {record[0] for snap in snapshots for record in snap.records}
     unknown = sorted({f.id for f in lifecycles} - snapshot_features)
     if unknown:
         raise ConfigError(f"unknown feature(s) in {args.lifecycles}: {', '.join(unknown)}")
 
-    outcome = mine_series(
-        series, lifecycles, config,
+    outcome = mine_snapshots(
+        snapshots, lifecycles, config,
         algo=args.algo,
         early_abort=not args.no_prune1,
         derive_all=args.derive_all,
-        diff_ms=diff_ms,
     )
     io.write_pattern_report(args.output, outcome.report_results)
     _info(

@@ -17,7 +17,6 @@ Total dynamic instances therefore equal the configured budget exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .model import DEAD, NEW, BaseFeature, ConfigError
 from .snapshots import Snapshot
@@ -51,11 +50,6 @@ class SplitMix64:
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
-
-    def choice(self, seq: Sequence):
-        if not seq:
-            raise ValueError("choice from empty sequence")
-        return seq[self.randint(0, len(seq) - 1)]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), in selection order."""

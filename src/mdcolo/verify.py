@@ -11,11 +11,13 @@ feature with the fewest instances partnered in every pair table of the
 candidate (the smallest domain) is picked first.  Candidates whose
 participation index passes the threshold are accepted unless an accepted
 pattern already contains them; failed candidates of size three or more
-decompose into their one-smaller sub-cliques, which join the queue.
+decompose into their one-smaller sub-cliques, which join the queue as
+canonical feature tuples; a `Pattern` is built only when one is dequeued.
 
 One optional shortcut never changes the outcome: participation ratios can be
 bounded from above before the rows are counted, aborting hopeless
-candidates early.  The bound is anchored on the canonically first feature.
+candidates early.  The bound is anchored on the canonically first feature and
+reads only its pair tables; a candidate past it is summarized as derive does.
 """
 
 from __future__ import annotations
@@ -98,9 +100,11 @@ def candidate_summary(
     return _summarize(clique, _by_features(size2))
 
 
+# A pattern's canonical feature tuple, the name verify queues and derive checks.
+Features = tuple[DynamicFeature, ...]
 # Pair tables by their feature tuple, so that a candidate finds its tables
 # without building a Pattern for each of its feature pairs.
-PairTables = dict[tuple[DynamicFeature, ...], TableInstance]
+PairTables = dict[Features, TableInstance]
 
 
 def _by_features(size2: Mapping[Pattern, TableInstance]) -> PairTables:
@@ -108,25 +112,18 @@ def _by_features(size2: Mapping[Pattern, TableInstance]) -> PairTables:
 
 
 def _summarize(clique: FeatureClique, tables: PairTables) -> CandidateSummary:
-    if clique.size == 2:
-        table = _pair_table(tables, clique.features)
-        return CandidateSummary(clique, len(table), dict(zip(clique.features, table.columns())))
-    return _count_rows(clique, _indexes(clique, tables, combinations(range(clique.size), 2)))
-
-
-Indexes = dict[tuple[int, int], PairIndex]
-
-
-def _indexes(
-    clique: FeatureClique, tables: PairTables, positions: Iterable[tuple[int, int]]
-) -> Indexes:
-    """The indexes of the candidate's pair tables at canonical positions
-    (i, j), i < j; feature i is the first column of table (i, j)."""
     features = clique.features
-    return {
+    if clique.size == 2:
+        table = _pair_table(tables, features)
+        return CandidateSummary(clique, len(table), dict(zip(features, table.columns())))
+    return _count_rows(clique, {
         (i, j): _pair_table(tables, (features[i], features[j])).pair_index()
-        for i, j in positions
-    }
+        for i, j in combinations(range(clique.size), 2)
+    })
+
+
+# Pair-table indexes at canonical positions (i, j), i < j; feature i is column 0.
+Indexes = dict[tuple[int, int], PairIndex]
 
 
 def _count_rows(clique: FeatureClique, indexes: Indexes) -> CandidateSummary:
@@ -229,23 +226,48 @@ def early_abort_check(
 def decompose(
     clique: FeatureClique,
     accepted: Sequence[frozenset[DynamicFeature]],
-    pending: Collection[FeatureClique],
-) -> list[FeatureClique]:
-    """One-smaller sub-cliques of a failed candidate still worth queueing.
+    pending: Collection[Features],
+) -> list[Features]:
+    """Feature tuples of a failed candidate's one-smaller sub-cliques still
+    worth queueing.
 
-    `accepted` holds the feature sets of the accepted patterns.  Sub-cliques
-    contained in one are prevalent but can never be maximal; ones already
-    queued would only be duplicates.
+    `accepted` holds the feature sets of the accepted patterns, `pending` the
+    queued feature tuples.  Sub-cliques contained in an accepted pattern are
+    prevalent but can never be maximal; queued ones would be duplicates.
     """
     out = []
-    for combo in combinations(clique.features, clique.size - 1):
-        sub = Pattern(combo)
-        if sub in pending:
-            continue
-        if any(sub.feature_set <= acc for acc in accepted):
-            continue
-        out.append(sub)
+    for sub in combinations(clique.features, clique.size - 1):
+        if sub not in pending:
+            # A frozenset hashes each feature once; `<=` then reuses the hashes.
+            feature_set = frozenset(sub)
+            if not any(feature_set <= acc for acc in accepted):
+                out.append(sub)
     return out
+
+
+def _hopeless(
+    clique: FeatureClique, tables: PairTables, counts: FeatureCounts, config: MiningConfig
+) -> bool:
+    """True when the early bound rules a candidate of size three or more out.
+
+    The bound takes the canonically first feature as the anchor: it allows
+    the anchor instances partnered in every anchor pair table, and for each
+    other feature their partners in its table.  Only the anchor tables are
+    indexed, so a hopeless candidate never indexes the others.
+    """
+    anchor, *others = clique.features
+    indexes = [_pair_table(tables, (anchor, f)).pair_index() for f in others]
+    common = -1
+    for index in indexes:
+        common &= index.columns[0]
+    anchors = list(_ordinals(common))
+    bounds = {anchor: len(anchors)}
+    for f, index in zip(others, indexes):
+        union = 0
+        for a in anchors:
+            union |= index.forward[a]
+        bounds[f] = union.bit_count()
+    return early_abort_check(counts, bounds, config)
 
 
 def _verify(
@@ -256,36 +278,12 @@ def _verify(
     early_abort: bool,
     stats: VerifyStats,
 ) -> PatternResult | None:
-    """Full verification; None when the early bound already rules it out.
-
-    The bound takes the canonically first feature as the anchor: it allows
-    the anchor instances partnered in every anchor pair table, and for each
-    other feature their partners in its table.  Only the anchor tables are
-    indexed before the bound is checked.
-    """
-    if clique.size == 2:
-        summary = _summarize(clique, tables)
-    else:
-        k = clique.size
-        indexes = _indexes(clique, tables, ((0, j) for j in range(1, k)))
-        if early_abort:
-            anchor, *others = clique.features
-            anchor_side = [indexes[0, j] for j in range(1, k)]
-            common = -1
-            for index in anchor_side:
-                common &= index.columns[0]
-            anchors = list(_ordinals(common))
-            bounds = {anchor: len(anchors)}
-            for f, index in zip(others, anchor_side):
-                union = 0
-                for a in anchors:
-                    union |= index.forward[a]
-                bounds[f] = union.bit_count()
-            if early_abort_check(counts, bounds, config):
-                stats.early_aborts += 1
-                return None
-        indexes.update(_indexes(clique, tables, combinations(range(1, k), 2)))
-        summary = _count_rows(clique, indexes)
+    """Full verification; None when the early bound (`_hopeless`) already
+    rules it out.  Otherwise the candidate is summarized as derive does."""
+    if early_abort and clique.size > 2 and _hopeless(clique, tables, counts, config):
+        stats.early_aborts += 1
+        return None
+    summary = _summarize(clique, tables)
     stats.verified += 1
     stats.rows_counted += summary.row_count
     ratios = summary.ratios(counts)
@@ -309,18 +307,18 @@ def verify_all(
     identical with or without it.
     """
     stats = stats if stats is not None else VerifyStats()
-    # Pending cliques by size.  Decomposition only adds cliques one size
-    # smaller, so visiting sizes largest first sees every candidate once.
-    by_size: dict[int, set[FeatureClique]] = {}
+    # Pending cliques' feature tuples by size.  Decomposition only adds cliques
+    # one size smaller, so visiting sizes largest first sees every one once.
+    by_size: dict[int, set[Features]] = {}
     for clique in cliques:
-        by_size.setdefault(clique.size, set()).add(clique)
+        by_size.setdefault(clique.size, set()).add(clique.features)
     accepted: list[PatternResult] = []
     # The accepted patterns' feature sets, read by the subsumed check and decompose.
     covering: list[frozenset[DynamicFeature]] = []
     tables = _by_features(size2)
 
     for size in range(max(by_size, default=2), 1, -1):
-        for clique in sorted(by_size.pop(size, ()), key=lambda c: c.sort_key):
+        for clique in sorted(map(Pattern, by_size.pop(size, ())), key=lambda c: c.sort_key):
             if any(clique.feature_set <= acc for acc in covering):
                 stats.subsumed_skips += 1
                 continue
@@ -350,14 +348,14 @@ def derive_all_prevalent(
     """
     maximal_set = set(maximal)
     tables = _by_features(size2)
-    results: dict[Pattern, PatternResult] = {}
+    results: dict[Features, PatternResult] = {}
     for pattern in sorted(maximal_set, key=lambda p: p.sort_key):
         for k in range(2, pattern.size + 1):
             for combo in combinations(pattern.features, k):
-                sub = Pattern(combo)
-                if sub in results:
+                if combo in results:
                     continue
+                sub = Pattern(combo)
                 summary = _summarize(sub, tables)
                 dpi = min(summary.ratios(counts).values())
-                results[sub] = PatternResult(sub, dpi, summary.row_count, sub in maximal_set)
+                results[combo] = PatternResult(sub, dpi, summary.row_count, sub in maximal_set)
     return sorted(results.values(), key=lambda r: r.pattern.sort_key)

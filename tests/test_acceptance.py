@@ -190,7 +190,7 @@ def test_criterion_1_hand_built_series():
     # not already covered by an accepted pattern.
     failed = Pattern((feat("A_dead"), feat("B_new"), feat("C_dead"), feat("D_new")))
     subs = decompose(failed, [triple.feature_set], [])
-    ok = ok and [s.label for s in subs] == [
+    ok = ok and [Pattern(s).label for s in subs] == [
         "A_dead,B_new,D_new", "A_dead,C_dead,D_new", "B_new,C_dead,D_new",
     ]
 

@@ -173,6 +173,28 @@ def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, mo
     assert TableInstance(pattern, rows).rows == tuple(rows)
 
 
+def test_early_abort_indexes_only_anchor_tables(monkeypatch):
+    # One instance each of three pairwise related features that have 100
+    # instances: the triple's bound fails at once, so only the anchor's two
+    # pair tables are indexed, and the pairs it decomposes into read columns.
+    feats = [feat(label) for label in ("A_new", "B_new", "C_new")]
+    insts = [DynamicInstance(f, 1, 0.0, 0.0, 0) for f in feats]
+    counts = {f: 100 for f in feats}
+    cfg = MiningConfig(d_d=1.0, min_prev=0.5, time_span=1.0)
+    built = []
+    pair_index = size2.PairIndex
+    monkeypatch.setattr(size2, "PairIndex", lambda *parts: built.append(parts) or pair_index(*parts))
+    for early_abort, builds, aborts in ((True, 2, 1), (False, 3, 0)):
+        built.clear()
+        tables = size2_table_instances(combinations(insts, 2))
+        stats = VerifyStats()
+        results = verify_all(
+            [Pattern(feats)], tables, counts, cfg, early_abort=early_abort, stats=stats
+        )
+        assert results == []
+        assert (len(built), stats.early_aborts) == (builds, aborts), early_abort
+
+
 def test_candidate_table_requires_pair_tables(burst_series, lifecycles, config):
     tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, config)
     not_a_clique = Pattern([feat("A_new"), feat("B_dead")])
@@ -184,13 +206,13 @@ def test_decompose_excludes_accepted_and_pending():
     failed = Pattern([feat("A_dead"), feat("B_new"), feat("C_dead"), feat("D_new")])
     accepted = [Pattern([feat("A_dead"), feat("B_new"), feat("C_dead")]).feature_set]
     subs = decompose(failed, accepted, [])
-    assert [s.label for s in subs] == [
+    assert [Pattern(s).label for s in subs] == [
         "A_dead,B_new,D_new",
         "A_dead,C_dead,D_new",
         "B_new,C_dead,D_new",
     ]
-    pending = [Pattern([feat("A_dead"), feat("B_new"), feat("D_new")])]
-    assert [s.label for s in decompose(failed, accepted, pending)] == [
+    pending = [Pattern([feat("A_dead"), feat("B_new"), feat("D_new")]).features]
+    assert [Pattern(s).label for s in decompose(failed, accepted, pending)] == [
         "A_dead,C_dead,D_new",
         "B_new,C_dead,D_new",
     ]
