@@ -12,7 +12,6 @@ back; the stages themselves are imported from their modules.
 from __future__ import annotations
 
 from . import io
-from .datagen import GenConfig, generate
 from .model import (
     BaseFeature,
     ConfigError,
@@ -28,6 +27,17 @@ from .snapshots import DynamicDatasetSeries, Snapshot, diff_snapshots
 from .verify import PatternResult
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """`GenConfig` and `generate`, imported from `datagen` on first use: a
+    mining run never loads the generator."""
+    if name in ("GenConfig", "generate"):
+        from . import datagen
+
+        return getattr(datagen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BaseFeature",

@@ -13,7 +13,6 @@ import sys
 import time
 
 from . import io
-from .datagen import GenConfig, generate
 from .model import ConfigError, DataFormatError, MiningConfig
 from .pipeline import ALGOS, mine_snapshots
 from .size2 import participation_index
@@ -105,6 +104,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .datagen import GenConfig, generate
+
     defaults = GenConfig.life_cycles
     life_cycles = (
         tuple(_parse(float, v, "--life-cycles") for v in args.life_cycles.split(","))
@@ -141,12 +142,14 @@ _PRUNE_VALUES = ("on", "off")
 # `on`; the old `p2` named the deleted shared sub-clique pre-check.
 _PRUNE_ALIASES = {"p1": "on"}
 
-_dataset_cache: dict[GenConfig, list] = {}
+# GenConfig -> its generated snapshots
+_dataset_cache: dict[object, list] = {}
 
 
 def _bench_point(spec: dict[str, str], algo: str, prune: str) -> tuple[int, int, float]:
     """Generate (or reuse) the dataset for one sweep point and mine it;
     returns (maximal count, prevalent count, elapsed ms)."""
+    from .datagen import GenConfig, generate
 
     def value(key: str, convert):
         return _parse(convert, spec[key], f"sweep key {key!r}")

@@ -91,23 +91,33 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
     """Snapshot CSV: t_point,feature,instance_id,x,y with a mandatory header;
     coordinates must be finite and at most MAX_COORDINATE in magnitude."""
     by_t: dict[int, list[tuple[str, str, float, float]]] = {}
+    # Rows usually come grouped by t_point: look its record list up on a change.
+    last_t = group = None
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), SNAPSHOT_HEADER, path)
         for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataFormatError(f"{path}:{line}: expected 5 columns, got {len(row)}")
-            # A bad record is checked again field by field for its message.
+            # A blank row or a wrong column count fails the unpacking; a bad
+            # record is checked again field by field for its message.
             try:
-                t, x, y = int(row[0]), float(row[3]), float(row[4])
+                t, feature, instance_id, x, y = row
+                t, x, y = int(t), float(x), float(y)
             except ValueError:
+                if not row:
+                    continue
+                if len(row) != 5:
+                    raise DataFormatError(f"{path}:{line}: expected 5 columns, got {len(row)}")
                 _reject_snapshot_record(row, path, line)
             # NaN and infinities fail the bound too.
-            if not (row[1] and row[2] and abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
+            if not (
+                feature and instance_id
+                and -MAX_COORDINATE <= x <= MAX_COORDINATE
+                and -MAX_COORDINATE <= y <= MAX_COORDINATE
+            ):
                 _reject_snapshot_record(row, path, line)
-            by_t.setdefault(t, []).append((row[1], row[2], x, y))
+            if t != last_t:
+                last_t, group = t, by_t.setdefault(t, [])
+            group.append((feature, instance_id, x, y))
     return [Snapshot(t, tuple(records)) for t, records in sorted(by_t.items())]
 
 

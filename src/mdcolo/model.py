@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 
@@ -39,44 +38,69 @@ class InsufficientDataError(DataFormatError):
     """Input too small to be meaningful (fewer than two snapshots)."""
 
 
-@dataclass(frozen=True)
-class BaseFeature:
+class Value:
+    """Base of the slotted value types.  Objects of one class are equal when
+    the slots named in `_compared` are, as a dataclass compares them, and
+    hash alike; a class that precomputes `_hash` returns it instead.  The
+    repr names the compared slots.  Nothing assigns a slot after `__init__`,
+    which keeps the hashes valid."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+
+class BaseFeature(Value):
     """A feature of the underlying snapshots, e.g. a shop category.
 
     life_cycle is the typical duration of one instance's influence, in the
     same units as the series' time span.
     """
 
-    id: str
-    life_cycle: float
+    __slots__ = _compared = ("id", "life_cycle")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, life_cycle: float):
+        if not id:
             raise ConfigError("base feature id must be non-empty")
-        if not (0 < self.life_cycle < math.inf):
+        if not (0 < life_cycle < math.inf):
             raise ConfigError(
-                f"life cycle of {self.id!r} must be positive and finite, got {self.life_cycle}"
+                f"life cycle of {id!r} must be positive and finite, got {life_cycle}"
             )
+        self.id, self.life_cycle = id, life_cycle
 
 
-@dataclass(frozen=True)
-class DynamicFeature:
+class DynamicFeature(Value):
     """A base feature qualified by what happened to its instances: new or dead.
 
     sort_key and the hash are precomputed; features are hashed and compared
     millions of times in the join loops.
     """
 
-    base: str
-    kind: str
+    _compared = ("base", "kind")
+    __slots__ = _compared + ("sort_key", "_hash")
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ConfigError(f"kind must be {NEW!r} or {DEAD!r}, got {self.kind!r}")
-        if not self.base:
+    def __init__(self, base: str, kind: str):
+        if kind not in _KIND_RANK:
+            raise ConfigError(f"kind must be {NEW!r} or {DEAD!r}, got {kind!r}")
+        if not base:
             raise ConfigError("base feature id must be non-empty")
-        object.__setattr__(self, "sort_key", (self.base, _KIND_RANK[self.kind]))
-        object.__setattr__(self, "_hash", hash((self.base, self.kind)))
+        self.base, self.kind = base, kind
+        self.sort_key = (base, _KIND_RANK[kind])
+        self._hash = hash((base, kind))
 
     def __hash__(self) -> int:
         return self._hash
@@ -89,8 +113,7 @@ class DynamicFeature:
         return self.label
 
 
-@dataclass(frozen=True)
-class DynamicInstance:
+class DynamicInstance(Value):
     """One appearance or disappearance event, located in space and time.
 
     t_index is the transition window the event belongs to: window k covers the
@@ -98,25 +121,17 @@ class DynamicInstance:
     dynamic feature within a series.
     """
 
-    feature: DynamicFeature
-    ordinal: int
-    x: float
-    y: float
-    t_index: int
+    _compared = ("feature", "ordinal", "x", "y", "t_index")
+    __slots__ = _compared + ("sort_key", "_hash")
 
-    def __post_init__(self):
-        if self.ordinal < 1:
-            raise ConfigError(f"ordinal must be >= 1, got {self.ordinal}")
-        if self.t_index < 0:
-            raise ConfigError(f"t_index must be >= 0, got {self.t_index}")
-        object.__setattr__(
-            self,
-            "sort_key",
-            (self.feature.base, _KIND_RANK[self.feature.kind], self.ordinal),
-        )
-        object.__setattr__(
-            self, "_hash", hash((self.feature, self.ordinal, self.x, self.y, self.t_index))
-        )
+    def __init__(self, feature: DynamicFeature, ordinal: int, x: float, y: float, t_index: int):
+        if ordinal < 1:
+            raise ConfigError(f"ordinal must be >= 1, got {ordinal}")
+        if t_index < 0:
+            raise ConfigError(f"t_index must be >= 0, got {t_index}")
+        self.feature, self.ordinal, self.x, self.y, self.t_index = feature, ordinal, x, y, t_index
+        self.sort_key = (feature.base, _KIND_RANK[feature.kind], ordinal)
+        self._hash = hash((feature, ordinal, x, y, t_index))
 
     def __hash__(self) -> int:
         return self._hash
@@ -138,25 +153,24 @@ def canonical_features(features: Iterable[DynamicFeature]) -> tuple[DynamicFeatu
     return tuple(feats)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Value):
     """A set of at least two distinct dynamic features, canonically ordered.
 
     Equality and hashing see only the feature tuple, so construction order
     never matters.
     """
 
-    features: tuple[DynamicFeature, ...]
-    feature_set: frozenset = field(init=False, compare=False, repr=False)
+    _compared = ("features",)
+    __slots__ = _compared + ("feature_set", "sort_key", "_hash")
 
     def __init__(self, features: Iterable[DynamicFeature]):
         feats = canonical_features(features)
         if len(feats) < 2:
             raise ConfigError(f"pattern needs at least 2 features, got {len(feats)}")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "feature_set", frozenset(feats))
-        object.__setattr__(self, "sort_key", tuple(f.sort_key for f in feats))
-        object.__setattr__(self, "_hash", hash((feats,)))
+        self.features = feats
+        self.feature_set = frozenset(feats)
+        self.sort_key = tuple(f.sort_key for f in feats)
+        self._hash = hash((feats,))
 
     def __hash__(self) -> int:
         return self._hash
@@ -181,8 +195,7 @@ class Pattern:
 FeatureClique = Pattern
 
 
-@dataclass(frozen=True)
-class MiningConfig:
+class MiningConfig(Value):
     """Thresholds and comparison modes shared by the whole pipeline.
 
     d_d            spatial proximity threshold (Euclidean, inclusive).
@@ -194,22 +207,24 @@ class MiningConfig:
                            "strict":    index >  min_prev.
     """
 
-    d_d: float
-    min_prev: float
-    time_span: float
-    temporal_comparison: str = "inclusive"
-    prevalence_comparison: str = "inclusive"
+    __slots__ = _compared = (
+        "d_d", "min_prev", "time_span", "temporal_comparison", "prevalence_comparison"
+    )
 
-    def __post_init__(self):
-        if not (0 < self.d_d < math.inf):
-            raise ConfigError(f"d_d must be positive and finite, got {self.d_d}")
-        if not (0.0 <= self.min_prev <= 1.0):
-            raise ConfigError(f"min_prev must be within [0, 1], got {self.min_prev}")
-        if not (0 < self.time_span < math.inf):
-            raise ConfigError(f"time_span must be positive and finite, got {self.time_span}")
-        for mode in (self.temporal_comparison, self.prevalence_comparison):
+    def __init__(self, d_d: float, min_prev: float, time_span: float,
+                 temporal_comparison: str = "inclusive", prevalence_comparison: str = "inclusive"):
+        if not (0 < d_d < math.inf):
+            raise ConfigError(f"d_d must be positive and finite, got {d_d}")
+        if not (0.0 <= min_prev <= 1.0):
+            raise ConfigError(f"min_prev must be within [0, 1], got {min_prev}")
+        if not (0 < time_span < math.inf):
+            raise ConfigError(f"time_span must be positive and finite, got {time_span}")
+        for mode in (temporal_comparison, prevalence_comparison):
             if mode not in ("inclusive", "strict"):
                 raise ConfigError(f"comparison mode must be 'inclusive' or 'strict', got {mode!r}")
+        self.d_d, self.min_prev, self.time_span = d_d, min_prev, time_span
+        self.temporal_comparison = temporal_comparison
+        self.prevalence_comparison = prevalence_comparison
 
 
 def span_constraint(kind: str, life_cycle: float, time_span: float) -> int:

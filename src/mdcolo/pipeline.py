@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .cliques import maximal_cliques
-from .levelwise import join_based_mine
 from .model import BaseFeature, ConfigError, MiningConfig, Pattern, compute_spans
 from .neighborhood import NeighborPair, neighbor_pairs
 from .size2 import (
@@ -22,21 +20,30 @@ from .snapshots import Snapshot, DynamicDatasetSeries, diff_snapshots
 from .verify import PatternResult, VerifyStats, derive_all_prevalent, verify_all
 
 
-@dataclass
 class MineOutcome:
     """Everything a mining run produced, including observability data."""
 
-    results: list[PatternResult]
-    derived: list[PatternResult] | None
-    config: MiningConfig
-    algo: str
-    stats: VerifyStats
-    timings_ms: dict[str, float] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
-    # Instances per feature, every pair table, and the neighbor pairs sorted.
-    counts: FeatureCounts = field(default_factory=dict)
-    tables: dict[Pattern, TableInstance] = field(default_factory=dict)
-    pairs: tuple[NeighborPair, ...] = ()
+    __slots__ = (
+        "results", "derived", "config", "algo", "stats",
+        "timings_ms", "counters", "counts", "tables", "pairs",
+    )
+
+    def __init__(
+        self, results: list[PatternResult], derived: list[PatternResult] | None,
+        config: MiningConfig, algo: str, stats: VerifyStats,
+        timings_ms: dict[str, float] | None = None, counters: dict[str, int] | None = None,
+        counts: FeatureCounts | None = None, tables: dict[Pattern, TableInstance] | None = None,
+        pairs: tuple[NeighborPair, ...] = (),
+    ):
+        self.results, self.derived, self.config = results, derived, config
+        self.algo, self.stats = algo, stats
+        # Each dict left out is a fresh one, never shared between outcomes.
+        self.timings_ms = {} if timings_ms is None else timings_ms
+        self.counters = {} if counters is None else counters
+        # Instances per feature, every pair table, and the neighbor pairs sorted.
+        self.counts = {} if counts is None else counts
+        self.tables = {} if tables is None else tables
+        self.pairs = pairs
 
     @property
     def report_results(self) -> list[PatternResult]:
@@ -113,6 +120,8 @@ def mine_series(
     counters["size2_tables"] = len(tables)
     if algo == "join":
         timings["size2"] = (time.perf_counter() - t1) * 1000
+        from .levelwise import join_based_mine
+
         t2 = time.perf_counter()
         results = join_based_mine(tables, counts, config)
         timings["mine"] = (time.perf_counter() - t2) * 1000

@@ -10,7 +10,6 @@ does not survive a gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .model import (
@@ -20,29 +19,33 @@ from .model import (
     DynamicFeature,
     DynamicInstance,
     InsufficientDataError,
+    Value,
 )
 
 # (feature id, instance id, x, y)
 SnapshotRecord = tuple[str, str, float, float]
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(Value):
     """All feature instances present at one time point."""
 
-    t_point: int
-    records: tuple[SnapshotRecord, ...]
+    __slots__ = _compared = ("t_point", "records")
+
+    def __init__(self, t_point: int, records: tuple[SnapshotRecord, ...]):
+        self.t_point, self.records = t_point, records
 
 
-@dataclass(frozen=True)
-class DynamicDatasetSeries:
+class DynamicDatasetSeries(Value):
     """The dynamic instances of every transition window, in canonical order.
 
     Windows may be empty; they are kept so that t_index stays aligned with the
     original snapshot positions.
     """
 
-    windows: tuple[tuple[DynamicInstance, ...], ...]
+    __slots__ = _compared = ("windows",)
+
+    def __init__(self, windows: tuple[tuple[DynamicInstance, ...], ...]):
+        self.windows = windows
 
     def all_instances(self) -> Iterator[DynamicInstance]:
         for window in self.windows:

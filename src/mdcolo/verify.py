@@ -22,40 +22,42 @@ reads only its pair tables; a candidate past it is summarized as derive does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .model import DynamicFeature, FeatureClique, MiningConfig, Pattern
+from .model import DynamicFeature, FeatureClique, MiningConfig, Pattern, Value
 from .size2 import (
     FeatureCounts, PairIndex, TableInstance, meets_min_prev, participation_share,
     passes_prevalence,
 )
 
 
-@dataclass(frozen=True)
-class PatternResult:
-    pattern: Pattern
-    dpi: float
-    row_count: int
-    maximal: bool
+class PatternResult(Value):
+    __slots__ = _compared = ("pattern", "dpi", "row_count", "maximal")
+
+    def __init__(self, pattern: Pattern, dpi: float, row_count: int, maximal: bool):
+        self.pattern, self.dpi, self.row_count, self.maximal = pattern, dpi, row_count, maximal
 
 
-@dataclass
 class VerifyStats:
     """Counters and the per-candidate ratio log of one verification run."""
 
-    verified: int = 0
-    early_aborts: int = 0
-    subsumed_skips: int = 0
-    decomposed: int = 0
-    # rows summed over every fully verified candidate
-    rows_counted: int = 0
-    # (pattern, feature -> participation ratio) for every fully verified table
-    ratio_log: list[tuple[Pattern, dict[DynamicFeature, float]]] = field(default_factory=list)
+    __slots__ = (
+        "verified", "early_aborts", "subsumed_skips", "decomposed", "rows_counted", "ratio_log"
+    )
     # Always 0: the shared sub-clique pre-check is gone, but perfbench/traced.py
-    # still reads these.  Class attributes, not fields, so no manifest shows them.
+    # still reads these.  Class attributes, not slots, so no manifest shows them.
     shared_checks = shared_skips = 0
+
+    def __init__(self, verified: int = 0, early_aborts: int = 0, subsumed_skips: int = 0,
+                 decomposed: int = 0, rows_counted: int = 0,
+                 ratio_log: list[tuple[Pattern, dict[DynamicFeature, float]]] | None = None):
+        self.verified, self.early_aborts = verified, early_aborts
+        self.subsumed_skips, self.decomposed = subsumed_skips, decomposed
+        # rows summed over every fully verified candidate
+        self.rows_counted = rows_counted
+        # (pattern, feature -> participation ratio) for every fully verified table
+        self.ratio_log = [] if ratio_log is None else ratio_log
 
     def as_manifest_entries(self) -> dict[str, int]:
         return {
@@ -67,15 +69,15 @@ class VerifyStats:
         }
 
 
-@dataclass(frozen=True)
-class CandidateSummary:
+class CandidateSummary(Value):
     """What prevalence needs of a candidate's table instance: its row count
     and each feature's participants as a mask of ordinal bits, as in
     `TableInstance.columns`, without the rows."""
 
-    pattern: Pattern
-    row_count: int
-    participants: dict[DynamicFeature, int]
+    __slots__ = _compared = ("pattern", "row_count", "participants")
+
+    def __init__(self, pattern: Pattern, row_count: int, participants: dict[DynamicFeature, int]):
+        self.pattern, self.row_count, self.participants = pattern, row_count, participants
 
     def ratios(self, counts: Mapping[DynamicFeature, int]) -> dict[DynamicFeature, float]:
         """Participation ratio per feature, 0.0 for a feature without instances."""

@@ -187,3 +187,43 @@ def test_sweep_spec_errors(tmp_path):
     empty.write_text("dd=\n")
     with pytest.raises(DataFormatError):
         io.read_sweep_spec(str(empty))
+
+
+HEADER = "t_point,feature,instance_id,x,y\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,A,a1,1.0", "expected 5 columns, got 4"),
+    ("0,A,a1,1.0,2.0,3.0", "expected 5 columns, got 6"),
+    ("zero,A,a1,1.0,2.0", "t_point is not an integer: 'zero'"),
+    ("0,,a1,1.0,2.0", "empty feature id"),
+    ("0,A,,1.0,2.0", "empty instance id"),
+    ("0,A,a1,oops,2.0", "x is not a number: 'oops'"),
+    ("0,A,a1,1.0,", "y is not a number: ''"),
+    ("0,A,a1,nan,2.0", "x is not a finite number: 'nan'"),
+    ("0,A,a1,1.0,-inf", "y is not a finite number: '-inf'"),
+    ("0,A,a1,-1e151,2.0", "coordinates beyond +-1e+150: x='-1e151', y='2.0'"),
+    ("0,A,a1,1.0,1e300", "coordinates beyond +-1e+150: x='1.0', y='1e300'"),
+    # Fields are checked in column order, so the first bad one is named.
+    ("zero,,a1,oops,2.0", "t_point is not an integer: 'zero'"),
+    (",A,,1e999,2.0", "t_point is not an integer: ''"),
+    ("0,,,1.0,2.0", "empty feature id"),
+])
+def test_snapshot_record_errors_name_path_and_line(tmp_path, row, message):
+    # A blank row still counts as a line.
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + "0,A,a0,0.0,0.0\n\n" + row + "\n1,A,a0,0.0,0.0\n")
+    with pytest.raises(DataFormatError) as exc:
+        io.read_snapshots_csv(str(path))
+    assert str(exc.value) == f"{path}:4: {message}"
+
+
+def test_snapshot_reader_groups_interleaved_t_points(tmp_path):
+    # Rows need not come grouped by t_point; blank rows are skipped.
+    path = tmp_path / "snaps.csv"
+    path.write_text(HEADER + "1,A,a1,1.0,2.0\n0,B,b1,3.0,4.0\n\n1,B,b2,-5.0,1e150\n0,A,a2,0,-0\n")
+    snaps = io.read_snapshots_csv(str(path))
+    assert [(s.t_point, s.records) for s in snaps] == [
+        (0, (("B", "b1", 3.0, 4.0), ("A", "a2", 0.0, -0.0))),
+        (1, (("A", "a1", 1.0, 2.0), ("B", "b2", -5.0, 1e150))),
+    ]
