@@ -41,7 +41,8 @@ def _parse(convert, text: str, what: str):
 
 def cmd_diff(args: argparse.Namespace) -> int:
     snapshots = io.read_snapshots_csv(args.input)
-    series = diff_snapshots(snapshots)
+    with io.duplicates_located(args.input):
+        series = diff_snapshots(snapshots)
     io.write_series_csv(args.output, series)
     n = sum(len(w) for w in series.windows)
     _info(f"{len(snapshots)} snapshots -> {series.window_count} windows, {n} dynamic instances")
@@ -68,12 +69,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if unknown:
         raise ConfigError(f"unknown feature(s) in {args.lifecycles}: {', '.join(unknown)}")
 
-    outcome = mine_snapshots(
-        snapshots, lifecycles, config,
-        algo=args.algo,
-        early_abort=not args.no_prune1,
-        derive_all=args.derive_all,
-    )
+    with io.duplicates_located(args.input):
+        outcome = mine_snapshots(
+            snapshots, lifecycles, config,
+            algo=args.algo,
+            early_abort=not args.no_prune1,
+            derive_all=args.derive_all,
+        )
     io.write_pattern_report(args.output, outcome.report_results)
     _info(
         f"{len(outcome.results)} maximal pattern(s)"
@@ -190,8 +192,7 @@ def _bench_point(spec: dict[str, str], algo: str, prune: str) -> tuple[int, int,
         derive_all=(algo == "mdc"),
     )
     elapsed_ms = (time.perf_counter() - started) * 1000
-    maximal = sum(1 for r in outcome.report_results if r.maximal)
-    return maximal, len(outcome.report_results), elapsed_ms
+    return len(outcome.results), len(outcome.report_results), elapsed_ms
 
 
 _BENCH_DEFAULTS = {

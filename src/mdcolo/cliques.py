@@ -2,44 +2,24 @@
 
 The search always expands around the highest-degree vertex of the current
 subgraph: its neighborhood is recursed into with the vertex accumulated, and
-each non-neighbor then anchors its own branch over what remains.  When a
-branch's subgraph has no internal edges left, the accumulated clique is closed
-with each remaining vertex individually.  The raw emission stream can contain
-duplicates and non-maximal subsets, so a subset filter runs at the end; the
-filtered result is exactly the set of maximal cliques with two or more
-vertices.  All ties break on canonical feature order, making the output
-deterministic.
+each non-neighbor then anchors its own branch over what remains.  A branch
+whose subgraph is empty closes the accumulated clique.  The raw emission
+stream can contain duplicates and non-maximal subsets, so a subset filter runs
+at the end; the filtered result is exactly the set of maximal cliques with two
+or more vertices.  All ties break on canonical feature order, making the
+output deterministic.
 """
 
 from __future__ import annotations
 
-from .model import DynamicFeature, FeatureClique, Pattern
+from .model import DynamicFeature, Pattern
 from .size2 import FeatureGraph
 
 _Adjacency = dict[DynamicFeature, frozenset[DynamicFeature]]
 
 
-def _has_internal_edge(vertices: set[DynamicFeature], adj: _Adjacency) -> bool:
-    return any(adj[v] & vertices for v in vertices)
-
-
 def _max_degree_vertex(vertices: set[DynamicFeature], adj: _Adjacency) -> DynamicFeature:
     return min(vertices, key=lambda v: (-len(adj[v] & vertices), v.sort_key))
-
-
-def _close_or_recurse(
-    subgraph: set[DynamicFeature],
-    acc: tuple[DynamicFeature, ...],
-    adj: _Adjacency,
-    out: list[tuple[DynamicFeature, ...]],
-) -> None:
-    if _has_internal_edge(subgraph, adj):
-        _expand(subgraph, acc, adj, out)
-    elif subgraph:
-        for member in subgraph:
-            out.append(acc + (member,))
-    else:
-        out.append(acc)
 
 
 def _expand(
@@ -48,15 +28,18 @@ def _expand(
     adj: _Adjacency,
     out: list[tuple[DynamicFeature, ...]],
 ) -> None:
+    if not vertices:
+        out.append(acc)
+        return
     v_max = _max_degree_vertex(vertices, adj)
     linked = adj[v_max] & vertices
     unlinked = vertices - linked - {v_max}
-    _close_or_recurse(set(linked), acc + (v_max,), adj, out)
+    _expand(set(linked), acc + (v_max,), adj, out)
     remaining = set(unlinked)
     for v in sorted(unlinked, key=lambda f: f.sort_key):
         remaining.discard(v)
         reachable = adj[v] & (remaining | linked)
-        _close_or_recurse(set(reachable), acc + (v,), adj, out)
+        _expand(set(reachable), acc + (v,), adj, out)
 
 
 def _drop_subsumed(emitted: list[tuple[DynamicFeature, ...]]) -> list[frozenset[DynamicFeature]]:
@@ -76,7 +59,7 @@ def _drop_subsumed(emitted: list[tuple[DynamicFeature, ...]]) -> list[frozenset[
     return kept
 
 
-def maximal_cliques(graph: FeatureGraph) -> tuple[FeatureClique, ...]:
+def maximal_cliques(graph: FeatureGraph) -> tuple[Pattern, ...]:
     """All maximal cliques of size >= 2, canonically sorted."""
     if not graph.vertices:
         return ()

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NoReturn, Sequence
 from .model import BaseFeature, DataFormatError
 from .neighborhood import MAX_COORDINATE, NeighborPair
 from .size2 import TableInstance
-from .snapshots import DynamicDatasetSeries, Snapshot
+from .snapshots import DuplicateInstanceError, DynamicDatasetSeries, Snapshot
 from .verify import PatternResult
 
 SNAPSHOT_HEADER = ["t_point", "feature", "instance_id", "x", "y"]
@@ -119,6 +119,23 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
                 last_t, group = t, by_t.setdefault(t, [])
             group.append((feature, instance_id, x, y))
     return [Snapshot(t, tuple(records)) for t, records in sorted(by_t.items())]
+
+
+@contextmanager
+def duplicates_located(path: str):
+    """Name the line of a duplicate instance found while diffing the
+    snapshots read from `path`; the file is read again only then."""
+    try:
+        yield
+    except DuplicateInstanceError as exc:
+        with _open_reader(path) as fh:
+            lines = [
+                line for line, row in enumerate(csv.reader(fh), start=1)
+                if line > 1 and tuple(row[1:3]) == exc.key and int(row[0]) == exc.t_point
+            ]
+        if len(lines) < 2:
+            raise
+        raise DataFormatError(f"{path}:{lines[1]}: {exc}") from None
 
 
 def write_snapshots_csv(path: str, snapshots: Sequence[Snapshot]) -> None:

@@ -190,11 +190,6 @@ class Pattern(Value):
         return feature in self.feature_set
 
 
-# A feature clique is structurally just a pattern whose features are pairwise
-# adjacent in some feature graph; the graph is tracked by the caller.
-FeatureClique = Pattern
-
-
 class MiningConfig(Value):
     """Thresholds and comparison modes shared by the whole pipeline.
 

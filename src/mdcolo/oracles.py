@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .model import ConfigError, DynamicFeature, FeatureClique, MiningConfig, Pattern
+from .model import ConfigError, DynamicFeature, MiningConfig, Pattern
 from .neighborhood import NeighborPair
 from .size2 import FeatureCounts, FeatureGraph, TableInstance, passes_prevalence
 from .snapshots import DynamicDatasetSeries
@@ -84,7 +84,7 @@ def all_pairs_scan(
 
 
 def candidate_table_instance(
-    clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
+    clique: Pattern, size2: Mapping[Pattern, TableInstance]
 ) -> TableInstance:
     """A candidate's table instance from its pair tables, no anchor involved:
     every combination of one instance per feature whose feature pairs are

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Mapping, Sequence
 
 from .cliques import maximal_cliques
@@ -21,7 +22,9 @@ from .verify import PatternResult, VerifyStats, derive_all_prevalent, verify_all
 
 
 class MineOutcome:
-    """Everything a mining run produced, including observability data."""
+    """Everything a mining run produced, including observability data.
+    For both algorithms `results` is the maximal patterns; `derived` is every
+    prevalent pattern (`derive_all` for `mdc`, always for `join`) or None."""
 
     __slots__ = (
         "results", "derived", "config", "algo", "stats",
@@ -56,17 +59,13 @@ class MineOutcome:
         entries["time_span"] = self.config.time_span
         entries["temporal_comparison"] = self.config.temporal_comparison
         entries["prevalence_comparison"] = self.config.prevalence_comparison
-        for key, value in self.counters.items():
-            entries[key] = value
-        sizes: dict[int, int] = {}
-        for res in self.report_results:
-            sizes[res.pattern.size] = sizes.get(res.pattern.size, 0) + 1
+        entries.update(self.counters)
+        sizes = Counter(res.pattern.size for res in self.report_results)
         for size in sorted(sizes):
             entries[f"patterns_size_{size}"] = sizes[size]
-        entries["maximal_count"] = sum(1 for r in self.report_results if r.maximal)
+        entries["maximal_count"] = len(self.results)
         entries["pattern_count"] = len(self.report_results)
-        for key, value in self.stats.as_manifest_entries().items():
-            entries[key] = value
+        entries.update(self.stats.as_manifest_entries())
         for stage, ms in self.timings_ms.items():
             entries[f"time_{stage}_ms"] = f"{ms:.3f}"
         return entries
@@ -118,40 +117,37 @@ def mine_series(
     t1 = time.perf_counter()
     tables = size2_table_instances(pairs)
     counters["size2_tables"] = len(tables)
+    derived = None
     if algo == "join":
         timings["size2"] = (time.perf_counter() - t1) * 1000
         from .levelwise import join_based_mine
 
         t2 = time.perf_counter()
-        results = join_based_mine(tables, counts, config)
+        derived = join_based_mine(tables, counts, config)
+        results = [r for r in derived if r.maximal]
         timings["mine"] = (time.perf_counter() - t2) * 1000
-        timings["total"] = (time.perf_counter() - t0) * 1000 + (diff_ms or 0.0)
-        return MineOutcome(
-            results, None, config, algo, stats, timings, counters, counts, tables, pairs
+    else:
+        prevalent2 = prevalent_size2(tables, counts, config)
+        graph = build_feature_graph(prevalent2)
+        counters["prevalent_pairs"] = len(prevalent2)
+        timings["size2"] = (time.perf_counter() - t1) * 1000
+
+        t2 = time.perf_counter()
+        cliques = maximal_cliques(graph)
+        counters["cliques"] = len(cliques)
+        timings["cliques"] = (time.perf_counter() - t2) * 1000
+
+        t3 = time.perf_counter()
+        results = verify_all(
+            cliques, tables, counts, config,
+            early_abort=early_abort, stats=stats,
         )
+        timings["verify"] = (time.perf_counter() - t3) * 1000
 
-    prevalent2 = prevalent_size2(tables, counts, config)
-    graph = build_feature_graph(prevalent2)
-    counters["prevalent_pairs"] = len(prevalent2)
-    timings["size2"] = (time.perf_counter() - t1) * 1000
-
-    t2 = time.perf_counter()
-    cliques = maximal_cliques(graph)
-    counters["cliques"] = len(cliques)
-    timings["cliques"] = (time.perf_counter() - t2) * 1000
-
-    t3 = time.perf_counter()
-    results = verify_all(
-        cliques, tables, counts, config,
-        early_abort=early_abort, stats=stats,
-    )
-    timings["verify"] = (time.perf_counter() - t3) * 1000
-
-    derived = None
-    if derive_all:
-        t4 = time.perf_counter()
-        derived = derive_all_prevalent([r.pattern for r in results], tables, counts, config)
-        timings["derive"] = (time.perf_counter() - t4) * 1000
+        if derive_all:
+            t4 = time.perf_counter()
+            derived = derive_all_prevalent([r.pattern for r in results], tables, counts, config)
+            timings["derive"] = (time.perf_counter() - t4) * 1000
     timings["total"] = (time.perf_counter() - t0) * 1000 + (diff_ms or 0.0)
     return MineOutcome(
         results, derived, config, algo, stats, timings, counters, counts, tables, pairs

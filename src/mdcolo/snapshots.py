@@ -26,6 +26,14 @@ from .model import (
 SnapshotRecord = tuple[str, str, float, float]
 
 
+class DuplicateInstanceError(DataFormatError):
+    """One (feature, instance id) twice in the snapshot at `t_point`."""
+
+    def __init__(self, t_point: int, key: tuple[str, str]):
+        super().__init__(f"duplicate instance {key!r} in snapshot t={t_point}")
+        self.t_point, self.key = t_point, key
+
+
 class Snapshot(Value):
     """All feature instances present at one time point."""
 
@@ -64,9 +72,7 @@ def _index_snapshot(snap: Snapshot) -> dict[tuple[str, str], tuple[float, float]
     for feature, instance_id, x, y in snap.records:
         key = (feature, instance_id)
         if key in by_id:
-            raise DataFormatError(
-                f"duplicate instance ({feature!r}, {instance_id!r}) in snapshot t={snap.t_point}"
-            )
+            raise DuplicateInstanceError(snap.t_point, key)
         by_id[key] = (x, y)
     return by_id
 

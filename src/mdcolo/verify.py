@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .model import DynamicFeature, FeatureClique, MiningConfig, Pattern, Value
+from .model import DynamicFeature, MiningConfig, Pattern, Value
 from .size2 import (
     FeatureCounts, PairIndex, TableInstance, meets_min_prev, participation_share,
     passes_prevalence,
@@ -85,7 +85,7 @@ class CandidateSummary(Value):
 
 
 def candidate_summary(
-    clique: FeatureClique, size2: Mapping[Pattern, TableInstance]
+    clique: Pattern, size2: Mapping[Pattern, TableInstance]
 ) -> CandidateSummary:
     """Row count and participant masks of the candidate's table instance.
 
@@ -113,7 +113,7 @@ def _by_features(size2: Mapping[Pattern, TableInstance]) -> PairTables:
     return {pair.features: table for pair, table in size2.items()}
 
 
-def _summarize(clique: FeatureClique, tables: PairTables) -> CandidateSummary:
+def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
     features = clique.features
     if clique.size == 2:
         table = _pair_table(tables, features)
@@ -128,7 +128,7 @@ def _summarize(clique: FeatureClique, tables: PairTables) -> CandidateSummary:
 Indexes = dict[tuple[int, int], PairIndex]
 
 
-def _count_rows(clique: FeatureClique, indexes: Indexes) -> CandidateSummary:
+def _count_rows(clique: Pattern, indexes: Indexes) -> CandidateSummary:
     """`candidate_summary` of a candidate of size three or more, from the
     indexes of all its pair tables.  A feature's domain is the mask of its
     instances partnered in every one of them.  The search takes its levels
@@ -226,7 +226,7 @@ def early_abort_check(
 
 
 def decompose(
-    clique: FeatureClique,
+    clique: Pattern,
     accepted: Sequence[frozenset[DynamicFeature]],
     pending: Collection[Features],
 ) -> list[Features]:
@@ -248,7 +248,7 @@ def decompose(
 
 
 def _hopeless(
-    clique: FeatureClique, tables: PairTables, counts: FeatureCounts, config: MiningConfig
+    clique: Pattern, tables: PairTables, counts: FeatureCounts, config: MiningConfig
 ) -> bool:
     """True when the early bound rules a candidate of size three or more out.
 
@@ -273,7 +273,7 @@ def _hopeless(
 
 
 def _verify(
-    clique: FeatureClique,
+    clique: Pattern,
     tables: PairTables,
     counts: FeatureCounts,
     config: MiningConfig,
@@ -294,7 +294,7 @@ def _verify(
 
 
 def verify_all(
-    cliques: Sequence[FeatureClique],
+    cliques: Sequence[Pattern],
     size2: Mapping[Pattern, TableInstance],
     counts: FeatureCounts,
     config: MiningConfig,

@@ -398,7 +398,7 @@ def test_criterion_8_faster_than_level_wise_at_densest_point(sweep_series):
             t0 = time.perf_counter()
             outcome = mine_series(series, feats, config, algo=algo)
             times.append(time.perf_counter() - t0)
-            count = len(outcome.results)
+            count = len(outcome.report_results)
         return min(times), count
 
     t_mdc, n_maximal = best_of("mdc")
@@ -426,7 +426,7 @@ def test_maximal_then_derive_beats_level_wise_at_densest_point(sweep_series):
     derived, t_mdc = timed(derive_all=True)
     joined, t_join = timed(algo="join")
     got = [(r.pattern, r.dpi, r.row_count) for r in derived.derived]
-    expected = [(r.pattern, r.dpi, r.row_count) for r in joined.results]
+    expected = [(r.pattern, r.dpi, r.row_count) for r in joined.derived]
     assert got == expected
     assert t_mdc < t_join, f"maximal + derive {t_mdc:.2f}s vs level-wise {t_join:.2f}s"
 

@@ -96,6 +96,26 @@ def test_mine_derive_all_matches_join(dataset, tmp_path):
     assert read_bytes(mdc) == read_bytes(join)
 
 
+def test_mine_join_counts_maximal_patterns_as_its_manifest(dataset, tmp_path, capsys):
+    report = str(tmp_path / "join.txt")
+    code = main(
+        [
+            "mine", f"{dataset}.snapshots.csv",
+            "--lifecycles", f"{dataset}.lifecycles.csv",
+            "-o", report, "--dd", "35", "--min-prev", "0.1", "--algo", "join",
+        ]
+    )
+    assert code == 0
+    manifest = dict(
+        line.split(": ", 1) for line in read_bytes(f"{report}.manifest").decode().splitlines()
+    )
+    maximal, prevalent = manifest["maximal_count"], manifest["pattern_count"]
+    assert int(maximal) < int(prevalent)
+    assert capsys.readouterr().err == (
+        f"{maximal} maximal pattern(s), {prevalent} prevalent in total -> {report}\n"
+    )
+
+
 def test_mine_seedless_report(dataset, tmp_path):
     report = str(tmp_path / "patterns.txt")
     code = main(
@@ -274,6 +294,27 @@ def test_mine_huge_coordinate_exits_2(tmp_path, capsys):
     )
     assert main(argv) == 0
     assert read_bytes(tmp_path / "pairs.csv").count(b"\n") == 1 + 3
+
+
+@pytest.mark.parametrize("command", ["mine", "diff"])
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        (["0,A,1,0,0", "0,B,2,1,1", "0,A,1,2,2", "1,A,1,0,0"], 4),
+        # Interleaved t_points: the first A 1 at t=1 is no duplicate.
+        (["0,A,1,0,0", "1,A,1,0,0", "0,B,2,1,1", "1,B,2,1,1", "0,A,1,2,2"], 6),
+    ],
+)
+def test_duplicate_instance_exits_2_with_its_line(tmp_path, capsys, command, rows, line):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n" + "".join(r + "\n" for r in rows))
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\nB,3\n")
+    extra = ["--lifecycles", str(lc)] if command == "mine" else []
+    assert main([command, str(snaps), "-o", str(tmp_path / "out")] + extra) == 2
+    assert capsys.readouterr().err == (
+        f"error: {snaps}:{line}: duplicate instance ('A', '1') in snapshot t=0\n"
+    )
 
 
 def test_mine_non_utf8_input_exits_2(tmp_path, capsys):

@@ -34,16 +34,18 @@ def test_derive_all_is_reported(burst, lifecycles, config):
 
 def test_join_algo(burst, lifecycles, config):
     outcome = mine_snapshots(burst, lifecycles, config, algo="join")
-    assert outcome.derived is None
-    assert len(outcome.results) == 7
+    assert len(outcome.derived) == 7
+    assert outcome.report_results == outcome.derived
+    assert outcome.results == [r for r in outcome.derived if r.maximal]
     entries = outcome.manifest_entries()
     for stage in ("diff", "pairs", "size2", "mine", "total"):
         assert f"time_{stage}_ms" in entries
     assert entries["neighbor_pairs"] == sum(len(t) for t in outcome.tables.values())
     assert entries["size2_tables"] == len(outcome.tables)
+    assert entries["maximal_count"] == len(outcome.results)
+    assert entries["pattern_count"] == 7
     assert outcome.tables == mine_snapshots(burst, lifecycles, config).tables
-    maximal = {r.pattern.label for r in outcome.results if r.maximal}
-    assert maximal == set(BURST_EXPECTED_MAXIMAL)
+    assert {r.pattern.label for r in outcome.results} == set(BURST_EXPECTED_MAXIMAL)
 
 
 def test_lifecycles_accept_mapping(burst, lifecycles, config):
