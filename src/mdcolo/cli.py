@@ -41,7 +41,7 @@ def _parse(convert, text: str, what: str):
 
 def cmd_diff(args: argparse.Namespace) -> int:
     snapshots = io.read_snapshots_csv(args.input)
-    with io.duplicates_located(args.input):
+    with io.located(args.input):
         series = diff_snapshots(snapshots)
     io.write_series_csv(args.output, series)
     n = sum(len(w) for w in series.windows)
@@ -69,7 +69,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if unknown:
         raise ConfigError(f"unknown feature(s) in {args.lifecycles}: {', '.join(unknown)}")
 
-    with io.duplicates_located(args.input):
+    with io.located(args.input):
         outcome = mine_snapshots(
             snapshots, lifecycles, config,
             algo=args.algo,

@@ -16,9 +16,11 @@ Total dynamic instances therefore equal the configured budget exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import DEAD, NEW, BaseFeature, ConfigError
+from .neighborhood import MAX_COORDINATE
 from .snapshots import Snapshot
 
 _MASK64 = (1 << 64) - 1
@@ -93,10 +95,10 @@ class GenConfig:
                 f"{self.n_base_features} features need {self.n_base_features} life cycles, "
                 f"got {len(self.life_cycles)}"
             )
-        if any(not (lc > 0) for lc in self.life_cycles):
-            raise ConfigError("life cycles must be positive")
-        if not (self.time_span > 0):
-            raise ConfigError("time span must be positive")
+        if any(not (0 < lc < math.inf) for lc in self.life_cycles):
+            raise ConfigError("life cycles must be positive and finite")
+        if not (0 < self.time_span < math.inf):
+            raise ConfigError("time span must be positive and finite")
         if self.n_dynamic_instances < 0:
             raise ConfigError("instance budget must be >= 0")
         if not (0.0 <= self.churn_ratio <= 1.0):
@@ -106,8 +108,8 @@ class GenConfig:
         if round(self.churn_ratio * self.n_dynamic_instances) > 0 and self.cluster_count == 0:
             raise ConfigError("churn_ratio > 0 needs at least one cluster site")
         w, h = self.area
-        if not (w > 0 and h > 0):
-            raise ConfigError(f"area must be positive, got {self.area}")
+        if not (0 < w <= MAX_COORDINATE and 0 < h <= MAX_COORDINATE):
+            raise ConfigError(f"area sides must be in (0, {MAX_COORDINATE:g}], got {self.area}")
         if self.cluster_count > 0 and not (0 < self.cluster_radius <= min(w, h) / 2):
             raise ConfigError(
                 f"cluster_radius must be within (0, {min(w, h) / 2}], got {self.cluster_radius}"

@@ -122,9 +122,10 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
 
 
 @contextmanager
-def duplicates_located(path: str):
-    """Name the line of a duplicate instance found while diffing the
-    snapshots read from `path`; the file is read again only then."""
+def located(path: str):
+    """Name `path` in a data error found while diffing the snapshots read
+    from it, and the line of a duplicate instance; the file is read again
+    only for that."""
     try:
         yield
     except DuplicateInstanceError as exc:
@@ -136,6 +137,8 @@ def duplicates_located(path: str):
         if len(lines) < 2:
             raise
         raise DataFormatError(f"{path}:{lines[1]}: {exc}") from None
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def write_snapshots_csv(path: str, snapshots: Sequence[Snapshot]) -> None:

@@ -246,10 +246,15 @@ def compute_spans(
     life_cycles: Mapping[str, float],
     time_span: float,
 ) -> dict[DynamicFeature, int]:
-    """Span for every given dynamic feature, from its base feature's life cycle."""
+    """Span for every given dynamic feature, from its base feature's life
+    cycle; a ConfigError names every base feature without one, sorted."""
     spans: dict[DynamicFeature, int] = {}
+    missing: set[str] = set()
     for f in features:
-        if f.base not in life_cycles:
-            raise ConfigError(f"no life cycle given for feature {f.base!r}")
-        spans[f] = span_constraint(f.kind, life_cycles[f.base], time_span)
+        if f.base in life_cycles:
+            spans[f] = span_constraint(f.kind, life_cycles[f.base], time_span)
+        else:
+            missing.add(f.base)
+    if missing:
+        raise ConfigError(f"no life cycle given for feature(s): {', '.join(sorted(missing))}")
     return spans

@@ -105,8 +105,8 @@ def mine_series(
     stats = VerifyStats()
 
     t0 = time.perf_counter()
-    spans = compute_spans(series.features(), life_map, config.time_span)
     counts = feature_counts(series)
+    spans = compute_spans(counts, life_map, config.time_span)
     counters["instances"] = sum(counts.values())
     counters["windows"] = series.window_count
 

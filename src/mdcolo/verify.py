@@ -1,33 +1,34 @@
 """Verification of candidate patterns against the instance data.
 
-Candidates (feature cliques) are processed largest first.  A candidate's
-table instance is defined by its pair tables: a row picks one instance per
-feature such that every feature pair is itself a pair-table row.
-Verification counts those rows and collects each feature's participants as
-an ordinal bitmask, without building the rows.  It reads one bitset index per
-pair table (`TableInstance.pair_index`), which the table builds once and
-verify, the early abort and derive share.  The search is fail-first: the
-feature with the fewest instances partnered in every pair table of the
-candidate (the smallest domain) is picked first.  Candidates whose
-participation index passes the threshold are accepted unless an accepted
-pattern already contains them; failed candidates of size three or more
-decompose into their one-smaller sub-cliques, which join the queue as
-canonical feature tuples; a `Pattern` is built only when one is dequeued.
+Candidates (feature cliques) are processed largest first, and one loop in
+`verify_all` decides each one's route.  A candidate inside an accepted
+pattern is skipped as subsumed; one the early bound rules out is aborted;
+any other is verified, and accepted when its participation index passes the
+threshold.  An aborted or failed candidate of size three or more decomposes
+into its one-smaller sub-cliques, which join the queue as canonical feature
+tuples; a `Pattern` is built only when one is dequeued.
 
-One optional shortcut never changes the outcome: participation ratios can be
-bounded from above before the rows are counted, aborting hopeless
-candidates early.  The bound is anchored on the canonically first feature and
-reads only its pair tables; a candidate past it is summarized as derive does.
+A candidate's table instance is defined by its pair tables: a row picks one
+instance per feature such that every feature pair is itself a pair-table
+row.  Verification counts those rows and collects each feature's
+participants as an ordinal bitmask, without building the rows.  It reads
+one bitset index per pair table (`TableInstance.pair_index`), which the
+table builds once and verify, the early bound and derive share.  The search
+is fail-first: the feature with the fewest instances partnered in every
+pair table of the candidate (the smallest domain) is picked first.  The
+early bound never changes the outcome: anchored on the canonically first
+feature, it reads only that feature's pair tables and stops at the first
+feature whose bounded ratio misses the threshold.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .model import DynamicFeature, MiningConfig, Pattern, Value
 from .size2 import (
-    FeatureCounts, PairIndex, TableInstance, meets_min_prev, participation_share,
+    FeatureCounts, TableInstance, meets_min_prev, participation_share,
     passes_prevalence,
 )
 
@@ -114,27 +115,23 @@ def _by_features(size2: Mapping[Pattern, TableInstance]) -> PairTables:
 
 
 def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
-    features = clique.features
-    if clique.size == 2:
+    """`candidate_summary` over pair tables keyed by their feature tuples.
+
+    A candidate of size three or more reads the indexes of all its pair
+    tables.  A feature's domain is the mask of its instances partnered in
+    every one of them.  The search takes its levels fail-first, smallest
+    domain first (ties in canonical order), and narrows every deeper level's
+    mask with `&` at each pick.
+    """
+    features, k = clique.features, clique.size
+    if k == 2:
         table = _pair_table(tables, features)
         return CandidateSummary(clique, len(table), dict(zip(features, table.columns())))
-    return _count_rows(clique, {
+    # Pair-table indexes at canonical positions (i, j), i < j; feature i is column 0.
+    indexes = {
         (i, j): _pair_table(tables, (features[i], features[j])).pair_index()
-        for i, j in combinations(range(clique.size), 2)
-    })
-
-
-# Pair-table indexes at canonical positions (i, j), i < j; feature i is column 0.
-Indexes = dict[tuple[int, int], PairIndex]
-
-
-def _count_rows(clique: Pattern, indexes: Indexes) -> CandidateSummary:
-    """`candidate_summary` of a candidate of size three or more, from the
-    indexes of all its pair tables.  A feature's domain is the mask of its
-    instances partnered in every one of them.  The search takes its levels
-    fail-first, smallest domain first (ties in canonical order), and narrows
-    every deeper level's mask with `&` at each pick."""
-    k = clique.size
+        for i, j in combinations(range(k), 2)
+    }
     domains = [-1] * k
     for (i, j), index in indexes.items():
         domains[i] &= index.columns[0]
@@ -186,16 +183,8 @@ def _count_rows(clique: Pattern, indexes: Indexes) -> CandidateSummary:
         return rows
 
     row_count = count(0, *[domains[i] for i in order])
-    participants = {clique.features[i]: mask for i, mask in zip(order, found)}
+    participants = {features[i]: mask for i, mask in zip(order, found)}
     return CandidateSummary(clique, row_count, participants)
-
-
-def _ordinals(mask: int) -> Iterator[int]:
-    """The ordinals whose bits are set in `mask`, descending."""
-    while mask:
-        o = mask.bit_length() - 1
-        mask ^= 1 << o
-        yield o
 
 
 def _pair_table(tables: PairTables, pair: tuple[DynamicFeature, ...]) -> TableInstance:
@@ -205,24 +194,6 @@ def _pair_table(tables: PairTables, pair: tuple[DynamicFeature, ...]) -> TableIn
         raise ValueError(
             f"no pair table for {Pattern(pair).label}; candidate is not a clique over this data"
         )
-
-
-def early_abort_check(
-    counts: Mapping[DynamicFeature, int],
-    possible: Mapping[DynamicFeature, int],
-    config: MiningConfig,
-) -> bool:
-    """True when the candidate can no longer reach the threshold.
-
-    For each feature, `possible` bounds the number of its instances that
-    could participate, so the bounded ratio is an upper bound on the final
-    one; aborting on it never loses a prevalent pattern.
-    """
-    for feature, bound in possible.items():
-        total = counts.get(feature, 0)
-        if total == 0 or not meets_min_prev(bound / total, config):
-            return True
-    return False
 
 
 def decompose(
@@ -254,43 +225,36 @@ def _hopeless(
 
     The bound takes the canonically first feature as the anchor: it allows
     the anchor instances partnered in every anchor pair table, and for each
-    other feature their partners in its table.  Only the anchor tables are
-    indexed, so a hopeless candidate never indexes the others.
+    other feature their partners in its table.  Each caps its feature's
+    participants, so one that misses `min_prev` decides; each is tested as
+    soon as it is known, the anchor's first, and a feature without instances
+    misses.  Only the anchor tables are indexed, so a hopeless candidate
+    never indexes the others.
     """
+
+    def misses(feature: DynamicFeature, bound: int) -> bool:
+        total = counts.get(feature, 0)
+        return total == 0 or not meets_min_prev(bound / total, config)
+
     anchor, *others = clique.features
     indexes = [_pair_table(tables, (anchor, f)).pair_index() for f in others]
     common = -1
     for index in indexes:
         common &= index.columns[0]
-    anchors = list(_ordinals(common))
-    bounds = {anchor: len(anchors)}
+    if misses(anchor, common.bit_count()):
+        return True
+    anchors = []
+    while common:
+        a = common.bit_length() - 1
+        common ^= 1 << a
+        anchors.append(a)
     for f, index in zip(others, indexes):
         union = 0
         for a in anchors:
             union |= index.forward[a]
-        bounds[f] = union.bit_count()
-    return early_abort_check(counts, bounds, config)
-
-
-def _verify(
-    clique: Pattern,
-    tables: PairTables,
-    counts: FeatureCounts,
-    config: MiningConfig,
-    early_abort: bool,
-    stats: VerifyStats,
-) -> PatternResult | None:
-    """Full verification; None when the early bound (`_hopeless`) already
-    rules it out.  Otherwise the candidate is summarized as derive does."""
-    if early_abort and clique.size > 2 and _hopeless(clique, tables, counts, config):
-        stats.early_aborts += 1
-        return None
-    summary = _summarize(clique, tables)
-    stats.verified += 1
-    stats.rows_counted += summary.row_count
-    ratios = summary.ratios(counts)
-    stats.ratio_log.append((clique, ratios))
-    return PatternResult(clique, min(ratios.values()), summary.row_count, True)
+        if misses(f, union.bit_count()):
+            return True
+    return False
 
 
 def verify_all(
@@ -304,9 +268,10 @@ def verify_all(
 ) -> list[PatternResult]:
     """Largest-first verification of maximal-clique candidates.
 
-    Returns the prevalent maximal patterns, canonically sorted.  The early
-    abort only skips work whose outcome is already decided, so the result is
-    identical with or without it.
+    Returns the prevalent maximal patterns, canonically sorted.  The loop
+    body decides each candidate's route.  The early abort only skips work
+    whose outcome is already decided, so the result is identical with or
+    without it.
     """
     stats = stats if stats is not None else VerifyStats()
     # Pending cliques' feature tuples by size.  Decomposition only adds cliques
@@ -324,11 +289,19 @@ def verify_all(
             if any(clique.feature_set <= acc for acc in covering):
                 stats.subsumed_skips += 1
                 continue
-            result = _verify(clique, tables, counts, config, early_abort, stats)
-            if result is not None and passes_prevalence(result.dpi, result.row_count, config):
-                accepted.append(result)
-                covering.append(clique.feature_set)
-                continue
+            if early_abort and size > 2 and _hopeless(clique, tables, counts, config):
+                stats.early_aborts += 1
+            else:
+                summary = _summarize(clique, tables)
+                ratios = summary.ratios(counts)
+                stats.verified += 1
+                stats.rows_counted += summary.row_count
+                stats.ratio_log.append((clique, ratios))
+                dpi = min(ratios.values())
+                if passes_prevalence(dpi, summary.row_count, config):
+                    accepted.append(PatternResult(clique, dpi, summary.row_count, True))
+                    covering.append(clique.feature_set)
+                    continue
             if size > 2:
                 pending = by_size.setdefault(size - 1, set())
                 pending.update(decompose(clique, covering, pending))

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mdcolo.cli import main
@@ -317,6 +322,31 @@ def test_duplicate_instance_exits_2_with_its_line(tmp_path, capsys, command, row
     )
 
 
+@pytest.mark.parametrize("command", ["mine", "diff"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0,A,1,0,0"], "need at least 2 snapshots, got 1"),
+        (["0,A,1,0,0", "2,A,1,0,0"], "snapshot t_points must be contiguous, got 0 then 2"),
+    ],
+)
+def test_diff_errors_name_the_snapshot_file(tmp_path, capsys, command, rows, message):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n" + "".join(r + "\n" for r in rows))
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\n")
+    extra = ["--lifecycles", str(lc)] if command == "mine" else []
+    assert main([command, str(snaps), "-o", str(tmp_path / "out")] + extra) == 2
+    assert capsys.readouterr().err == f"error: {snaps}: {message}\n"
+
+
+def test_diff_header_only_names_the_file(tmp_path, capsys):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n")
+    assert main(["diff", str(snaps), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {snaps}: need at least 2 snapshots, got 0\n"
+
+
 def test_mine_non_utf8_input_exits_2(tmp_path, capsys):
     snaps = tmp_path / "snaps.csv"
     snaps.write_bytes(b"t_point,feature,instance_id,x,y\n0,A,a\xff,1.0,2.0\n")
@@ -399,6 +429,26 @@ def test_gen_bad_life_cycle_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error: --life-cycles: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings", [
+    ["--area", "inf", "inf", "--cluster-radius", "inf"],
+    ["--area", "1e300", "1e300", "--cluster-radius", "1e200"],
+    ["--area", "1e200", "1e200"],
+    ["--life-cycles", "inf,3,3,3,3,3,3,3,3,3"],
+])
+def test_gen_unrealizable_settings_exit_2_writing_nothing(tmp_path, settings):
+    # A subprocess with a timeout, so a generator that never ends fails fast.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdcolo", "gen", "-o", "g", "--instances", "50"] + settings,
+        cwd=tmp_path, capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from mdcolo import ConfigError, diff_snapshots
@@ -156,6 +158,18 @@ def test_config_validation():
         small_config(cluster_radius=150.0)
     with pytest.raises(ConfigError):
         small_config(n_dynamic_instances=-1)
+    # Settings generate cannot realize: infinite sides draw NaN disk offsets
+    # that no rejection accepts, a huge radius overflows when squared, and
+    # huge sides give coordinates beyond what mine reads.
+    for unrealizable in (
+        dict(area=(math.inf, math.inf), cluster_radius=math.inf),
+        dict(area=(1e300, 1e300), cluster_radius=1e200),
+        dict(area=(1e200, 1e200)),
+        dict(life_cycles=(math.inf, 3.0, 30.0, 15.0)),
+        dict(time_span=math.inf),
+    ):
+        with pytest.raises(ConfigError):
+            small_config(**unrealizable)
 
 
 def test_report_render_mentions_sites_and_counts():

@@ -141,6 +141,14 @@ def test_compute_spans_missing_feature(lifecycles):
         compute_spans([feat("D_new")], life, 3.0)
 
 
+def test_compute_spans_names_every_missing_feature_sorted():
+    # A set's order follows the string hash; the message must not.
+    feats = {feat(label) for label in ("D_dead", "A_new", "C_new", "B_new", "D_new")}
+    with pytest.raises(ConfigError) as exc:
+        compute_spans(feats, {"A": 9.0}, 3.0)
+    assert str(exc.value) == "no life cycle given for feature(s): B, C, D"
+
+
 def test_mining_config_validation():
     MiningConfig(d_d=1.0, min_prev=0.0, time_span=1.0)
     MiningConfig(d_d=1.0, min_prev=1.0, time_span=1.0)

@@ -22,7 +22,6 @@ from mdcolo.verify import (
     candidate_summary,
     decompose,
     derive_all_prevalent,
-    early_abort_check,
     verify_all,
 )
 
@@ -218,16 +217,30 @@ def test_decompose_excludes_accepted_and_pending():
     ]
 
 
-def test_early_abort_check_bounds():
+def test_early_bound_checks_anchor_then_each_feature():
+    # A_new.1-3 each partner B_new.1 and C_new.1, which relate: the anchor
+    # A_new's bound allows 3 instances, B_new's and C_new's 1 each.
+    a, b, c = feats = [feat(label) for label in ("A_new", "B_new", "C_new")]
+    anchors = [DynamicInstance(a, i, 0.0, 0.0, 0) for i in (1, 2, 3)]
+    b1, c1 = (DynamicInstance(f, 1, 0.0, 0.0, 0) for f in (b, c))
+    tables = size2_table_instances([(x, y) for x in anchors for y in (b1, c1)] + [(b1, c1)])
     cfg = MiningConfig(d_d=1.0, min_prev=0.3, time_span=1.0)
     strict = MiningConfig(
         d_d=1.0, min_prev=0.3, time_span=1.0, prevalence_comparison="strict"
     )
-    a = feat("A_new")
-    assert early_abort_check({a: 10}, {a: 2}, cfg)
-    assert not early_abort_check({a: 10}, {a: 3}, cfg)
-    assert early_abort_check({a: 10}, {a: 3}, strict)
-    assert early_abort_check({}, {a: 5}, cfg)
+    cases = [
+        ({a: 10, b: 1, c: 1}, cfg, 0),  # 3/10 meets 0.3
+        ({a: 11, b: 1, c: 1}, cfg, 1),  # 3/11 misses
+        ({a: 10, b: 1, c: 1}, strict, 1),  # 3/10 is not above 0.3
+        ({a: 10, b: 4, c: 1}, cfg, 1),  # the anchor passes, B_new's 1/4 misses
+        ({a: 10, b: 1}, cfg, 1),  # C_new has no instances
+    ]
+    for counts, config, aborts in cases:
+        stats = VerifyStats()
+        results = verify_all([Pattern(feats)], tables, counts, config, stats=stats)
+        assert stats.early_aborts == aborts, counts
+        if not aborts:
+            assert [r.pattern for r in results] == [Pattern(feats)]
 
 
 def test_subsumed_candidates_are_skipped(burst_series, lifecycles, config):
