@@ -2,7 +2,7 @@
 
 All writers emit LF line endings and repr-faithful floats so identical inputs
 produce byte-identical files on every platform.  Readers report problems with
-one-based line numbers.
+one-based physical line numbers.
 """
 
 from __future__ import annotations
@@ -36,6 +36,20 @@ def _open_reader(path: str):
             yield fh
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+@contextmanager
+def _open_csv(path: str):
+    """A csv reader over the file; a record the csv module rejects, such as
+    a field over its size limit, is a DataFormatError naming the file and
+    line.  Errors name `reader.line_num`, the physical line a record ends
+    on, so a quoted field that spans lines shifts no later line."""
+    with _open_reader(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _open_writer(path: str):
@@ -93,10 +107,9 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
     by_t: dict[int, list[tuple[str, str, float, float]]] = {}
     # Rows usually come grouped by t_point: look its record list up on a change.
     last_t = group = None
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as reader:
         _check_header(next(reader, None), SNAPSHOT_HEADER, path)
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             # A blank row or a wrong column count fails the unpacking; a bad
             # record is checked again field by field for its message.
             try:
@@ -105,6 +118,7 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
             except ValueError:
                 if not row:
                     continue
+                line = reader.line_num
                 if len(row) != 5:
                     raise DataFormatError(f"{path}:{line}: expected 5 columns, got {len(row)}")
                 _reject_snapshot_record(row, path, line)
@@ -114,7 +128,7 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
                 and -MAX_COORDINATE <= x <= MAX_COORDINATE
                 and -MAX_COORDINATE <= y <= MAX_COORDINATE
             ):
-                _reject_snapshot_record(row, path, line)
+                _reject_snapshot_record(row, path, reader.line_num)
             if t != last_t:
                 last_t, group = t, by_t.setdefault(t, [])
             group.append((feature, instance_id, x, y))
@@ -129,10 +143,11 @@ def located(path: str):
     try:
         yield
     except DuplicateInstanceError as exc:
-        with _open_reader(path) as fh:
+        with _open_csv(path) as reader:
+            next(reader, None)
             lines = [
-                line for line, row in enumerate(csv.reader(fh), start=1)
-                if line > 1 and tuple(row[1:3]) == exc.key and int(row[0]) == exc.t_point
+                reader.line_num for row in reader
+                if tuple(row[1:3]) == exc.key and int(row[0]) == exc.t_point
             ]
         if len(lines) < 2:
             raise
@@ -166,10 +181,10 @@ def read_lifecycles_csv(path: str) -> list[BaseFeature]:
     """Life-cycle CSV: feature,life_cycle with a mandatory header."""
     features: list[BaseFeature] = []
     seen: set[str] = set()
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as reader:
         _check_header(next(reader, None), LIFECYCLE_HEADER, path)
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num
             if not row:
                 continue
             if len(row) != 2:

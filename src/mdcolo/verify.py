@@ -15,10 +15,13 @@ participants as an ordinal bitmask, without building the rows.  It reads
 one bitset index per pair table (`TableInstance.pair_index`), which the
 table builds once and verify, the early bound and derive share.  The search
 is fail-first: the feature with the fewest instances partnered in every
-pair table of the candidate (the smallest domain) is picked first.  The
-early bound never changes the outcome: anchored on the canonically first
-feature, it reads only that feature's pair tables and stops at the first
-feature whose bounded ratio misses the threshold.
+pair table of the candidate (the smallest domain) is picked first.
+Clustered instances narrow the deeper levels to the same partner masks, so
+the search memoises each level's row count by those masks, within one
+candidate and for at most MEMO_ENTRIES entries.  The early bound never
+changes the outcome: anchored on the canonically first feature, it reads
+only that feature's pair tables and stops at the first feature whose
+bounded ratio misses the threshold.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ from .size2 import (
     FeatureCounts, TableInstance, meets_min_prev, participation_share,
     passes_prevalence,
 )
+
+
+# Entries of one candidate's row-search memo; once it holds this many, no
+# more are added.  The benchmark workloads' largest memos hold 1,667 entries
+# (`dense`) and 140 (`pruned`).
+MEMO_ENTRIES = 1 << 12
 
 
 class PatternResult(Value):
@@ -97,8 +106,10 @@ def candidate_summary(
     bit count adds to the count and its bits join the last feature's
     participants.  The last two levels trade places when the last one holds
     fewer instances, so the loop runs over the smaller mask.  An earlier
-    choice participates only when it completes at least one row.  Memory
-    stays linear in the pair tables however many rows the candidate has.
+    choice participates only when it completes at least one row.  A level
+    reached again with the same masks reuses its row count from a memo.
+    Memory stays linear in the pair tables plus at most MEMO_ENTRIES memo
+    entries of at most k - 1 masks each, however many rows the candidate has.
     """
     return _summarize(clique, _by_features(size2))
 
@@ -122,6 +133,11 @@ def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
     every one of them.  The search takes its levels fail-first, smallest
     domain first (ties in canonical order), and narrows every deeper level's
     mask with `&` at each pick.
+
+    The memo maps the masks a level is called with to its row count; their
+    number names the level.  A repeated call is exact to skip: it counts the
+    same rows, its updates to `found` are ORs the first call already made,
+    and the caller marks its own pick either way.
     """
     features, k = clique.features, clique.size
     if k == 2:
@@ -147,6 +163,7 @@ def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
     last = k - 1
     back = toward(order[last], order[last - 1])
     found = [0] * k
+    memo: dict[tuple[int, ...], int] = {}
 
     def count(level: int, mask: int, *rest: int) -> int:
         """Rows through this level's `mask` and the deeper levels' `rest`."""
@@ -174,9 +191,13 @@ def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
             c = mask.bit_length() - 1
             bit = 1 << c
             mask ^= bit
-            narrowed = [m & p[c] for m, p in zip(rest, partners)]
+            narrowed = tuple([m & p[c] for m, p in zip(rest, partners)])
             if all(narrowed):
-                n = count(level + 1, *narrowed)
+                n = memo.get(narrowed)
+                if n is None:
+                    n = count(level + 1, *narrowed)
+                    if len(memo) < MEMO_ENTRIES:
+                        memo[narrowed] = n
                 if n:
                     found[level] |= bit
                     rows += n

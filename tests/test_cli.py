@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import os
 import subprocess
 import sys
@@ -308,6 +309,8 @@ def test_mine_huge_coordinate_exits_2(tmp_path, capsys):
         (["0,A,1,0,0", "0,B,2,1,1", "0,A,1,2,2", "1,A,1,0,0"], 4),
         # Interleaved t_points: the first A 1 at t=1 is no duplicate.
         (["0,A,1,0,0", "1,A,1,0,0", "0,B,2,1,1", "1,B,2,1,1", "0,A,1,2,2"], 6),
+        # A quoted field spanning lines 2-3 shifts every later line by one.
+        (['0,B,"b\nc",1,1', "0,A,1,0,0", "0,A,1,2,2", "1,A,1,0,0"], 5),
     ],
 )
 def test_duplicate_instance_exits_2_with_its_line(tmp_path, capsys, command, rows, line):
@@ -345,6 +348,49 @@ def test_diff_header_only_names_the_file(tmp_path, capsys):
     snaps.write_text("t_point,feature,instance_id,x,y\n")
     assert main(["diff", str(snaps), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {snaps}: need at least 2 snapshots, got 0\n"
+
+
+# A field the csv module refuses: one character over its size limit.
+FIELD_LIMIT = csv.field_size_limit()
+OVERSIZE = "x" * (FIELD_LIMIT + 1)
+
+
+@pytest.mark.parametrize("command", ["mine", "diff"])
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (["0,A,1,0,0", f"0,A,{OVERSIZE},0,0", "1,A,1,0,0"], 3,
+         f"field larger than field limit ({FIELD_LIMIT})"),
+        # A quoted field spanning lines 2-3 shifts every later line by one.
+        (['0,A,"a\nb",1.0,2.0', "0,A,2,1.0,zz"], 4, "y is not a number: 'zz'"),
+    ],
+)
+def test_snapshot_errors_name_the_physical_line(tmp_path, capsys, command, rows, line, message):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n" + "".join(r + "\n" for r in rows))
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\n")
+    extra = ["--lifecycles", str(lc)] if command == "mine" else []
+    assert main([command, str(snaps), "-o", str(tmp_path / "out")] + extra) == 2
+    assert capsys.readouterr().err == f"error: {snaps}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (["A,3", f"{OVERSIZE},3"], 3, f"field larger than field limit ({FIELD_LIMIT})"),
+        (['"A\nB",3', "C,zz"], 4, "life_cycle is not a number: 'zz'"),
+        (['"A\nB",3', "A,3", "A,3"], 5, "duplicate feature 'A'"),
+    ],
+)
+def test_lifecycle_errors_name_the_physical_line(tmp_path, capsys, rows, line, message):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n0,A,1,0,0\n1,A,1,0,0\n")
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\n" + "".join(r + "\n" for r in rows))
+    code = main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {lc}:{line}: {message}\n"
 
 
 def test_mine_non_utf8_input_exits_2(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Randomized properties: the grid join against the all-pairs scan, the
 row-free candidate summary against the anchorless row reference (on small
-and on multi-word ordinals), table participant masks against their rows,
-clique enumeration against Bron-Kerbosch, and the whole miner against the
-exhaustive search."""
+and on multi-word ordinals, and on instances grouped by shared partners),
+table participant masks against their rows, clique enumeration against
+Bron-Kerbosch, and the whole miner against the exhaustive search."""
 
 from __future__ import annotations
 
@@ -102,15 +102,53 @@ def candidates(draw):
     return Pattern(feats), size2_table_instances(pairs)
 
 
-@SETTINGS
-@given(candidates())
-def test_summary_equals_row_reference(candidate):
-    pattern, tables = candidate
+def summary_of(pattern, tables):
+    """The candidate's summary, asserted equal to its row reference."""
     summary = candidate_summary(pattern, tables)
     table = candidate_table_instance(pattern, tables)
     assert summary.row_count == len(table)
     for i, f in enumerate(pattern.features):
         assert bits(summary.participants[f]) == {row[i].ordinal for row in table.rows}, f.label
+    return summary
+
+
+@SETTINGS
+@given(candidates())
+def test_summary_equals_row_reference(candidate):
+    summary_of(*candidate)
+
+
+@st.composite
+def grouped_candidates(draw):
+    """A pattern of 3-5 features whose instances fall into 2-3 groups of 2-3
+    per feature, with ordinals dealt out in a drawn order.  Pair tables relate
+    whole groups, so every instance of a group has the same partners and
+    the row search meets the same narrowed masks again.  Each group relates
+    to a drawn subset of every other feature's groups, so domains are seldom
+    empty and two groups can share some partner masks but not others."""
+    feats = sorted(
+        draw(st.lists(st.sampled_from(FEATURES), min_size=3, max_size=5, unique=True)),
+        key=lambda f: f.sort_key,
+    )
+    groups = []
+    for f in feats:
+        sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+        ordinals = iter(draw(st.permutations(range(1, sum(sizes) + 1))))
+        groups.append(
+            [[DynamicInstance(f, next(ordinals), 0.0, 0.0, 0) for _ in range(n)] for n in sizes]
+        )
+    pairs = []
+    for i, j in combinations(range(len(feats)), 2):
+        for gi in groups[i]:
+            for g in draw(st.sets(st.sampled_from(range(len(groups[j]))), min_size=1)):
+                pairs.extend((a, b) for a in gi for b in groups[j][g])
+    return Pattern(feats), size2_table_instances(dict.fromkeys(pairs))
+
+
+@SETTINGS
+@given(grouped_candidates())
+def test_summary_over_shared_masks_equals_row_reference(candidate):
+    summary_of(*candidate)
 
 
 @st.composite
@@ -145,12 +183,7 @@ def wide_candidates(draw):
 @SETTINGS
 @given(wide_candidates())
 def test_bitset_summary_equals_row_reference(candidate):
-    pattern, tables = candidate
-    summary = candidate_summary(pattern, tables)
-    table = candidate_table_instance(pattern, tables)
-    assert summary.row_count == len(table)
-    for i, f in enumerate(pattern.features):
-        assert bits(summary.participants[f]) == {row[i].ordinal for row in table.rows}, f.label
+    summary = summary_of(*candidate)
     assert all(summary.participants.values()) == (summary.row_count > 0)
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from mdcolo import DynamicInstance, MiningConfig, Pattern, size2
+from mdcolo import DynamicInstance, MiningConfig, Pattern, size2, verify
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
@@ -136,6 +136,39 @@ def test_summary_memory_does_not_grow_with_rows():
     assert summary.row_count == n**4 == 2_560_000
     assert all(bits(summary.participants[f]) == set(range(1, n + 1)) for f in feats)
     assert peak < 4 * 1024 * 1024, f"summary peak {peak} bytes"
+
+
+def test_summary_memo_stops_growing_at_its_cap():
+    # A, B, C, D relate completely except A-C and B-D, which match ordinal
+    # to ordinal.  The search takes A, B, C, D in that order; after a_i and
+    # b_j only c_i and d_j remain, so the calls into the third level are
+    # n**2 distinct mask pairs, each completing one row.
+    n = 150
+    a, b, c, d = feats = [feat(label) for label in ("A_new", "B_new", "C_new", "D_new")]
+    insts = {f: [DynamicInstance(f, i, 0.0, 0.0, 0) for i in range(1, n + 1)] for f in feats}
+
+    def complete(f, g):
+        return [(x, y) for x in insts[f] for y in insts[g]]
+
+    tables = size2_table_instances(
+        complete(a, b) + list(zip(insts[a], insts[c])) + complete(a, d)
+        + complete(b, c) + list(zip(insts[b], insts[d])) + complete(c, d)
+    )
+    assert n**2 > 4 * verify.MEMO_ENTRIES
+    # Index the tables first, so that the peak is the search's own.
+    for table in tables.values():
+        table.pair_index()
+    tracemalloc.start()
+    try:
+        summary = candidate_summary(Pattern(feats), tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.row_count == n**2
+    assert all(bits(summary.participants[f]) == set(range(1, n + 1)) for f in feats)
+    # A memo of all n**2 + n calls peaks at about 4.4 MiB here; the capped
+    # one at about 0.7 MiB.
+    assert peak < 2 * 1024 * 1024, f"summary peak {peak} bytes"
 
 
 def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, monkeypatch):
