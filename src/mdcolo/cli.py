@@ -7,14 +7,14 @@ bad input or configuration.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import hashlib
 import sys
 import time
 
 from . import io
 from .model import ConfigError, DataFormatError, MiningConfig
-from .pipeline import ALGOS, mine_snapshots
+from .pipeline import ALGOS, mine_series, mine_snapshots
 from .size2 import participation_index
 from .snapshots import diff_snapshots
 
@@ -64,18 +64,24 @@ def cmd_mine(args: argparse.Namespace) -> int:
     lifecycles = io.read_lifecycles_csv(args.lifecycles)
     config = _mining_config(args)
 
-    snapshot_features = {record[0] for snap in snapshots for record in snap.records}
-    unknown = sorted({f.id for f in lifecycles} - snapshot_features)
-    if unknown:
-        raise ConfigError(f"unknown feature(s) in {args.lifecycles}: {', '.join(unknown)}")
-
+    # Diff first: a file with too few snapshots says so before its features
+    # are checked against the life cycles.
+    started = time.perf_counter()
     with io.located(args.input):
-        outcome = mine_snapshots(
-            snapshots, lifecycles, config,
-            algo=args.algo,
-            early_abort=not args.no_prune1,
-            derive_all=args.derive_all,
-        )
+        series = diff_snapshots(snapshots)
+    diff_ms = (time.perf_counter() - started) * 1000
+    snapshot_features = {record[0] for snap in snapshots for record in snap.records}
+    unknown = [f.id for f in lifecycles if f.id not in snapshot_features]
+    if unknown:
+        io.reject_unknown_features(args.lifecycles, unknown)
+
+    outcome = mine_series(
+        series, lifecycles, config,
+        algo=args.algo,
+        early_abort=not args.no_prune1,
+        derive_all=args.derive_all,
+        diff_ms=diff_ms,
+    )
     io.write_pattern_report(args.output, outcome.report_results)
     _info(
         f"{len(outcome.results)} maximal pattern(s)"
@@ -140,9 +146,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 _SWEEPABLE = ("instances", "features", "dd", "min_prev", "prune")
 _PRUNE_VALUES = ("on", "off")
-# The early abort is the only pruning, so the old `p1` (early abort only) is
-# `on`; the old `p2` named the deleted shared sub-clique pre-check.
-_PRUNE_ALIASES = {"p1": "on"}
 
 # GenConfig -> its generated snapshots
 _dataset_cache: dict[object, list] = {}
@@ -211,7 +214,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if len(values) > 1 and key not in _SWEEPABLE and key != "algos":
             raise ConfigError(f"key {key!r} cannot be swept")
     for value in spec.get("prune", ()):
-        if _PRUNE_ALIASES.get(value, value) not in _PRUNE_VALUES:
+        if value not in _PRUNE_VALUES:
             raise ConfigError(
                 f"sweep key 'prune': {value!r} is not one of {', '.join(_PRUNE_VALUES)}"
             )
@@ -226,7 +229,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             base[key] = values[0]
     algos = base["algos"].split(",")
 
-    rows: list[list[object]] = []
+    rows: list[tuple[str, str, str, int, int, float]] = []
     sweeps = [(k, vs) for k, vs in spec.items() if len(vs) > 1 and k != "algos"]
     if not sweeps:
         sweeps = [("dd", [base["dd"]])]
@@ -238,15 +241,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             point.pop("algos")
             for algo in algos:
                 maximal, prevalent, ms = _bench_point(point, algo, prune)
-                rows.append([param, value, algo, maximal, prevalent, f"{ms:.3f}"])
+                rows.append((param, value, algo, maximal, prevalent, ms))
                 _info(
                     f"{param}={value} {algo}: {maximal} maximal, "
                     f"{prevalent} prevalent, {ms:.0f} ms"
                 )
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(io.BENCH_HEADER)
-        out.writerows(rows)
+    io.write_bench_csv(args.output, rows)
     return 0
 
 
@@ -313,11 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command makes no reference cycles, so the cyclic collector would only
+    # spend time; it is paused for the command and left as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ConfigError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

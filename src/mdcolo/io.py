@@ -1,8 +1,10 @@
 """File formats: snapshot and series CSVs, life cycles, reports, manifests.
 
 All writers emit LF line endings and repr-faithful floats so identical inputs
-produce byte-identical files on every platform.  Readers report problems with
-one-based physical line numbers.
+produce byte-identical files on every platform.  The CSV writers format each
+row as one string and write it at once, so no file is held in memory; a text
+field is quoted as `_field` says.  Readers report problems with one-based
+physical line numbers.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ import csv
 import math
 import os
 from contextlib import contextmanager
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .model import BaseFeature, DataFormatError
 from .neighborhood import MAX_COORDINATE, NeighborPair
-from .size2 import TableInstance
 from .snapshots import DuplicateInstanceError, DynamicDatasetSeries, Snapshot
 from .verify import PatternResult
 
@@ -52,12 +53,37 @@ def _open_csv(path: str):
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _open_writer(path: str):
-    return open(path, "w", newline="", encoding="utf-8")
+@contextmanager
+def _open_writer(path: str, header: list[str]):
+    """The file opened for writing as UTF-8 with its header line written;
+    yields the file's `write`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        yield fh.write
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _field(text: str) -> str:
+    """`text` as one CSV field: quoted, with its quotes doubled, when it
+    holds a `,`, `"`, `\\n` or `\\r`.  That is what `csv.writer` with an LF
+    line terminator writes, except that csv.writer leaves a `\\r` bare and
+    the csv reader then splits the record there."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class _Fields(dict):
+    """Key -> `_field(text(key))`, computed on a key's first lookup, so a
+    writer quotes each feature's label once rather than once per row."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: Callable[[Any], str] = str):
+        self.text = text
+
+    def __missing__(self, key) -> str:
+        self[key] = field = _field(self.text(key))
+        return field
 
 
 def _check_header(row: list[str] | None, expected: list[str], path: str) -> None:
@@ -157,23 +183,24 @@ def located(path: str):
 
 
 def write_snapshots_csv(path: str, snapshots: Sequence[Snapshot]) -> None:
-    with _open_writer(path) as fh:
-        out = _writer(fh)
-        out.writerow(SNAPSHOT_HEADER)
+    features = _Fields()
+    with _open_writer(path, SNAPSHOT_HEADER) as write:
         for snap in sorted(snapshots, key=lambda s: s.t_point):
+            t = snap.t_point
             for feature, instance_id, x, y in sorted(snap.records):
-                out.writerow([snap.t_point, feature, instance_id, repr(x), repr(y)])
+                write(f"{t},{features[feature]},{_field(instance_id)},{x!r},{y!r}\n")
 
 
 def write_series_csv(path: str, series: DynamicDatasetSeries) -> None:
-    with _open_writer(path) as fh:
-        out = _writer(fh)
-        out.writerow(SERIES_HEADER)
+    # The kind is `new` or `dead`, which never needs quoting.
+    bases = _Fields(lambda f: f.base)
+    with _open_writer(path, SERIES_HEADER) as write:
         for window in series.windows:
             for inst in window:
-                out.writerow(
-                    [inst.t_index, inst.feature.base, inst.feature.kind,
-                     inst.ordinal, repr(inst.x), repr(inst.y)]
+                feature = inst.feature
+                write(
+                    f"{inst.t_index},{bases[feature]},{feature.kind},"
+                    f"{inst.ordinal},{inst.x!r},{inst.y!r}\n"
                 )
 
 
@@ -200,24 +227,33 @@ def read_lifecycles_csv(path: str) -> list[BaseFeature]:
     return features
 
 
+def reject_unknown_features(path: str, unknown: Sequence[str]) -> NoReturn:
+    """Raise the DataFormatError for the life-cycle features of the CSV at
+    `path` that no snapshot holds, given in file order.  It names the line
+    of the first, reading the file again only for that."""
+    with _open_csv(path) as reader:
+        next(reader, None)
+        line = next((reader.line_num for row in reader if row[:1] == unknown[:1]), None)
+    where = path if line is None else f"{path}:{line}"
+    raise DataFormatError(f"{where}: unknown feature(s), in no snapshot: {', '.join(unknown)}")
+
+
 def write_lifecycles_csv(path: str, features: Sequence[BaseFeature]) -> None:
-    with _open_writer(path) as fh:
-        out = _writer(fh)
-        out.writerow(LIFECYCLE_HEADER)
+    with _open_writer(path, LIFECYCLE_HEADER) as write:
         for f in sorted(features, key=lambda f: f.id):
-            out.writerow([f.id, repr(float(f.life_cycle))])
+            write(f"{_field(f.id)},{float(f.life_cycle)!r}\n")
 
 
 def write_pairs_csv(path: str, pairs: Iterable[NeighborPair]) -> None:
     """Debug dump of neighbor pairs with their actual distances."""
-    with _open_writer(path) as fh:
-        out = _writer(fh)
-        out.writerow(PAIRS_HEADER)
+    labels = _Fields(lambda f: f.label)
+    sqrt = math.sqrt
+    with _open_writer(path, PAIRS_HEADER) as write:
         for a, b in pairs:
-            dist = math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2)
-            out.writerow(
-                [a.feature.label, a.ordinal, a.t_index,
-                 b.feature.label, b.ordinal, b.t_index, repr(dist)]
+            dist = sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2)
+            write(
+                f"{labels[a.feature]},{a.ordinal},{a.t_index},"
+                f"{labels[b.feature]},{b.ordinal},{b.t_index},{dist!r}\n"
             )
 
 
@@ -225,13 +261,23 @@ def write_size2_report_csv(
     path: str, tables: Mapping, dpis: Mapping
 ) -> None:
     """Size-2 report CSV: pattern,dpi,rows; patterns rendered as A_new|B_new."""
-    with _open_writer(path) as fh:
-        out = _writer(fh)
-        out.writerow(SIZE2_HEADER)
+    with _open_writer(path, SIZE2_HEADER) as write:
         for pattern in sorted(tables, key=lambda p: p.sort_key):
-            table: TableInstance = tables[pattern]
-            label = "|".join(f.label for f in pattern.features)
-            out.writerow([label, repr(dpis[pattern]), len(table)])
+            label = _field("|".join(f.label for f in pattern.features))
+            write(f"{label},{dpis[pattern]!r},{len(tables[pattern])}\n")
+
+
+def write_bench_csv(
+    path: str, rows: Iterable[tuple[str, str, str, int, int, float]]
+) -> None:
+    """Bench CSV: one param,value,algo,maximal_count,prevalent_count,millis
+    row per mined sweep point and algorithm, millis to three decimals."""
+    with _open_writer(path, BENCH_HEADER) as write:
+        for param, value, algo, maximal, prevalent, ms in rows:
+            write(
+                f"{_field(param)},{_field(value)},{_field(algo)},"
+                f"{maximal},{prevalent},{ms:.3f}\n"
+            )
 
 
 def format_pattern_report(results: Sequence[PatternResult]) -> str:

@@ -25,6 +25,9 @@ DEAD = "dead"
 
 _KIND_RANK = {NEW: 0, DEAD: 1}
 
+# Characters that split report fields, pattern labels or lines.
+REPORT_SEPARATORS = ",;|\n\r"
+
 
 class ConfigError(ValueError):
     """Invalid configuration (thresholds, spans, generator settings)."""
@@ -68,7 +71,8 @@ class BaseFeature(Value):
     """A feature of the underlying snapshots, e.g. a shop category.
 
     life_cycle is the typical duration of one instance's influence, in the
-    same units as the series' time span.
+    same units as the series' time span.  The id holds none of the reports'
+    separators (REPORT_SEPARATORS), so every report line parses back.
     """
 
     __slots__ = _compared = ("id", "life_cycle")
@@ -76,6 +80,10 @@ class BaseFeature(Value):
     def __init__(self, id: str, life_cycle: float):
         if not id:
             raise ConfigError("base feature id must be non-empty")
+        if any(c in id for c in REPORT_SEPARATORS):
+            raise ConfigError(
+                f"base feature id {id!r} holds a report separator, one of {REPORT_SEPARATORS!r}"
+            )
         if not (0 < life_cycle < math.inf):
             raise ConfigError(
                 f"life cycle of {id!r} must be positive and finite, got {life_cycle}"

@@ -94,26 +94,6 @@ class CandidateSummary(Value):
         return {f: participation_share(m, counts.get(f, 0)) for f, m in self.participants.items()}
 
 
-def candidate_summary(
-    clique: Pattern, size2: Mapping[Pattern, TableInstance]
-) -> CandidateSummary:
-    """Row count and participant masks of the candidate's table instance.
-
-    A pair reads them off its pair table's `columns()`.  A larger candidate
-    runs a backtracking over the pair tables' bitset indexes that never
-    picks at the last level: once the earlier levels are chosen, each
-    instance still allowed there completes exactly one row, so the mask's
-    bit count adds to the count and its bits join the last feature's
-    participants.  The last two levels trade places when the last one holds
-    fewer instances, so the loop runs over the smaller mask.  An earlier
-    choice participates only when it completes at least one row.  A level
-    reached again with the same masks reuses its row count from a memo.
-    Memory stays linear in the pair tables plus at most MEMO_ENTRIES memo
-    entries of at most k - 1 masks each, however many rows the candidate has.
-    """
-    return _summarize(clique, _by_features(size2))
-
-
 # A pattern's canonical feature tuple, the name verify queues and derive checks.
 Features = tuple[DynamicFeature, ...]
 # Pair tables by their feature tuple, so that a candidate finds its tables
@@ -126,7 +106,20 @@ def _by_features(size2: Mapping[Pattern, TableInstance]) -> PairTables:
 
 
 def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
-    """`candidate_summary` over pair tables keyed by their feature tuples.
+    """Row count and participant masks of the candidate's table instance,
+    over pair tables keyed by their feature tuples.
+
+    A pair reads them off its pair table's `columns()`.  A larger candidate
+    runs a backtracking over the pair tables' bitset indexes that never
+    picks at the last level: once the earlier levels are chosen, each
+    instance still allowed there completes exactly one row, so the mask's
+    bit count adds to the count and its bits join the last feature's
+    participants.  The last two levels trade places when the last one holds
+    fewer instances, so the loop runs over the smaller mask.  An earlier
+    choice participates only when it completes at least one row.  A level
+    reached again with the same masks reuses its row count from a memo.
+    Memory stays linear in the pair tables plus at most MEMO_ENTRIES memo
+    entries of at most k - 1 masks each, however many rows the candidate has.
 
     A candidate of size three or more reads the indexes of all its pair
     tables.  A feature's domain is the mask of its instances partnered in
@@ -138,6 +131,11 @@ def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
     number names the level.  A repeated call is exact to skip: it counts the
     same rows, its updates to `found` are ORs the first call already made,
     and the caller marks its own pick either way.
+
+    `count` calls itself, so it holds a cell that refers back to it, and
+    through it the masks, `found` and the memo.  Deleting the name once the
+    search is done breaks that cycle, so the summary leaves nothing for the
+    cyclic collector and the CLI can run with the collector paused.
     """
     features, k = clique.features, clique.size
     if k == 2:
@@ -204,6 +202,7 @@ def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
         return rows
 
     row_count = count(0, *[domains[i] for i in order])
+    del count
     participants = {features[i]: mask for i, mask in zip(order, found)}
     return CandidateSummary(clique, row_count, participants)
 

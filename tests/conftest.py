@@ -24,6 +24,7 @@ from mdcolo import (
 )
 from mdcolo.datagen import GenConfig, generate
 from mdcolo.model import DEAD, NEW
+from mdcolo.verify import _by_features, _summarize
 
 
 def parse_feature_label(label: str) -> DynamicFeature:
@@ -44,6 +45,12 @@ def snap(t: int, *records: tuple[str, str, float, float]) -> Snapshot:
 
 def instances_by_label(series) -> dict:
     return {inst.label: inst for inst in series.all_instances()}
+
+
+def summarize(pattern, tables):
+    """The candidate's `CandidateSummary` over pair tables keyed by pattern,
+    as verify and derive compute it."""
+    return _summarize(pattern, _by_features(tables))
 
 
 def bits(mask: int) -> set[int]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mdcolo import cli
 from mdcolo.cli import main
 
 from conftest import shops_snapshots
@@ -227,9 +229,10 @@ def test_mine_missing_header_exits_2(tmp_path, capsys):
 
 
 def test_mine_unknown_lifecycle_feature_exits_2(dataset, tmp_path, capsys):
+    # Y and Z are in no snapshot; the error names Y's line and both, in file
+    # order, after a quoted field that spans two lines.
     lc = tmp_path / "extra.csv"
-    features = io.read_lifecycles_csv(f"{dataset}.lifecycles.csv")
-    io.write_lifecycles_csv(str(lc), features + [BaseFeature("Z", 9.0)])
+    lc.write_text('feature,life_cycle\nA,9\nB,"3\n"\nZ,9\nC,30\nY,1\nD,15\n')
     code = main(
         [
             "mine", f"{dataset}.snapshots.csv", "--lifecycles", str(lc),
@@ -237,7 +240,93 @@ def test_mine_unknown_lifecycle_feature_exits_2(dataset, tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "Z" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {lc}:5: unknown feature(s), in no snapshot: Z, Y\n"
+
+
+@pytest.mark.parametrize("snapshots", ["", "0,A,1,0,0\n0,B,1,1,1\n"], ids=["header", "one"])
+def test_mine_too_few_snapshots_is_the_first_error(tmp_path, capsys, snapshots):
+    # Every life-cycle feature is unknown to a file without two snapshots;
+    # the diff's error comes first.
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n" + snapshots)
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\nB,3\nC,3\n")
+    assert main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]) == 2
+    got = len(snapshots.splitlines()) // 2
+    assert capsys.readouterr().err == (
+        f"error: {snaps}: need at least 2 snapshots, got {got}\n"
+    )
+
+
+SEPARATORS = [",", ";", "|", "\n", "\r"]
+
+
+def write_separator_dataset(tmp_path, sep):
+    """Two snapshots of A and `A<sep>B` instances next to each other; the
+    second feature's id is written quoted."""
+    snaps = tmp_path / "snaps.csv"
+    other = f"A{sep}B"
+    io.write_snapshots_csv(str(snaps), [
+        Snapshot(0, (("A", "1", 0.0, 0.0),)),
+        Snapshot(1, (("A", "1", 0.0, 0.0), ("A", "2", 1.0, 0.0), (other, "1", 1.0, 1.0))),
+    ])
+    return snaps, other
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+def test_lifecycle_feature_with_a_report_separator_exits_2(tmp_path, capsys, sep):
+    snaps, other = write_separator_dataset(tmp_path, sep)
+    lc = tmp_path / "lc.csv"
+    with open(lc, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f'feature,life_cycle\nA,3\n"{other}",3\n')
+    assert main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]) == 2
+    # The record ends on line 4 when its id holds a line break.
+    line = 4 if sep in "\n\r" else 3
+    assert capsys.readouterr().err == (
+        f"error: {lc}:{line}: base feature id {other!r} holds a report separator, "
+        f"one of ',;|\\n\\r'\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+def test_snapshot_feature_with_a_report_separator_exits_2(tmp_path, capsys, sep):
+    # No life-cycle file can name the feature, so it has no life cycle.
+    snaps, other = write_separator_dataset(tmp_path, sep)
+    lc = tmp_path / "lc.csv"
+    io.write_lifecycles_csv(str(lc), [BaseFeature("A", 3.0)])
+    assert main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: no life cycle given for feature(s): {other}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("ending", ["mine", "exit 2", "raises"])
+def test_main_leaves_the_collector_as_it_found_it(
+    dataset, tmp_path, monkeypatch, capsys, enabled, ending
+):
+    lc = f"{dataset}.lifecycles.csv"
+    if ending == "exit 2":
+        lc = str(tmp_path / "missing.csv")
+    seen = []
+    if ending == "raises":
+        def boom(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_mine", boom)
+    argv = ["mine", f"{dataset}.snapshots.csv", "--lifecycles", lc, "-o", str(tmp_path / "o")]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if ending == "raises":
+            with pytest.raises(RuntimeError, match="boom"):
+                main(argv)
+            assert seen == [False]
+        else:
+            assert main(argv) == (0 if ending == "mine" else 2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_mine_lifecycle_feature_without_events(tmp_path):
@@ -379,8 +468,9 @@ def test_snapshot_errors_name_the_physical_line(tmp_path, capsys, command, rows,
     "rows, line, message",
     [
         (["A,3", f"{OVERSIZE},3"], 3, f"field larger than field limit ({FIELD_LIMIT})"),
-        (['"A\nB",3', "C,zz"], 4, "life_cycle is not a number: 'zz'"),
-        (['"A\nB",3', "A,3", "A,3"], 5, "duplicate feature 'A'"),
+        # A feature id cannot hold a line break; a life cycle's field can.
+        (['B,"3\n"', "C,zz"], 4, "life_cycle is not a number: 'zz'"),
+        (['B,"3\n"', "A,3", "A,3"], 5, "duplicate feature 'A'"),
     ],
 )
 def test_lifecycle_errors_name_the_physical_line(tmp_path, capsys, rows, line, message):
@@ -560,17 +650,13 @@ def test_bench_bad_algo_exits_2_before_mining(tmp_path, capsys):
 
 
 def test_bench_prune_values(tmp_path, capsys):
+    # Only `on` and `off` name a pruning; the old p1 and p2 exit 2 alike.
     spec = tmp_path / "sweep.txt"
-    spec.write_text("prune=p2\ninstances=120\n")
-    assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
-    assert "'p2' is not one of on, off" in capsys.readouterr().err
-
-    # p1 (the early abort alone) is what `on` means now
-    spec.write_text("prune=on,p1\ninstances=120\nalgos=mdc\n")
-    out = tmp_path / "b.csv"
-    assert main(["bench", str(spec), "-o", str(out)]) == 0
-    _, on, p1 = out.read_text().splitlines()
-    assert on.split(",")[3:5] == p1.split(",")[3:5]
+    for value in ("p1", "p2"):
+        spec.write_text(f"prune=on,{value}\ninstances=120\n")
+        assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 2
+        assert f"'{value}' is not one of on, off" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
 
 def test_bench_rejects_sweeping_fixed_key(tmp_path, capsys):

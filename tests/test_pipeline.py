@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from mdcolo import ConfigError, diff_snapshots, mine_snapshots
@@ -94,3 +96,24 @@ def test_outcome_carries_pair_tables(burst, lifecycles, config):
 def test_stats_flow_through(burst, lifecycles, config):
     outcome = mine_snapshots(burst, lifecycles, config)
     assert outcome.stats.verified >= 4
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"derive_all": True}, {"early_abort": False}, {"algo": "join"},
+], ids=["mdc", "derive_all", "no_early_abort", "join"])
+def test_mine_leaves_no_cyclic_garbage(burst, lifecycles, config, options):
+    # The CLI pauses the cyclic collector for a command because a mine makes
+    # no reference cycles: with the collector off, a collection after a mine
+    # finds nothing.  The first mine imports what the route loads lazily.
+    mine_snapshots(burst, lifecycles, config, **options)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        outcome = mine_snapshots(burst, lifecycles, config, **options)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    # Candidates of size three were summarized.
+    assert any(r.pattern.size == 3 for r in outcome.report_results)

@@ -28,9 +28,7 @@ from mdcolo.oracles import (
 )
 from mdcolo.size2 import FeatureGraph, feature_counts, size2_table_instances
 from mdcolo.snapshots import DynamicDatasetSeries
-from mdcolo.verify import candidate_summary
-
-from conftest import bits, feat
+from conftest import bits, feat, summarize
 
 FEATURES = [feat(f"{base}_{kind}") for base in "ABCDE" for kind in ("new", "dead")]
 
@@ -104,7 +102,7 @@ def candidates(draw):
 
 def summary_of(pattern, tables):
     """The candidate's summary, asserted equal to its row reference."""
-    summary = candidate_summary(pattern, tables)
+    summary = summarize(pattern, tables)
     table = candidate_table_instance(pattern, tables)
     assert summary.row_count == len(table)
     for i, f in enumerate(pattern.features):

@@ -19,7 +19,6 @@ from mdcolo.size2 import (
 )
 from mdcolo.verify import (
     VerifyStats,
-    candidate_summary,
     decompose,
     derive_all_prevalent,
     verify_all,
@@ -32,6 +31,7 @@ from conftest import (
     bits,
     feat,
     small_series,
+    summarize,
 )
 
 
@@ -90,7 +90,7 @@ def test_summary_matches_row_tables_on_generated_series():
         }
         for sub in sorted(subs, key=lambda p: p.sort_key):
             table = candidate_table_instance(sub, tables)
-            summary = candidate_summary(sub, tables)
+            summary = summarize(sub, tables)
             assert summary.row_count == len(table), sub.label
             for i, f in enumerate(sub.features):
                 assert bits(summary.participants[f]) == ordinals(table, i), (
@@ -110,7 +110,7 @@ def test_summary_marks_only_instances_in_complete_rows():
     pairs += list(combinations((a2, b2, c2, d2), 2))
     tables = size2_table_instances(pairs)
     pattern = Pattern([a1.feature, b1.feature, c1.feature, d1.feature])
-    summary = candidate_summary(pattern, tables)
+    summary = summarize(pattern, tables)
     table = candidate_table_instance(pattern, tables)
     assert summary.row_count == len(table) == 1
     for i, (f, inst) in enumerate(zip(pattern.features, (a2, b2, c2, d2))):
@@ -129,7 +129,7 @@ def test_summary_memory_does_not_grow_with_rows():
     )
     tracemalloc.start()
     try:
-        summary = candidate_summary(Pattern(feats), tables)
+        summary = summarize(Pattern(feats), tables)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -160,7 +160,7 @@ def test_summary_memo_stops_growing_at_its_cap():
         table.pair_index()
     tracemalloc.start()
     try:
-        summary = candidate_summary(Pattern(feats), tables)
+        summary = summarize(Pattern(feats), tables)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -198,8 +198,8 @@ def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, mo
             assert tuple(map(bits, index.columns)) == tuple(map(set, zip(*rows))), pair.label
     assert any(clique.size > 2 for clique in cliques)
     for clique in cliques:
-        summary = candidate_summary(clique, reversed_tables)
-        assert summary == candidate_summary(clique, tables), clique.label
+        summary = summarize(clique, reversed_tables)
+        assert summary == summarize(clique, tables), clique.label
     pattern, table = max(tables.items(), key=lambda kv: len(kv[1]))
     rows = list(reversed(table.rows))
     assert TableInstance(pattern, rows).rows == tuple(rows)
