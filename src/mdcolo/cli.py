@@ -71,17 +71,20 @@ def cmd_mine(args: argparse.Namespace) -> int:
         series = diff_snapshots(snapshots)
     diff_ms = (time.perf_counter() - started) * 1000
     snapshot_features = {record[0] for snap in snapshots for record in snap.records}
+    # The series holds all the mine needs; the records need not outlive it.
+    del snapshots
     unknown = [f.id for f in lifecycles if f.id not in snapshot_features]
     if unknown:
         io.reject_unknown_features(args.lifecycles, unknown)
 
-    outcome = mine_series(
-        series, lifecycles, config,
-        algo=args.algo,
-        early_abort=not args.no_prune1,
-        derive_all=args.derive_all,
-        diff_ms=diff_ms,
-    )
+    with io.located(args.input):
+        outcome = mine_series(
+            series, lifecycles, config,
+            algo=args.algo,
+            early_abort=not args.no_prune1,
+            derive_all=args.derive_all,
+            diff_ms=diff_ms,
+        )
     io.write_pattern_report(args.output, outcome.report_results)
     _info(
         f"{len(outcome.results)} maximal pattern(s)"
@@ -93,7 +96,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         dpis = {pat: participation_index(t, outcome.counts) for pat, t in outcome.tables.items()}
         io.write_size2_report_csv(args.size2_report, outcome.tables, dpis)
     if args.pairs_dump:
-        io.write_pairs_csv(args.pairs_dump, outcome.pairs)
+        io.write_pairs_csv(args.pairs_dump, outcome.join.pairs())
 
     manifest: dict[str, object] = {"command": "mine"}
     if not args.seedless_report:

@@ -13,11 +13,12 @@ import csv
 import math
 import os
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence
 
-from .model import BaseFeature, DataFormatError
+from .model import BaseFeature, DataFormatError, MissingLifeCycleError
 from .neighborhood import MAX_COORDINATE, NeighborPair
-from .snapshots import DuplicateInstanceError, DynamicDatasetSeries, Snapshot
+from .snapshots import DuplicateInstanceError, DynamicDatasetSeries, Snapshot, SnapshotGapError
 from .verify import PatternResult
 
 SNAPSHOT_HEADER = ["t_point", "feature", "instance_id", "x", "y"]
@@ -161,23 +162,38 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
     return [Snapshot(t, tuple(records)) for t, records in sorted(by_t.items())]
 
 
+def _at_record(
+    path: str, message: object, wanted: Callable[[list[str]], bool], nth: int = 1
+) -> DataFormatError:
+    """A DataFormatError of `message` that names `path` and the line of the
+    `nth` record there that `wanted` accepts, found by reading the file
+    again.  The file was read once already, so every record parses."""
+    with _open_csv(path) as reader:
+        next(reader, None)
+        lines = (reader.line_num for row in reader if row and wanted(row))
+        line = next(islice(lines, nth - 1, None), None)
+    where = path if line is None else f"{path}:{line}"
+    return DataFormatError(f"{where}: {message}")
+
+
 @contextmanager
 def located(path: str):
-    """Name `path` in a data error found while diffing the snapshots read
-    from it, and the line of a duplicate instance; the file is read again
-    only for that."""
+    """Name `path` in a data error found while diffing or mining the
+    snapshots read from it, and the line of the record that shows it: the
+    second of a duplicate instance, the first of a t_point after a gap, or
+    the first of the first feature with no life cycle.  The file is read
+    again only for that."""
     try:
         yield
     except DuplicateInstanceError as exc:
-        with _open_csv(path) as reader:
-            next(reader, None)
-            lines = [
-                reader.line_num for row in reader
-                if tuple(row[1:3]) == exc.key and int(row[0]) == exc.t_point
-            ]
-        if len(lines) < 2:
-            raise
-        raise DataFormatError(f"{path}:{lines[1]}: {exc}") from None
+        t, key = exc.t_point, exc.key
+        raise _at_record(
+            path, exc, lambda row: tuple(row[1:3]) == key and int(row[0]) == t, nth=2
+        ) from None
+    except SnapshotGapError as exc:
+        raise _at_record(path, exc, lambda row: int(row[0]) == exc.t_point) from None
+    except MissingLifeCycleError as exc:
+        raise _at_record(path, exc, lambda row: row[1] == exc.bases[0]) from None
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -231,11 +247,10 @@ def reject_unknown_features(path: str, unknown: Sequence[str]) -> NoReturn:
     """Raise the DataFormatError for the life-cycle features of the CSV at
     `path` that no snapshot holds, given in file order.  It names the line
     of the first, reading the file again only for that."""
-    with _open_csv(path) as reader:
-        next(reader, None)
-        line = next((reader.line_num for row in reader if row[:1] == unknown[:1]), None)
-    where = path if line is None else f"{path}:{line}"
-    raise DataFormatError(f"{where}: unknown feature(s), in no snapshot: {', '.join(unknown)}")
+    raise _at_record(
+        path, f"unknown feature(s), in no snapshot: {', '.join(unknown)}",
+        lambda row: row[0] == unknown[0],
+    )
 
 
 def write_lifecycles_csv(path: str, features: Sequence[BaseFeature]) -> None:

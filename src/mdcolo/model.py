@@ -41,6 +41,15 @@ class InsufficientDataError(DataFormatError):
     """Input too small to be meaningful (fewer than two snapshots)."""
 
 
+class MissingLifeCycleError(ConfigError):
+    """Base features, sorted in `bases`, that have dynamic instances but no
+    life cycle."""
+
+    def __init__(self, bases: list[str]):
+        super().__init__(f"no life cycle given for feature(s): {', '.join(bases)}")
+        self.bases = bases
+
+
 class Value:
     """Base of the slotted value types.  Objects of one class are equal when
     the slots named in `_compared` are, as a dataclass compares them, and
@@ -255,7 +264,8 @@ def compute_spans(
     time_span: float,
 ) -> dict[DynamicFeature, int]:
     """Span for every given dynamic feature, from its base feature's life
-    cycle; a ConfigError names every base feature without one, sorted."""
+    cycle; a MissingLifeCycleError names every base feature without one,
+    sorted."""
     spans: dict[DynamicFeature, int] = {}
     missing: set[str] = set()
     for f in features:
@@ -264,5 +274,5 @@ def compute_spans(
         else:
             missing.add(f.base)
     if missing:
-        raise ConfigError(f"no life cycle given for feature(s): {', '.join(sorted(missing))}")
+        raise MissingLifeCycleError(sorted(missing))
     return spans

@@ -9,13 +9,19 @@ it, so every pair of adjacent cells is joined once (a half-shell cell list).
 Each cell lists its instances by window, and no instance is compared with one
 more than the largest span away in time, so the work does not grow with the
 number of windows.
+
+The join numbers instances and features in canonical order and returns the
+related pairs as sorted int codes (`Join`).  Pair tables are built straight
+from those codes (`size2.pair_tables`), and the pairs dump walks them;
+`neighbor_pairs` maps them to instance pairs for callers that want those.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Mapping
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import ConfigError, DynamicFeature, DynamicInstance, MiningConfig
 from .snapshots import DynamicDatasetSeries
@@ -43,51 +49,89 @@ MAX_COORDINATE = 1e150
 _HALF_SHELL = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 
-def neighbor_pairs(
+class Join(NamedTuple):
+    """Related pairs as int codes.  `instances` is in canonical order and
+    code `i` names `instances[i]`; `ranks[i]` is the position of its feature
+    in `features`, which is in canonical order too.  `codes` holds
+    `i * len(instances) + j` for each pair (i, j).  `grid_join` gives every
+    related pair once, with `i < j`, sorted, which is the pairs' canonical
+    order."""
+
+    instances: list[DynamicInstance]
+    features: list[DynamicFeature]
+    ranks: list[int]
+    codes: list[int]
+
+    def pairs(self) -> Iterator[NeighborPair]:
+        """The related instance pairs, canonically ordered and sorted."""
+        instances, n = self.instances, len(self.instances)
+        return ((instances[code // n], instances[code % n]) for code in self.codes)
+
+
+def number_instances(
+    instances: Iterable[DynamicInstance],
+) -> tuple[list[DynamicInstance], list[DynamicFeature], list[int]]:
+    """The instances in canonical order, their features in canonical order,
+    and each instance's feature rank; a ConfigError when two instances share
+    a name (feature and ordinal), which names them everywhere downstream."""
+    ordered = sorted(instances, key=attrgetter("sort_key"))
+    features: list[DynamicFeature] = []
+    ranks: list[int] = []
+    rank = -1
+    last = feature_key = None
+    for inst in ordered:
+        if inst.sort_key == last:
+            raise ConfigError(f"two instances are named {inst.label}")
+        last = inst.sort_key
+        feature = inst.feature
+        if feature.sort_key != feature_key:
+            feature_key = feature.sort_key
+            features.append(feature)
+            rank += 1
+        ranks.append(rank)
+    return ordered, features, ranks
+
+
+def grid_join(
     series: DynamicDatasetSeries,
     spans: Mapping[DynamicFeature, int],
     config: MiningConfig,
-) -> tuple[NeighborPair, ...]:
-    """All related instance pairs, canonically ordered and sorted.
+) -> Join:
+    """All related instance pairs, as the sorted codes of `Join`.
 
     Every feature present in the series must have a span, no coordinate
     may exceed MAX_COORDINATE in magnitude, and no two instances may share
-    a name (feature and ordinal), which names them everywhere downstream.
+    a name.
     """
     # Instances (codes) and features (ranks) are numbered in canonical order,
     # so the join compares plain ints.
-    instances = sorted(series.all_instances(), key=lambda inst: inst.sort_key)
-    features = sorted({inst.feature for inst in instances}, key=lambda f: f.sort_key)
+    instances, features, ranks = number_instances(series.all_instances())
     missing = set(features) - set(spans)
     if missing:
         names = ", ".join(sorted(f.label for f in missing))
         raise ConfigError(f"no span for feature(s): {names}")
+    hits: list[int] = []
     if not instances:
-        return ()
-    for a, b in zip(instances, islice(instances, 1, None)):
-        if a.sort_key == b.sort_key:
-            raise ConfigError(f"two instances are named {a.label}")
+        return Join(instances, features, ranks, hits)
 
-    rank = {f: r for r, f in enumerate(features)}
-    max_span = max(spans[f] for f in features)
+    rank_spans = [spans[f] for f in features]
+    max_span = max(rank_spans)
     reach = max(max(abs(inst.x), abs(inst.y)) for inst in instances)
     if reach > MAX_COORDINATE:
         raise ConfigError(f"a coordinate of magnitude {reach!r} is beyond {MAX_COORDINATE:g}")
     width = max(config.d_d, reach / _MAX_CELLS) * _CELL_SLACK
     # cell -> (t_index, code, rank, x, y, span) of its instances, by t_index
     cells: dict[tuple[int, int], list[tuple]] = {}
-    for code, inst in enumerate(instances):
-        f = inst.feature
+    for code, (inst, r) in enumerate(zip(instances, ranks)):
         cells.setdefault(
             (math.floor(inst.x / width), math.floor(inst.y / width)), []
-        ).append((inst.t_index, code, rank[f], inst.x, inst.y, spans[f]))
+        ).append((inst.t_index, code, r, inst.x, inst.y, rank_spans[r]))
     for bucket in cells.values():
         bucket.sort()
 
     n = len(instances)
     dd_sq = config.d_d * config.d_d
     inclusive = config.temporal_comparison == "inclusive"
-    hits: list[int] = []
     hit = hits.append
     neighbour = cells.get
     for (cx, cy), bucket in cells.items():
@@ -123,4 +167,14 @@ def neighbor_pairs(
                         hit(ca * n + cb if ca < cb else cb * n + ca)
     del cells, neighbour
     hits.sort()
-    return tuple((instances[h // n], instances[h % n]) for h in hits)
+    return Join(instances, features, ranks, hits)
+
+
+def neighbor_pairs(
+    series: DynamicDatasetSeries,
+    spans: Mapping[DynamicFeature, int],
+    config: MiningConfig,
+) -> tuple[NeighborPair, ...]:
+    """All related instance pairs, canonically ordered and sorted: the
+    codes of `grid_join` as instance pairs."""
+    return tuple(grid_join(series, spans, config).pairs())

@@ -8,14 +8,14 @@ from typing import Mapping, Sequence
 
 from .cliques import maximal_cliques
 from .model import BaseFeature, ConfigError, MiningConfig, Pattern, compute_spans
-from .neighborhood import NeighborPair, neighbor_pairs
+from .neighborhood import Join, grid_join
 from .size2 import (
     FeatureCounts,
     TableInstance,
     build_feature_graph,
     feature_counts,
+    pair_tables,
     prevalent_size2,
-    size2_table_instances,
 )
 from .snapshots import Snapshot, DynamicDatasetSeries, diff_snapshots
 from .verify import PatternResult, VerifyStats, derive_all_prevalent, verify_all
@@ -28,7 +28,7 @@ class MineOutcome:
 
     __slots__ = (
         "results", "derived", "config", "algo", "stats",
-        "timings_ms", "counters", "counts", "tables", "pairs",
+        "timings_ms", "counters", "counts", "tables", "join",
     )
 
     def __init__(
@@ -36,17 +36,17 @@ class MineOutcome:
         config: MiningConfig, algo: str, stats: VerifyStats,
         timings_ms: dict[str, float] | None = None, counters: dict[str, int] | None = None,
         counts: FeatureCounts | None = None, tables: dict[Pattern, TableInstance] | None = None,
-        pairs: tuple[NeighborPair, ...] = (),
+        join: Join | None = None,
     ):
         self.results, self.derived, self.config = results, derived, config
         self.algo, self.stats = algo, stats
         # Each dict left out is a fresh one, never shared between outcomes.
         self.timings_ms = {} if timings_ms is None else timings_ms
         self.counters = {} if counters is None else counters
-        # Instances per feature, every pair table, and the neighbor pairs sorted.
+        # Instances per feature, every pair table, and the join's codes.
         self.counts = {} if counts is None else counts
         self.tables = {} if tables is None else tables
-        self.pairs = pairs
+        self.join = join
 
     @property
     def report_results(self) -> list[PatternResult]:
@@ -93,7 +93,7 @@ def mine_series(
 ) -> MineOutcome:
     """Mine a dynamic dataset series end to end.
 
-    Both algorithms start from the same neighbor pairs and pair tables.
+    Both algorithms start from the same join and pair tables.
     `diff_ms`, the time the caller took to diff the series from snapshots,
     is reported as the first stage and counted in the total.
     """
@@ -110,12 +110,12 @@ def mine_series(
     counters["instances"] = sum(counts.values())
     counters["windows"] = series.window_count
 
-    pairs = neighbor_pairs(series, spans, config)
-    counters["neighbor_pairs"] = len(pairs)
+    join = grid_join(series, spans, config)
+    counters["neighbor_pairs"] = len(join.codes)
     timings["pairs"] = (time.perf_counter() - t0) * 1000
 
     t1 = time.perf_counter()
-    tables = size2_table_instances(pairs)
+    tables = pair_tables(join)
     counters["size2_tables"] = len(tables)
     derived = None
     if algo == "join":
@@ -150,7 +150,7 @@ def mine_series(
             timings["derive"] = (time.perf_counter() - t4) * 1000
     timings["total"] = (time.perf_counter() - t0) * 1000 + (diff_ms or 0.0)
     return MineOutcome(
-        results, derived, config, algo, stats, timings, counters, counts, tables, pairs
+        results, derived, config, algo, stats, timings, counters, counts, tables, join
     )
 
 

@@ -1,6 +1,8 @@
 """Pair tables, participation measures, and the prevalent-pair feature graph.
 
-A pattern's table instance lists every instance combination realizing it.  A
+A pattern's table instance lists every instance combination realizing it.
+The pair tables come from the join's int codes in one pass, as two ordinal
+columns each; their rows are built only when a caller asks for them.  A
 feature's participation ratio in a table is the share of its instances (over
 the whole series) that appear in at least one row; the participation index of
 the table is the minimum ratio over the pattern's features, whose
@@ -11,11 +13,11 @@ edges of the feature graph that seeds the clique search.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from functools import cache
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
-from .neighborhood import NeighborPair
+from .neighborhood import Join, NeighborPair, number_instances
 from .snapshots import DynamicDatasetSeries
 
 Row = tuple[DynamicInstance, ...]
@@ -44,20 +46,50 @@ class PairIndex(NamedTuple):
 
 class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
-    in the pattern's canonical feature order.  Rows keep the order they were
-    given: pair tables come out sorted because `neighbor_pairs` sorts.
-    The participant masks and a pair table's index are built on first use."""
+    in the pattern's canonical feature order.  A table holds its rows as one
+    list of instance ordinals per feature (`ordinals`), row by row.  Tables
+    built from rows keep them in the order given; pair tables built from
+    the join's codes (`pair_tables`) hold only the ordinals and build their
+    rows on first use.  The participant masks and a pair table's index are
+    built on first use too, from the ordinals alone."""
 
-    __slots__ = ("pattern", "rows", "_columns", "_pair_index")
+    __slots__ = ("pattern", "ordinals", "_rows", "_instances", "_columns", "_pair_index")
 
     def __init__(self, pattern: Pattern, rows: Iterable[Row]):
         self.pattern = pattern
-        self.rows: tuple[Row, ...] = tuple(rows)
+        self._rows: tuple[Row, ...] | None = tuple(rows)
+        self.ordinals: tuple[list[int], ...] = tuple(
+            [row[i].ordinal for row in self._rows] for i in range(pattern.size)
+        )
+        self._instances = None
         self._columns: tuple[int, ...] | None = None
         self._pair_index: PairIndex | None = None
 
+    @classmethod
+    def of_ordinals(
+        cls, pattern: Pattern, ordinals: tuple[list[int], ...],
+        instances: Callable[[], Mapping[tuple, Mapping[int, DynamicInstance]]],
+    ) -> TableInstance:
+        """A table of the given ordinal columns, whose rows are built on
+        first use from `instances()`: feature sort key -> ordinal -> instance."""
+        table = cls.__new__(cls)
+        table.pattern, table.ordinals = pattern, ordinals
+        table._rows, table._instances = None, instances
+        table._columns = table._pair_index = None
+        return table
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        if self._rows is None:
+            named = self._instances()
+            self._rows = tuple(zip(*(
+                map(named[f.sort_key].__getitem__, column)
+                for f, column in zip(self.pattern.features, self.ordinals)
+            )))
+        return self._rows
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.ordinals[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TableInstance):
@@ -65,18 +97,15 @@ class TableInstance:
         return self.pattern == other.pattern and self.rows == other.rows
 
     def __repr__(self) -> str:
-        return f"TableInstance({self.pattern.label}, {len(self.rows)} rows)"
+        return f"TableInstance({self.pattern.label}, {len(self)} rows)"
 
     def columns(self) -> tuple[int, ...]:
         """Per feature in canonical order, the mask of its participants: bit
         `o` is set when its instance with ordinal `o` is in any row.  Within
-        a feature ordinals are unique (`neighbor_pairs` checks) and start at
+        a feature ordinals are unique (`number_instances` checks) and start at
         1, so the mask's bit count is the number of participants."""
         if self._columns is None:
-            self._columns = tuple(
-                sum(1 << o for o in {inst.ordinal for inst in map(itemgetter(i), self.rows)})
-                for i in range(self.pattern.size)
-            )
+            self._columns = tuple(sum(1 << o for o in set(column)) for column in self.ordinals)
         return self._columns
 
     def pair_index(self) -> PairIndex:
@@ -84,22 +113,61 @@ class TableInstance:
         if self._pair_index is None:
             forward: dict[int, int] = {}
             reverse: dict[int, int] = {}
-            for a, b in self.rows:
-                i, j = a.ordinal, b.ordinal
+            for i, j in zip(*self.ordinals):
                 forward[i] = forward.get(i, 0) | 1 << j
                 reverse[j] = reverse.get(j, 0) | 1 << i
             self._pair_index = PairIndex(forward, reverse, self.columns())
         return self._pair_index
 
 
-def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:
-    """Group neighbor pairs into one table instance per feature pair."""
-    grouped: dict[tuple[DynamicFeature, DynamicFeature], list[Row]] = {}
-    for pair in pairs:
-        a, b = pair
-        grouped.setdefault((a.feature, b.feature), []).append(pair)
-    tables = [TableInstance(Pattern(key), rows) for key, rows in grouped.items()]
+def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
+    """One table instance per feature pair that has a related pair, in
+    canonical pattern order.  One pass over the join's codes fills each
+    table's two ordinal columns, in code order; no table builds its rows
+    unless asked."""
+    instances, features, ranks, codes = join
+    n, width = len(instances), len(features)
+    ordinals = [inst.ordinal for inst in instances]
+    # ranks[a] * width + ranks[b] -> the ordinal columns of that feature pair
+    grouped: dict[int, tuple[list[int], list[int]]] = {}
+    # Sorted codes come in runs of one first instance `a`, read once a run.
+    last = -1
+    for code in codes:
+        a = code // n
+        if a != last:
+            last, base, a_key, a_ordinal = a, a * n, ranks[a] * width, ordinals[a]
+        b = code - base
+        key = a_key + ranks[b]
+        columns = grouped.get(key)
+        if columns is None:
+            columns = grouped[key] = ([], [])
+        columns[0].append(a_ordinal)
+        columns[1].append(ordinals[b])
+
+    @cache
+    def named() -> dict[tuple, dict[int, DynamicInstance]]:
+        by_feature: dict[tuple, dict[int, DynamicInstance]] = {}
+        for inst in instances:
+            by_feature.setdefault(inst.feature.sort_key, {})[inst.ordinal] = inst
+        return by_feature
+
+    tables = [
+        TableInstance.of_ordinals(
+            Pattern((features[key // width], features[key % width])), columns, named
+        )
+        for key, columns in grouped.items()
+    ]
     return {t.pattern: t for t in sorted(tables, key=lambda t: t.pattern.sort_key)}
+
+
+def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:
+    """Group neighbor pairs into one table instance per feature pair, each
+    keeping its rows in the order given, through `pair_tables`."""
+    pairs = list(pairs)
+    instances, features, ranks = number_instances({inst for pair in pairs for inst in pair})
+    code = {inst: i for i, inst in enumerate(instances)}
+    n = len(instances)
+    return pair_tables(Join(instances, features, ranks, [code[a] * n + code[b] for a, b in pairs]))
 
 
 def participation_share(participants: int, total: int) -> float:

@@ -34,6 +34,14 @@ class DuplicateInstanceError(DataFormatError):
         self.t_point, self.key = t_point, key
 
 
+class SnapshotGapError(DataFormatError):
+    """No snapshot between `before` and `t_point`, which are not consecutive."""
+
+    def __init__(self, before: int, t_point: int):
+        super().__init__(f"snapshot t_points must be contiguous, got {before} then {t_point}")
+        self.t_point = t_point
+
+
 class Snapshot(Value):
     """All feature instances present at one time point."""
 
@@ -90,9 +98,7 @@ def diff_snapshots(snapshots: Sequence[Snapshot]) -> DynamicDatasetSeries:
     snaps = sorted(snapshots, key=lambda s: s.t_point)
     for prev, cur in zip(snaps, snaps[1:]):
         if cur.t_point != prev.t_point + 1:
-            raise DataFormatError(
-                f"snapshot t_points must be contiguous, got {prev.t_point} then {cur.t_point}"
-            )
+            raise SnapshotGapError(prev.t_point, cur.t_point)
 
     # (feature id, kind) -> list of (window, instance id, x, y)
     events: dict[tuple[str, str], list[tuple[int, str, float, float]]] = {}

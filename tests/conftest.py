@@ -24,6 +24,7 @@ from mdcolo import (
 )
 from mdcolo.datagen import GenConfig, generate
 from mdcolo.model import DEAD, NEW
+from mdcolo.size2 import TableInstance
 from mdcolo.verify import _by_features, _summarize
 
 
@@ -51,6 +52,13 @@ def summarize(pattern, tables):
     """The candidate's `CandidateSummary` over pair tables keyed by pattern,
     as verify and derive compute it."""
     return _summarize(pattern, _by_features(tables))
+
+
+def forbid_rows(monkeypatch) -> None:
+    """Make building any table's rows fail the test."""
+    def rows(table):
+        raise AssertionError(f"rows of {table.pattern.label} were built")
+    monkeypatch.setattr(TableInstance, "rows", property(rows))
 
 
 def bits(mask: int) -> set[int]:

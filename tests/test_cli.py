@@ -12,7 +12,7 @@ import pytest
 from mdcolo import cli
 from mdcolo.cli import main
 
-from conftest import shops_snapshots
+from conftest import forbid_rows, shops_snapshots
 from mdcolo import BaseFeature, Snapshot, io
 
 
@@ -159,7 +159,9 @@ def test_mine_accepts_and_ignores_no_prune2(dataset, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_mine_optional_dumps(dataset, tmp_path):
+def test_mine_optional_dumps(dataset, tmp_path, monkeypatch):
+    # The dumps read the join's codes and the tables' ordinals, never rows.
+    forbid_rows(monkeypatch)
     report = str(tmp_path / "patterns.txt")
     pairs = str(tmp_path / "pairs.csv")
     size2 = str(tmp_path / "size2.csv")
@@ -296,7 +298,11 @@ def test_snapshot_feature_with_a_report_separator_exits_2(tmp_path, capsys, sep)
     lc = tmp_path / "lc.csv"
     io.write_lifecycles_csv(str(lc), [BaseFeature("A", 3.0)])
     assert main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: no life cycle given for feature(s): {other}\n"
+    # The record ends on line 6 when its id holds a line break.
+    line = 6 if sep in "\n\r" else 5
+    assert capsys.readouterr().err == (
+        f"error: {snaps}:{line}: no life cycle given for feature(s): {other}\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
@@ -429,7 +435,43 @@ def test_diff_errors_name_the_snapshot_file(tmp_path, capsys, command, rows, mes
     lc.write_text("feature,life_cycle\nA,3\n")
     extra = ["--lifecycles", str(lc)] if command == "mine" else []
     assert main([command, str(snaps), "-o", str(tmp_path / "out")] + extra) == 2
-    assert capsys.readouterr().err == f"error: {snaps}: {message}\n"
+    # A gap names the first record of the later t_point.
+    where = f"{snaps}:3" if "contiguous" in message else f"{snaps}"
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["mine", "diff"])
+def test_snapshot_gap_names_the_first_record_after_it(tmp_path, capsys, command):
+    snaps = tmp_path / "gap.csv"
+    snaps.write_text(
+        "t_point,feature,instance_id,x,y\n0,A,1,0,0\n1,A,1,0,0\n0,B,1,1,1\n"
+        "1,A,2,1,0\n3,A,1,0,0\n1,B,1,1,1\n3,B,1,1,1\n"
+    )
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\nB,3\n")
+    extra = ["--lifecycles", str(lc)] if command == "mine" else []
+    assert main([command, str(snaps), "-o", str(tmp_path / "out")] + extra) == 2
+    assert capsys.readouterr().err == (
+        f"error: {snaps}:6: snapshot t_points must be contiguous, got 1 then 3\n"
+    )
+
+
+def test_mine_feature_without_life_cycle_names_its_first_record(tmp_path, capsys):
+    # B and C change and have no life cycle; the error names both and the
+    # line of B's first record, after an id that spans lines 4-5.  D never
+    # changes, so it needs no life cycle.
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text(
+        't_point,feature,instance_id,x,y\n0,A,1,0,0\n0,C,1,5,5\n0,A,"x\ny",1,1\n'
+        "1,A,1,0,0\n0,B,1,2,2\n1,B,2,2,2\n1,C,2,5,5\n0,D,1,9,9\n1,D,1,9,9\n"
+    )
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\n")
+    assert main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {snaps}:7: no life cycle given for feature(s): B, C\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_diff_header_only_names_the_file(tmp_path, capsys):

@@ -9,7 +9,7 @@ from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
 from mdcolo.size2 import size2_table_instances
 
-from conftest import BURST_EXPECTED_MAXIMAL
+from conftest import BURST_EXPECTED_MAXIMAL, forbid_rows
 
 
 def test_mine_snapshots_on_burst(burst, lifecycles, config):
@@ -91,6 +91,17 @@ def test_outcome_carries_pair_tables(burst, lifecycles, config):
     spans = compute_spans(series.features(), life, config.time_span)
     assert outcome.tables == size2_table_instances(neighbor_pairs(series, spans, config))
     assert sum(outcome.counts.values()) == outcome.counters["instances"]
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"derive_all": True}, {"early_abort": False},
+], ids=["mdc", "derive_all", "no_early_abort"])
+def test_mine_builds_no_pair_table_rows(burst, lifecycles, config, monkeypatch, options):
+    # The maximal miner reads pair tables through their ordinal columns only.
+    forbid_rows(monkeypatch)
+    outcome = mine_snapshots(burst, lifecycles, config, **options)
+    assert any(r.pattern.size == 3 for r in outcome.report_results)
+    assert sum(len(t) for t in outcome.tables.values()) == outcome.counters["neighbor_pairs"]
 
 
 def test_stats_flow_through(burst, lifecycles, config):

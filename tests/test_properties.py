@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mdcolo import DynamicInstance, MiningConfig, Pattern, mine_series
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
-from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.neighborhood import grid_join, neighbor_pairs
 from mdcolo.oracles import (
     OracleConfig,
     all_pairs_scan,
@@ -26,7 +26,7 @@ from mdcolo.oracles import (
     brute_force_maximal,
     candidate_table_instance,
 )
-from mdcolo.size2 import FeatureGraph, feature_counts, size2_table_instances
+from mdcolo.size2 import FeatureGraph, feature_counts, pair_tables, size2_table_instances
 from mdcolo.snapshots import DynamicDatasetSeries
 from conftest import bits, feat, summarize
 
@@ -75,6 +75,27 @@ def join_inputs(draw):
 def test_grid_join_equals_all_pairs_scan(inputs):
     series, spans, config = inputs
     assert neighbor_pairs(series, spans, config) == all_pairs_scan(series, spans, config)
+
+
+@SETTINGS
+@given(join_inputs())
+def test_pair_tables_from_codes_equal_tables_of_the_pairs(inputs):
+    series, spans, config = inputs
+    tables = pair_tables(grid_join(series, spans, config))
+    pairs = neighbor_pairs(series, spans, config)
+    reference = size2_table_instances(pairs)
+    assert list(tables) == list(reference)
+    grouped: dict = {}
+    for a, b in pairs:
+        grouped.setdefault(Pattern((a.feature, b.feature)), []).append((a, b))
+    assert list(tables) == sorted(grouped, key=lambda p: p.sort_key)
+    for pattern, table in tables.items():
+        ref = reference[pattern]
+        assert len(table) == len(ref) == len(grouped[pattern])
+        assert table.columns() == ref.columns()
+        assert table.pair_index() == ref.pair_index()
+        assert table.rows == ref.rows == tuple(grouped[pattern])
+        assert table == ref
 
 
 @st.composite

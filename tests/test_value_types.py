@@ -163,13 +163,13 @@ def test_verify_stats_defaults_and_constant_counters():
 
 def test_mine_outcome_defaults_are_fresh_dicts():
     names = ("results", "derived", "config", "algo", "stats", "timings_ms", "counters",
-             "counts", "tables", "pairs")
+             "counts", "tables", "join")
     assert tuple(inspect.signature(MineOutcome).parameters) == names
     config = MiningConfig(35.0, 0.1, 3.0)
     a = MineOutcome([], None, config, "mdc", VerifyStats())
     b = MineOutcome([], None, config, "mdc", VerifyStats())
     for name in ("timings_ms", "counters", "counts", "tables"):
         assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name), name
-    assert a.pairs == ()
+    assert a.join is None
     a.counters["instances"] = 1
     assert b.counters == {}
