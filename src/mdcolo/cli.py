@@ -150,13 +150,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 _SWEEPABLE = ("instances", "features", "dd", "min_prev", "prune")
 _PRUNE_VALUES = ("on", "off")
 
-# GenConfig -> its generated snapshots
-_dataset_cache: dict[object, list] = {}
 
-
-def _bench_point(spec: dict[str, str], algo: str, prune: str) -> tuple[int, int, float]:
-    """Generate (or reuse) the dataset for one sweep point and mine it;
-    returns (maximal count, prevalent count, elapsed ms)."""
+def _bench_point(
+    spec: dict[str, str], algo: str, prune: str, datasets: dict[object, list]
+) -> tuple[int, int, float]:
+    """Generate the dataset for one sweep point, or reuse it from `datasets`
+    (GenConfig -> snapshots), and mine it; returns (maximal count, prevalent
+    count, elapsed ms)."""
     from .datagen import GenConfig, generate
 
     def value(key: str, convert):
@@ -184,9 +184,9 @@ def _bench_point(spec: dict[str, str], algo: str, prune: str) -> tuple[int, int,
         churn_ratio=value("churn", float),
         seed=value("seed", int),
     )
-    if gen not in _dataset_cache:
-        _dataset_cache[gen] = generate(gen)[0]
-    snapshots = _dataset_cache[gen]
+    if gen not in datasets:
+        datasets[gen] = generate(gen)[0]
+    snapshots = datasets[gen]
     config = MiningConfig(
         d_d=value("dd", float), min_prev=value("min_prev", float), time_span=gen.time_span
     )
@@ -233,6 +233,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     algos = base["algos"].split(",")
 
     rows: list[tuple[str, str, str, int, int, float]] = []
+    datasets: dict[object, list] = {}
     sweeps = [(k, vs) for k, vs in spec.items() if len(vs) > 1 and k != "algos"]
     if not sweeps:
         sweeps = [("dd", [base["dd"]])]
@@ -243,7 +244,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             prune = point.pop("prune")
             point.pop("algos")
             for algo in algos:
-                maximal, prevalent, ms = _bench_point(point, algo, prune)
+                maximal, prevalent, ms = _bench_point(point, algo, prune, datasets)
                 rows.append((param, value, algo, maximal, prevalent, ms))
                 _info(
                     f"{param}={value} {algo}: {maximal} maximal, "

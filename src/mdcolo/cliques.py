@@ -1,13 +1,14 @@
 """Maximal clique enumeration over the feature graph.
 
-The search always expands around the highest-degree vertex of the current
-subgraph: its neighborhood is recursed into with the vertex accumulated, and
-each non-neighbor then anchors its own branch over what remains.  A branch
-whose subgraph is empty closes the accumulated clique.  The raw emission
-stream can contain duplicates and non-maximal subsets, so a subset filter runs
-at the end; the filtered result is exactly the set of maximal cliques with two
-or more vertices.  All ties break on canonical feature order, making the
-output deterministic.
+One pivoted Bron–Kerbosch pass (Bron & Kerbosch 1973; pivoting as in Tomita,
+Tanaka & Takahashi 2006).  Each call holds the clique built so far, the
+candidates that would extend it, and the excluded vertices: those that would
+extend it too but whose branches an earlier sibling has already searched.  The
+pivot is the candidate with the most candidate neighbors, and only candidates
+outside its neighborhood open a branch.  A call with no candidates left holds
+a maximal clique exactly when nothing is excluded, so each maximal clique is
+emitted once and no filter runs afterwards.  Ties break on canonical feature
+order, and the output is canonically sorted.
 """
 
 from __future__ import annotations
@@ -18,52 +19,26 @@ from .size2 import FeatureGraph
 _Adjacency = dict[DynamicFeature, frozenset[DynamicFeature]]
 
 
-def _max_degree_vertex(vertices: set[DynamicFeature], adj: _Adjacency) -> DynamicFeature:
-    return min(vertices, key=lambda v: (-len(adj[v] & vertices), v.sort_key))
-
-
 def _expand(
-    vertices: set[DynamicFeature],
-    acc: tuple[DynamicFeature, ...],
+    clique: tuple[DynamicFeature, ...],
+    candidates: set[DynamicFeature],
+    excluded: set[DynamicFeature],
     adj: _Adjacency,
-    out: list[tuple[DynamicFeature, ...]],
+    out: list[Pattern],
 ) -> None:
-    if not vertices:
-        out.append(acc)
+    if not candidates:
+        if not excluded and len(clique) >= 2:
+            out.append(Pattern(clique))
         return
-    v_max = _max_degree_vertex(vertices, adj)
-    linked = adj[v_max] & vertices
-    unlinked = vertices - linked - {v_max}
-    _expand(set(linked), acc + (v_max,), adj, out)
-    remaining = set(unlinked)
-    for v in sorted(unlinked, key=lambda f: f.sort_key):
-        remaining.discard(v)
-        reachable = adj[v] & (remaining | linked)
-        _expand(set(reachable), acc + (v,), adj, out)
-
-
-def _drop_subsumed(emitted: list[tuple[DynamicFeature, ...]]) -> list[frozenset[DynamicFeature]]:
-    distinct = {frozenset(clique) for clique in emitted}
-    by_size = sorted(distinct, key=len, reverse=True)
-    kept: list[frozenset[DynamicFeature]] = []
-    containing: dict[DynamicFeature, list[frozenset[DynamicFeature]]] = {}
-    for clique in by_size:
-        # A kept superset would contain every vertex of this clique, so the
-        # kept cliques through its least-used vertex are enough to check.
-        candidates = min((containing.get(v, []) for v in clique), key=len)
-        if any(clique < other for other in candidates):
-            continue
-        kept.append(clique)
-        for v in clique:
-            containing.setdefault(v, []).append(clique)
-    return kept
+    pivot = min(candidates, key=lambda v: (-len(adj[v] & candidates), v.sort_key))
+    for v in sorted(candidates - adj[pivot], key=lambda f: f.sort_key):
+        _expand(clique + (v,), candidates & adj[v], excluded & adj[v], adj, out)
+        candidates.discard(v)
+        excluded.add(v)
 
 
 def maximal_cliques(graph: FeatureGraph) -> tuple[Pattern, ...]:
     """All maximal cliques of size >= 2, canonically sorted."""
-    if not graph.vertices:
-        return ()
-    out: list[tuple[DynamicFeature, ...]] = []
-    _expand(set(graph.vertices), (), graph.adjacency, out)
-    kept = [clique for clique in _drop_subsumed(out) if len(clique) >= 2]
-    return tuple(sorted((Pattern(clique) for clique in kept), key=lambda p: p.sort_key))
+    out: list[Pattern] = []
+    _expand((), set(graph.vertices), set(), graph.adjacency, out)
+    return tuple(sorted(out, key=lambda p: p.sort_key))

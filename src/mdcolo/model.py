@@ -148,7 +148,8 @@ class DynamicInstance(Value):
             raise ConfigError(f"t_index must be >= 0, got {t_index}")
         self.feature, self.ordinal, self.x, self.y, self.t_index = feature, ordinal, x, y, t_index
         self.sort_key = (feature.base, _KIND_RANK[feature.kind], ordinal)
-        self._hash = hash((feature, ordinal, x, y, t_index))
+        # Equal instances have equal sort keys, so the key's hash is theirs.
+        self._hash = hash(self.sort_key)
 
     def __hash__(self) -> int:
         return self._hash

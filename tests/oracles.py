@@ -5,8 +5,10 @@ the production code paths: the pair scan compares every instance pair
 directly, the brute-force miner enumerates feature subsets over the scan's
 pairs and searches rows exhaustively, the row reference lists a candidate's
 table instance without any anchor, and the clique oracle is the classical
-pivoted enumeration.  No production module imports this one.  The
-level-wise baseline miner lives in `levelwise`.
+pivoted enumeration.  `cliques` runs a pivoted search too, but it picks its
+pivot from the candidates only; the oracle picks it from the candidates and
+the excluded vertices alike.  This module lives with the tests, outside the
+package.  The level-wise baseline miner lives in `mdcolo.levelwise`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .model import ConfigError, DynamicFeature, MiningConfig, Pattern
-from .neighborhood import NeighborPair
-from .size2 import FeatureCounts, FeatureGraph, TableInstance, passes_prevalence
-from .snapshots import DynamicDatasetSeries
-from .verify import PatternResult
+from mdcolo.model import ConfigError, DynamicFeature, MiningConfig, Pattern
+from mdcolo.neighborhood import NeighborPair
+from mdcolo.size2 import FeatureCounts, FeatureGraph, TableInstance, passes_prevalence
+from mdcolo.snapshots import DynamicDatasetSeries
+from mdcolo.verify import PatternResult
 
 
 class CapExceededError(ConfigError):

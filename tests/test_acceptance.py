@@ -24,12 +24,6 @@ from mdcolo.datagen import SplitMix64
 from mdcolo.levelwise import join_based_mine
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
-from mdcolo.oracles import (
-    all_pairs_scan,
-    bron_kerbosch,
-    brute_force_maximal,
-    candidate_table_instance,
-)
 from mdcolo.size2 import (
     build_feature_graph,
     feature_counts,
@@ -41,6 +35,12 @@ from mdcolo.size2 import (
 from mdcolo.verify import decompose
 from mdcolo import cli
 
+from oracles import (
+    all_pairs_scan,
+    bron_kerbosch,
+    brute_force_maximal,
+    candidate_table_instance,
+)
 from conftest import (
     BURST_EXPECTED_CLIQUES,
     BURST_EXPECTED_MAXIMAL,

@@ -660,6 +660,27 @@ def test_bench_sweep(tmp_path):
         assert mdc_row[3:5] == join_row[3:5]
 
 
+def test_bench_generates_each_dataset_once_per_run(tmp_path, monkeypatch):
+    # Both algos mine one dataset per sweep point; a second run generates
+    # its datasets again instead of finding the first run's still held.
+    from mdcolo import datagen
+
+    generated = []
+    real_generate = datagen.generate
+
+    def counting_generate(gen):
+        generated.append(gen)
+        return real_generate(gen)
+
+    monkeypatch.setattr(datagen, "generate", counting_generate)
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("instances=120,240\nfeatures=3\nclusters=2\narea=300\nalgos=mdc,join\n")
+    for _ in range(2):
+        generated.clear()
+        assert main(["bench", str(spec), "-o", str(tmp_path / "b.csv")]) == 0
+        assert len(generated) == len(set(generated)) == 2
+
+
 def test_bench_rejects_unknown_key(tmp_path, capsys):
     spec = tmp_path / "sweep.txt"
     spec.write_text("warp=9\n")

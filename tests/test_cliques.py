@@ -7,7 +7,6 @@ from mdcolo.cliques import maximal_cliques
 from mdcolo.datagen import SplitMix64, feature_name
 from mdcolo.model import DEAD, NEW, DynamicFeature, compute_spans
 from mdcolo.neighborhood import neighbor_pairs
-from mdcolo.oracles import bron_kerbosch
 from mdcolo.size2 import (
     FeatureGraph,
     build_feature_graph,
@@ -16,6 +15,7 @@ from mdcolo.size2 import (
     size2_table_instances,
 )
 
+from oracles import bron_kerbosch
 from conftest import BURST_EXPECTED_CLIQUES, feat
 
 
@@ -86,6 +86,12 @@ def test_matches_bron_kerbosch_on_random_graphs():
         density = 0.15 + 0.5 * (trial % 7) / 6
         graph = random_graph(rng, n, density)
         assert maximal_cliques(graph) == bron_kerbosch(graph), f"trial {trial}"
+    # Larger, denser graphs, where the excluded set does most of its pruning.
+    for trial in range(34):
+        n = 24 + trial % 17
+        density = 0.3 + 0.4 * (trial % 5) / 4
+        graph = random_graph(rng, n, density)
+        assert maximal_cliques(graph) == bron_kerbosch(graph), f"large trial {trial}"
 
 
 def test_output_is_deterministic():

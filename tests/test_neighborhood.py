@@ -5,8 +5,8 @@ import pytest
 from mdcolo import ConfigError, MiningConfig
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
-from mdcolo.oracles import all_pairs_scan
 
+from oracles import all_pairs_scan
 from conftest import (
     SHOPS_EXPECTED_PAIRS,
     SHOPS_EXPECTED_PAIRS_STRICT,

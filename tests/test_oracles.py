@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,9 @@ from mdcolo import Pattern, mine_series
 from mdcolo.levelwise import join_based_mine
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
-from mdcolo.oracles import CapExceededError, OracleConfig, bron_kerbosch, brute_force_maximal
 from mdcolo.size2 import FeatureGraph, feature_counts, size2_table_instances
 
+from oracles import CapExceededError, OracleConfig, bron_kerbosch, brute_force_maximal
 from conftest import (
     BURST_EXPECTED_MAXIMAL,
     BURST_EXPECTED_TABLES,
@@ -144,3 +145,5 @@ def test_production_modules_do_not_import_oracles():
             if any(name.split(".")[-1] == "oracles" for name in names):
                 importers.append(path.name)
     assert importers == []
+    # The oracles live with the tests, not in the package.
+    assert importlib.util.find_spec("mdcolo.oracles") is None

@@ -19,15 +19,15 @@ from mdcolo import DynamicInstance, MiningConfig, Pattern, mine_series
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import grid_join, neighbor_pairs
-from mdcolo.oracles import (
+from mdcolo.size2 import FeatureGraph, feature_counts, pair_tables, size2_table_instances
+from mdcolo.snapshots import DynamicDatasetSeries
+from oracles import (
     OracleConfig,
     all_pairs_scan,
     bron_kerbosch,
     brute_force_maximal,
     candidate_table_instance,
 )
-from mdcolo.size2 import FeatureGraph, feature_counts, pair_tables, size2_table_instances
-from mdcolo.snapshots import DynamicDatasetSeries
 from conftest import bits, feat, summarize
 
 FEATURES = [feat(f"{base}_{kind}") for base in "ABCDE" for kind in ("new", "dead")]

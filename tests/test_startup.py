@@ -25,7 +25,7 @@ def test_cli_import_leaves_generator_baseline_and_oracles_unloaded():
     # dataclasses costs start-up; datagen and levelwise load where they are
     # used; production code never imports the test oracles.  Modules the
     # interpreter loaded before the import (site hooks) do not count.
-    unwanted = ["dataclasses", "mdcolo.datagen", "mdcolo.levelwise", "mdcolo.oracles"]
+    unwanted = ["dataclasses", "mdcolo.datagen", "mdcolo.levelwise", "oracles"]
     proc = run_python(
         "import sys\n"
         "before = set(sys.modules)\n"

@@ -9,7 +9,6 @@ from mdcolo import DynamicInstance, MiningConfig, Pattern, size2, verify
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
-from mdcolo.oracles import candidate_table_instance
 from mdcolo.size2 import (
     TableInstance,
     build_feature_graph,
@@ -24,6 +23,7 @@ from mdcolo.verify import (
     verify_all,
 )
 
+from oracles import candidate_table_instance
 from conftest import (
     BURST_EXPECTED_MAXIMAL,
     BURST_TRIPLE_ROWS,
