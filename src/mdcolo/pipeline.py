@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 from typing import Mapping, Sequence
@@ -132,22 +133,30 @@ def mine_series(
         counters["prevalent_pairs"] = len(prevalent2)
         timings["size2"] = (time.perf_counter() - t1) * 1000
 
-        t2 = time.perf_counter()
-        cliques = maximal_cliques(graph)
-        counters["cliques"] = len(cliques)
-        timings["cliques"] = (time.perf_counter() - t2) * 1000
+        # The clique search and the row count recurse once per pattern
+        # feature, and a pattern can hold every feature of the series.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + len(counts))
+        try:
+            t2 = time.perf_counter()
+            cliques = maximal_cliques(graph)
+            counters["cliques"] = len(cliques)
+            timings["cliques"] = (time.perf_counter() - t2) * 1000
 
-        t3 = time.perf_counter()
-        results = verify_all(
-            cliques, tables, counts, config,
-            early_abort=early_abort, stats=stats,
-        )
-        timings["verify"] = (time.perf_counter() - t3) * 1000
+            t3 = time.perf_counter()
+            results = verify_all(
+                cliques, tables, counts, config,
+                early_abort=early_abort, stats=stats,
+            )
+            timings["verify"] = (time.perf_counter() - t3) * 1000
 
-        if derive_all:
-            t4 = time.perf_counter()
-            derived = derive_all_prevalent([r.pattern for r in results], tables, counts, config)
-            timings["derive"] = (time.perf_counter() - t4) * 1000
+            if derive_all:
+                t4 = time.perf_counter()
+                maximal = [r.pattern for r in results]
+                derived = derive_all_prevalent(maximal, tables, counts, config)
+                timings["derive"] = (time.perf_counter() - t4) * 1000
+        finally:
+            sys.setrecursionlimit(limit)
     timings["total"] = (time.perf_counter() - t0) * 1000 + (diff_ms or 0.0)
     return MineOutcome(
         results, derived, config, algo, stats, timings, counters, counts, tables, join

@@ -1,27 +1,29 @@
 """Pair tables, participation measures, and the prevalent-pair feature graph.
 
-A pattern's table instance lists every instance combination realizing it.
-The pair tables come from the join's int codes in one pass, as two ordinal
-columns each; their rows are built only when a caller asks for them.  A
-feature's participation ratio in a table is the share of its instances (over
-the whole series) that appear in at least one row; the participation index of
-the table is the minimum ratio over the pattern's features, whose
-participants every stage reads as one ordinal bitmask each
-(`TableInstance.columns`).  Pairs whose index passes the threshold become the
-edges of the feature graph that seeds the clique search.
+A pattern's table instance lists every instance combination realizing it, as
+one column of instance ordinals per feature; the tables of one join share a
+lookup that names each ordinal's instance.  The pair tables come from the
+join's int codes in one pass, and no stage of a mine reads more of a table
+than its ordinals.  A feature's participation ratio in a table is the share
+of its instances (over the whole series) that appear in at least one row;
+the participation index of the table is the minimum ratio over the
+pattern's features, whose participants every stage reads as one ordinal
+bitmask each (`TableInstance.columns`).  Pairs whose index passes the
+threshold become the edges of the feature graph that seeds the clique
+search.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
 from .neighborhood import Join, NeighborPair, number_instances
 from .snapshots import DynamicDatasetSeries
 
-Row = tuple[DynamicInstance, ...]
 FeatureCounts = dict[DynamicFeature, int]
+# feature -> ordinal -> instance, for every feature of one join
+Lookup = Mapping[DynamicFeature, Mapping[int, DynamicInstance]]
 
 
 def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
@@ -47,46 +49,27 @@ class PairIndex(NamedTuple):
 class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
     in the pattern's canonical feature order.  A table holds its rows as one
-    list of instance ordinals per feature (`ordinals`), row by row.  Tables
-    built from rows keep them in the order given; pair tables built from
-    the join's codes (`pair_tables`) hold only the ordinals and build their
-    rows on first use.  The participant masks and a pair table's index are
-    built on first use too, from the ordinals alone."""
+    list of instance ordinals per feature (`ordinals`), row by row, and
+    names them through `instances` (feature -> ordinal -> instance), a
+    lookup that every table of one join shares.  Two tables are equal when
+    their patterns and ordinal columns are.  The participant masks and a
+    pair table's index are built on first use, from the ordinals alone."""
 
-    __slots__ = ("pattern", "ordinals", "_rows", "_instances", "_columns", "_pair_index")
+    __slots__ = ("pattern", "ordinals", "instances", "_columns", "_pair_index")
 
-    def __init__(self, pattern: Pattern, rows: Iterable[Row]):
-        self.pattern = pattern
-        self._rows: tuple[Row, ...] | None = tuple(rows)
-        self.ordinals: tuple[list[int], ...] = tuple(
-            [row[i].ordinal for row in self._rows] for i in range(pattern.size)
-        )
-        self._instances = None
+    def __init__(self, pattern: Pattern, ordinals: tuple[list[int], ...], instances: Lookup):
+        self.pattern, self.ordinals, self.instances = pattern, ordinals, instances
         self._columns: tuple[int, ...] | None = None
         self._pair_index: PairIndex | None = None
 
-    @classmethod
-    def of_ordinals(
-        cls, pattern: Pattern, ordinals: tuple[list[int], ...],
-        instances: Callable[[], Mapping[tuple, Mapping[int, DynamicInstance]]],
-    ) -> TableInstance:
-        """A table of the given ordinal columns, whose rows are built on
-        first use from `instances()`: feature sort key -> ordinal -> instance."""
-        table = cls.__new__(cls)
-        table.pattern, table.ordinals = pattern, ordinals
-        table._rows, table._instances = None, instances
-        table._columns = table._pair_index = None
-        return table
-
     @property
-    def rows(self) -> tuple[Row, ...]:
-        if self._rows is None:
-            named = self._instances()
-            self._rows = tuple(zip(*(
-                map(named[f.sort_key].__getitem__, column)
-                for f, column in zip(self.pattern.features, self.ordinals)
-            )))
-        return self._rows
+    def rows(self) -> tuple[tuple[DynamicInstance, ...], ...]:
+        """The rows as instance tuples, rebuilt on each call.  No stage of a
+        mine reads them; the benchmark's traced pass and the tests do."""
+        return tuple(zip(*(
+            map(self.instances[f].__getitem__, column)
+            for f, column in zip(self.pattern.features, self.ordinals)
+        )))
 
     def __len__(self) -> int:
         return len(self.ordinals[0])
@@ -94,7 +77,7 @@ class TableInstance:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TableInstance):
             return NotImplemented
-        return self.pattern == other.pattern and self.rows == other.rows
+        return self.pattern == other.pattern and self.ordinals == other.ordinals
 
     def __repr__(self) -> str:
         return f"TableInstance({self.pattern.label}, {len(self)} rows)"
@@ -123,8 +106,7 @@ class TableInstance:
 def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
     """One table instance per feature pair that has a related pair, in
     canonical pattern order.  One pass over the join's codes fills each
-    table's two ordinal columns, in code order; no table builds its rows
-    unless asked."""
+    table's two ordinal columns, in code order."""
     instances, features, ranks, codes = join
     n, width = len(instances), len(features)
     ordinals = [inst.ordinal for inst in instances]
@@ -144,17 +126,12 @@ def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
         columns[0].append(a_ordinal)
         columns[1].append(ordinals[b])
 
-    @cache
-    def named() -> dict[tuple, dict[int, DynamicInstance]]:
-        by_feature: dict[tuple, dict[int, DynamicInstance]] = {}
-        for inst in instances:
-            by_feature.setdefault(inst.feature.sort_key, {})[inst.ordinal] = inst
-        return by_feature
-
+    by_rank: list[dict[int, DynamicInstance]] = [{} for _ in features]
+    for inst, rank, ordinal in zip(instances, ranks, ordinals):
+        by_rank[rank][ordinal] = inst
+    lookup = dict(zip(features, by_rank))
     tables = [
-        TableInstance.of_ordinals(
-            Pattern((features[key // width], features[key % width])), columns, named
-        )
+        TableInstance(Pattern((features[key // width], features[key % width])), columns, lookup)
         for key, columns in grouped.items()
     ]
     return {t.pattern: t for t in sorted(tables, key=lambda t: t.pattern.sort_key)}

@@ -89,28 +89,34 @@ def candidate_table_instance(
     clique: Pattern, size2: Mapping[Pattern, TableInstance]
 ) -> TableInstance:
     """A candidate's table instance from its pair tables, no anchor involved:
-    every combination of one instance per feature whose feature pairs are
-    all pair-table rows.  A missing pair table means the clique never came
-    from a feature graph over this data."""
-    related: set[tuple] = set()
-    for pair in combinations(clique.features, 2):
-        table = size2.get(Pattern(pair))
+    every combination of one ordinal per feature whose feature pairs are all
+    pair-table rows.  A missing pair table means the clique never came from
+    a feature graph over this data."""
+    features = clique.features
+    # (i, j) -> the ordinal pairs of features i < j; per feature, its ordinals
+    related: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    domains: list[set[int]] = [set() for _ in features]
+    for i, j in combinations(range(clique.size), 2):
+        pair = Pattern((features[i], features[j]))
+        table = size2.get(pair)
         if table is None:
             raise ValueError(
-                f"no pair table for {Pattern(pair).label}; "
+                f"no pair table for {pair.label}; "
                 "candidate is not a clique over this data"
             )
-        related.update(table.rows)
-    rows: list[tuple] = [()]
-    for f in clique.features:
-        insts = {inst for row in related for inst in row if inst.feature == f}
+        related[i, j] = set(zip(*table.ordinals))
+        domains[i].update(table.ordinals[0])
+        domains[j].update(table.ordinals[1])
+    rows: list[tuple[int, ...]] = [()]
+    for j, domain in enumerate(domains):
         rows = [
-            row + (inst,)
+            row + (o,)
             for row in rows
-            for inst in insts
-            if all((prev, inst) in related for prev in row)
+            for o in sorted(domain)
+            if all((prev, o) in related[i, j] for i, prev in enumerate(row))
         ]
-    return TableInstance(clique, rows)
+    columns = tuple([row[i] for row in rows] for i in range(clique.size))
+    return TableInstance(clique, columns, table.instances)
 
 
 def bron_kerbosch(graph: FeatureGraph) -> tuple[Pattern, ...]:

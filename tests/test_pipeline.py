@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import gc
+import sys
 
 import pytest
 
-from mdcolo import ConfigError, diff_snapshots, mine_snapshots
+from mdcolo import (
+    BaseFeature, ConfigError, MiningConfig, Snapshot, diff_snapshots, mine_snapshots,
+)
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
 from mdcolo.size2 import size2_table_instances
@@ -94,14 +97,37 @@ def test_outcome_carries_pair_tables(burst, lifecycles, config):
 
 
 @pytest.mark.parametrize("options", [
-    {}, {"derive_all": True}, {"early_abort": False},
-], ids=["mdc", "derive_all", "no_early_abort"])
+    {}, {"derive_all": True}, {"early_abort": False}, {"algo": "join"},
+], ids=["mdc", "derive_all", "no_early_abort", "join"])
 def test_mine_builds_no_pair_table_rows(burst, lifecycles, config, monkeypatch, options):
-    # The maximal miner reads pair tables through their ordinal columns only.
+    # Both miners read tables through their ordinal columns only.
     forbid_rows(monkeypatch)
     outcome = mine_snapshots(burst, lifecycles, config, **options)
     assert any(r.pattern.size == 3 for r in outcome.report_results)
     assert sum(len(t) for t in outcome.tables.values()) == outcome.counters["neighbor_pairs"]
+
+
+def test_a_pattern_deeper_than_the_recursion_limit_is_mined():
+    # 150 features appear at one point: one maximal pattern of all of them,
+    # whose clique search and row count recurse once per feature.
+    n = 150
+    still = ("Z", "z0", 500.0, 500.0)
+    snapshots = [
+        Snapshot(0, (still,)),
+        Snapshot(1, (still, *((f"F{i}", "a", 0.0, 0.0) for i in range(n)))),
+    ]
+    lifecycles = [BaseFeature(base, 3.0) for base in ("Z", *(f"F{i}" for i in range(n)))]
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        outcome = mine_snapshots(snapshots, lifecycles, MiningConfig(1.0, 0.5, 3.0))
+        assert sys.getrecursionlimit() == depth + 100
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [r.pattern.size for r in outcome.results] == [n]
 
 
 def test_stats_flow_through(burst, lifecycles, config):
