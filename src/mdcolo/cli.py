@@ -16,7 +16,6 @@ from . import io
 from .model import ConfigError, DataFormatError, MiningConfig
 from .pipeline import ALGOS, mine_series, mine_snapshots
 from .size2 import participation_index
-from .snapshots import diff_snapshots
 
 
 def _sha256(path: str) -> str:
@@ -40,12 +39,14 @@ def _parse(convert, text: str, what: str):
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    snapshots = io.read_snapshots_csv(args.input)
-    with io.located(args.input):
-        series = diff_snapshots(snapshots)
+    snapshots = io.SnapshotSeries(args.input)
+    series = snapshots.series()
     io.write_series_csv(args.output, series)
     n = sum(len(w) for w in series.windows)
-    _info(f"{len(snapshots)} snapshots -> {series.window_count} windows, {n} dynamic instances")
+    _info(
+        f"{snapshots.t_points} snapshots -> {series.window_count} windows, "
+        f"{n} dynamic instances"
+    )
     return 0
 
 
@@ -60,20 +61,20 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    snapshots = io.read_snapshots_csv(args.input)
+    # The read and the diff are timed together: a grouped file is diffed
+    # while it is read.
+    started = time.perf_counter()
+    snapshots = io.SnapshotSeries(args.input)
+    read_ms = (time.perf_counter() - started) * 1000
     lifecycles = io.read_lifecycles_csv(args.lifecycles)
     config = _mining_config(args)
 
     # Diff first: a file with too few snapshots says so before its features
     # are checked against the life cycles.
     started = time.perf_counter()
-    with io.located(args.input):
-        series = diff_snapshots(snapshots)
-    diff_ms = (time.perf_counter() - started) * 1000
-    snapshot_features = {record[0] for snap in snapshots for record in snap.records}
-    # The series holds all the mine needs; the records need not outlive it.
-    del snapshots
-    unknown = [f.id for f in lifecycles if f.id not in snapshot_features]
+    series = snapshots.series()
+    diff_ms = read_ms + (time.perf_counter() - started) * 1000
+    unknown = [f.id for f in lifecycles if f.id not in snapshots.features]
     if unknown:
         io.reject_unknown_features(args.lifecycles, unknown)
 
@@ -96,7 +97,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         dpis = {pat: participation_index(t, outcome.counts) for pat, t in outcome.tables.items()}
         io.write_size2_report_csv(args.size2_report, outcome.tables, dpis)
     if args.pairs_dump:
-        io.write_pairs_csv(args.pairs_dump, outcome.join.pairs())
+        io.write_pairs_csv(args.pairs_dump, outcome.join)
 
     manifest: dict[str, object] = {"command": "mine"}
     if not args.seedless_report:

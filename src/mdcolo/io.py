@@ -4,7 +4,8 @@ All writers emit LF line endings and repr-faithful floats so identical inputs
 produce byte-identical files on every platform.  The CSV writers format each
 row as one string and write it at once, so no file is held in memory; a text
 field is quoted as `_field` says.  Readers report problems with one-based
-physical line numbers.
+physical line numbers.  `SnapshotSeries` diffs a snapshot CSV grouped by
+t_point while it reads it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,17 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .model import BaseFeature, DataFormatError, MissingLifeCycleError
-from .neighborhood import MAX_COORDINATE, NeighborPair
-from .snapshots import DuplicateInstanceError, DynamicDatasetSeries, Snapshot, SnapshotGapError
+from .neighborhood import MAX_COORDINATE, Join, NeighborPair
+from .snapshots import (
+    DuplicateInstanceError,
+    DynamicDatasetSeries,
+    EventLog,
+    Key,
+    Snapshot,
+    SnapshotGapError,
+    SnapshotRecord,
+    diff_snapshots,
+)
 from .verify import PatternResult
 
 SNAPSHOT_HEADER = ["t_point", "feature", "instance_id", "x", "y"]
@@ -162,6 +172,112 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
     return [Snapshot(t, tuple(records)) for t, records in sorted(by_t.items())]
 
 
+def _stream(path: str) -> tuple[DynamicDatasetSeries, int, set[str]] | None:
+    """The series, t_point count and feature ids of a snapshot CSV whose
+    records come grouped by contiguous ascending t_points, diffed while it is
+    read; None, having read no further, on the first sign that the file is
+    not such a file (a t_point out of order, a gap, a duplicate key) or when
+    it holds fewer than two t_points.  Each t_point is indexed as key ->
+    (x text, y text), and at most two indexes are alive.  A record whose key
+    held the same two texts at the t_point before was checked there, so only
+    the other records are parsed and checked, as `read_snapshots_csv` checks
+    them: any format error it would raise first is raised here too."""
+    log = EventLog()
+    features: set[str] = set()
+    # The t_point before and the one being read, and the records it adds.
+    before: dict[Key, tuple[str, str]] = {}
+    after: dict[Key, tuple[str, str]] = {}
+    born: list[SnapshotRecord] = []
+    pop, keep = before.pop, after.setdefault
+    t = t_text = None
+    with _open_csv(path) as reader:
+        _check_header(next(reader, None), SNAPSHOT_HEADER, path)
+        for row in reader:
+            try:
+                text, feature, instance_id, x, y = row
+            except ValueError:
+                if not row:
+                    continue
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: expected 5 columns, got {len(row)}"
+                ) from None
+            if text != t_text:
+                try:
+                    t_next = int(text)
+                except ValueError:
+                    _reject_snapshot_record(row, path, reader.line_num)
+                if t_next != t:
+                    if t is not None:
+                        if t_next != t + 1:
+                            return None
+                        log.add_t_point(born, _parsed(before))
+                        before, after, born = after, {}, []
+                        pop, keep = before.pop, after.setdefault
+                    t = t_next
+                t_text = text
+            key = (feature, instance_id)
+            xy = (x, y)
+            old = pop(key, None)
+            if old != xy:
+                try:
+                    fx, fy = float(x), float(y)
+                except ValueError:
+                    _reject_snapshot_record(row, path, reader.line_num)
+                # NaN and infinities fail the bound too.
+                if not (
+                    feature and instance_id
+                    and -MAX_COORDINATE <= fx <= MAX_COORDINATE
+                    and -MAX_COORDINATE <= fy <= MAX_COORDINATE
+                ):
+                    _reject_snapshot_record(row, path, reader.line_num)
+                if old is None:
+                    born.append((feature, instance_id, fx, fy))
+                    features.add(feature)
+            if keep(key, xy) is not xy:
+                return None
+    log.add_t_point(born, _parsed(before))
+    if log.t_points < 2:
+        return None
+    return log.series(), log.t_points, features
+
+
+def _parsed(index: dict[Key, tuple[str, str]]) -> list[SnapshotRecord]:
+    """The records of a text index, their coordinates parsed; every text was
+    checked when it was read."""
+    return [(f, i, float(x), float(y)) for (f, i), (x, y) in index.items()]
+
+
+class SnapshotSeries:
+    """A snapshot CSV read for the diff: its t_point count, its feature ids,
+    and its series.  A file that `_stream` can diff while it reads is held as
+    its series only; any other file is read whole (`read_snapshots_csv`), and
+    `series()` diffs its snapshots, with the errors `located` names.  So a
+    caller can read other files between the read and the diff, and the diff's
+    errors come after theirs."""
+
+    __slots__ = ("path", "t_points", "features", "_series", "_snapshots")
+
+    def __init__(self, path: str):
+        self.path = path
+        streamed = _stream(path)
+        if streamed is None:
+            self._series = None
+            self._snapshots = read_snapshots_csv(path)
+            self.t_points = len(self._snapshots)
+            self.features = {r[0] for snap in self._snapshots for r in snap.records}
+        else:
+            self._series, self.t_points, self.features = streamed
+            self._snapshots = None
+
+    def series(self) -> DynamicDatasetSeries:
+        if self._series is None:
+            with located(self.path):
+                self._series = diff_snapshots(self._snapshots)
+            # The series holds all a mine needs; the records need not outlive it.
+            self._snapshots = None
+        return self._series
+
+
 def _at_record(
     path: str, message: object, wanted: Callable[[list[str]], bool], nth: int = 1
 ) -> DataFormatError:
@@ -259,17 +375,22 @@ def write_lifecycles_csv(path: str, features: Sequence[BaseFeature]) -> None:
             write(f"{_field(f.id)},{float(f.life_cycle)!r}\n")
 
 
-def write_pairs_csv(path: str, pairs: Iterable[NeighborPair]) -> None:
-    """Debug dump of neighbor pairs with their actual distances."""
+def write_pairs_csv(path: str, pairs: Join | Iterable[NeighborPair]) -> None:
+    """Debug dump of related pairs with their actual distances, in the order
+    given: a join's codes, or instance pairs.  Each instance's fields are
+    formatted once."""
+    join = pairs if isinstance(pairs, Join) else Join.of_pairs(pairs)
+    instances, n = join.instances, len(join.instances)
     labels = _Fields(lambda f: f.label)
+    fields = [f"{labels[i.feature]},{i.ordinal},{i.t_index}" for i in instances]
+    xs = [i.x for i in instances]
+    ys = [i.y for i in instances]
     sqrt = math.sqrt
     with _open_writer(path, PAIRS_HEADER) as write:
-        for a, b in pairs:
-            dist = sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2)
-            write(
-                f"{labels[a.feature]},{a.ordinal},{a.t_index},"
-                f"{labels[b.feature]},{b.ordinal},{b.t_index},{dist!r}\n"
-            )
+        for code in join.codes:
+            a, b = divmod(code, n)
+            dist = sqrt((xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2)
+            write(f"{fields[a]},{fields[b]},{dist!r}\n")
 
 
 def write_size2_report_csv(

@@ -163,10 +163,11 @@ class DynamicInstance(Value):
 
 
 def canonical_features(features: Iterable[DynamicFeature]) -> tuple[DynamicFeature, ...]:
-    """Sort features canonically, rejecting duplicates."""
+    """Sort features canonically, rejecting duplicates: equal features are
+    those with equal sort keys."""
     feats = sorted(features, key=lambda f: f.sort_key)
     for a, b in zip(feats, feats[1:]):
-        if a == b:
+        if a.sort_key == b.sort_key:
             raise ConfigError(f"duplicate feature {a} in pattern")
     return tuple(feats)
 

@@ -67,6 +67,16 @@ class Join(NamedTuple):
         instances, n = self.instances, len(self.instances)
         return ((instances[code // n], instances[code % n]) for code in self.codes)
 
+    @classmethod
+    def of_pairs(cls, pairs: Iterable[NeighborPair]) -> Join:
+        """The join that holds the given instance pairs, coded in the order
+        given; no two instances may share a name."""
+        pairs = list(pairs)
+        instances, features, ranks = number_instances({inst for pair in pairs for inst in pair})
+        code = {inst: i for i, inst in enumerate(instances)}
+        n = len(instances)
+        return cls(instances, features, ranks, [code[a] * n + code[b] for a, b in pairs])
+
 
 def number_instances(
     instances: Iterable[DynamicInstance],

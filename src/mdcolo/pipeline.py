@@ -95,8 +95,9 @@ def mine_series(
     """Mine a dynamic dataset series end to end.
 
     Both algorithms start from the same join and pair tables.
-    `diff_ms`, the time the caller took to diff the series from snapshots,
-    is reported as the first stage and counted in the total.
+    `diff_ms`, the time the caller took to diff the series from snapshots
+    (for `mdcolo mine`, to read and diff the snapshot file), is reported as
+    the first stage and counted in the total.
     """
     if algo not in ALGOS:
         raise ConfigError(f"algo must be 'mdc' or 'join', got {algo!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
-from .neighborhood import Join, NeighborPair, number_instances
+from .neighborhood import Join, NeighborPair
 from .snapshots import DynamicDatasetSeries
 
 FeatureCounts = dict[DynamicFeature, int]
@@ -140,11 +140,7 @@ def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
 def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:
     """Group neighbor pairs into one table instance per feature pair, each
     keeping its rows in the order given, through `pair_tables`."""
-    pairs = list(pairs)
-    instances, features, ranks = number_instances({inst for pair in pairs for inst in pair})
-    code = {inst: i for i, inst in enumerate(instances)}
-    n = len(instances)
-    return pair_tables(Join(instances, features, ranks, [code[a] * n + code[b] for a, b in pairs]))
+    return pair_tables(Join.of_pairs(pairs))
 
 
 def participation_share(participants: int, total: int) -> float:
@@ -164,8 +160,12 @@ def participation_ratio(
 
 
 def participation_index(table: TableInstance, counts: Mapping[DynamicFeature, int]) -> float:
-    """Minimum participation ratio over the pattern's features."""
-    return min(participation_ratio(table, f, counts) for f in table.pattern.features)
+    """Minimum participation ratio over the pattern's features, reading
+    each feature's mask by its position."""
+    return min(
+        participation_share(participants, counts.get(f, 0))
+        for f, participants in zip(table.pattern.features, table.columns())
+    )
 
 
 def passes_prevalence(index: float, row_count: int, config: MiningConfig) -> bool:

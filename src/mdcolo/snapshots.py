@@ -10,7 +10,7 @@ does not survive a gap.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     DEAD,
@@ -75,23 +75,61 @@ class DynamicDatasetSeries(Value):
         return len(self.windows)
 
 
-def _index_snapshot(snap: Snapshot) -> dict[tuple[str, str], tuple[float, float]]:
-    by_id: dict[tuple[str, str], tuple[float, float]] = {}
-    for feature, instance_id, x, y in snap.records:
-        key = (feature, instance_id)
-        if key in by_id:
-            raise DuplicateInstanceError(snap.t_point, key)
-        by_id[key] = (x, y)
-    return by_id
+# (feature id, instance id): what names a record within one snapshot
+Key = tuple[str, str]
+
+
+class EventLog:
+    """The events of a series, t_point by t_point, and the one rule that
+    numbers them into a DynamicDatasetSeries.  Both paths to a series fill
+    one: `diff_snapshots`, and `io.SnapshotSeries`, which diffs a snapshot
+    CSV while it reads it.
+
+    A diff steps through the t_points in order.  Each record of t_point k+1
+    pops its key from t_point k's index: a key found nowhere is a new event
+    at its new position, and what is left of t_point k's index when k+1
+    ends is dead at its old position.  Both are events of window k.
+    """
+
+    __slots__ = ("events", "t_points")
+
+    def __init__(self):
+        # (feature id, kind) -> list of (window, instance id, x, y)
+        self.events: dict[tuple[str, str], list[tuple[int, str, float, float]]] = {}
+        self.t_points = 0
+
+    def add_t_point(self, born: Iterable[SnapshotRecord], gone: Iterable[SnapshotRecord]) -> None:
+        """Close a t_point: `born` are its records whose keys the t_point
+        before did not hold, and `gone` that t_point's records whose keys it
+        does not hold.  The first t_point's records are no events."""
+        k, events = self.t_points - 1, self.events
+        self.t_points += 1
+        if k < 0:
+            return
+        for feature, instance_id, x, y in gone:
+            events.setdefault((feature, DEAD), []).append((k, instance_id, x, y))
+        for feature, instance_id, x, y in born:
+            events.setdefault((feature, NEW), []).append((k, instance_id, x, y))
+
+    def series(self) -> DynamicDatasetSeries:
+        """Ordinals are assigned per dynamic feature by window, then by
+        instance id, so they do not depend on record order.  Features in
+        canonical order, each with ascending ordinals, fill every window
+        already in canonical instance order."""
+        per_window: list[list[DynamicInstance]] = [[] for _ in range(self.t_points - 1)]
+        features = sorted((DynamicFeature(*key) for key in self.events), key=lambda f: f.sort_key)
+        for feature in features:
+            events = sorted(self.events[feature.base, feature.kind])
+            for ordinal, (k, _instance_id, x, y) in enumerate(events, start=1):
+                per_window[k].append(DynamicInstance(feature, ordinal, x, y, k))
+        return DynamicDatasetSeries(tuple(map(tuple, per_window)))
 
 
 def diff_snapshots(snapshots: Sequence[Snapshot]) -> DynamicDatasetSeries:
     """Diff consecutive snapshots into a dynamic dataset series.
 
-    Requires at least two snapshots with contiguous t_point values.  Ordinals
-    are assigned per dynamic feature by scanning windows in order and, within
-    a window, instance ids in lexicographic order, so the result does not
-    depend on record order inside the snapshots.
+    Requires at least two snapshots with contiguous t_point values, each
+    without a duplicate key; a gap anywhere is reported before a duplicate.
     """
     if len(snapshots) < 2:
         raise InsufficientDataError(f"need at least 2 snapshots, got {len(snapshots)}")
@@ -100,27 +138,19 @@ def diff_snapshots(snapshots: Sequence[Snapshot]) -> DynamicDatasetSeries:
         if cur.t_point != prev.t_point + 1:
             raise SnapshotGapError(prev.t_point, cur.t_point)
 
-    # (feature id, kind) -> list of (window, instance id, x, y)
-    events: dict[tuple[str, str], list[tuple[int, str, float, float]]] = {}
-    # Two snapshots are indexed at a time; each is indexed exactly once.
-    after = _index_snapshot(snaps[0])
-    for k, snap in enumerate(snaps[1:]):
-        before, after = after, _index_snapshot(snap)
-        for key in before.keys() - after.keys():
-            feature, instance_id = key
-            x, y = before[key]
-            events.setdefault((feature, DEAD), []).append((k, instance_id, x, y))
-        for key in after.keys() - before.keys():
-            feature, instance_id = key
-            x, y = after[key]
-            events.setdefault((feature, NEW), []).append((k, instance_id, x, y))
-
-    # Features in canonical order, each with ascending ordinals, fill every
-    # window already in canonical instance order.
-    per_window: list[list[DynamicInstance]] = [[] for _ in range(len(snaps) - 1)]
-    features = sorted((DynamicFeature(*key) for key in events), key=lambda f: f.sort_key)
-    for feature in features:
-        key = (feature.base, feature.kind)
-        for ordinal, (k, _instance_id, x, y) in enumerate(sorted(events[key]), start=1):
-            per_window[k].append(DynamicInstance(feature, ordinal, x, y, k))
-    return DynamicDatasetSeries(tuple(map(tuple, per_window)))
+    log = EventLog()
+    # key -> record, for the snapshot before the one being read
+    before: dict[Key, SnapshotRecord] = {}
+    for snap in snaps:
+        after: dict[Key, SnapshotRecord] = {}
+        born = []
+        for record in snap.records:
+            key = (record[0], record[1])
+            if key in after:
+                raise DuplicateInstanceError(snap.t_point, key)
+            after[key] = record
+            if before.pop(key, None) is None:
+                born.append(record)
+        log.add_t_point(born, before.values())
+        before = after
+    return log.series()

@@ -61,6 +61,13 @@ def forbid_rows(monkeypatch) -> None:
     monkeypatch.setattr(TableInstance, "rows", property(rows))
 
 
+def forbid_snapshots(monkeypatch) -> None:
+    """Make building any `Snapshot` fail the test."""
+    def init(self, t_point, records):
+        raise AssertionError(f"snapshot t={t_point} was built")
+    monkeypatch.setattr(Snapshot, "__init__", init)
+
+
 def bits(mask: int) -> set[int]:
     """The ordinals whose bits are set in a participant or partner mask."""
     return {o for o in range(mask.bit_length()) if mask >> o & 1}

@@ -1,0 +1,173 @@
+"""The streaming snapshot front end against the library path.
+
+`mdcolo diff` and `mdcolo mine` read a snapshot CSV through
+`io.SnapshotSeries`, which diffs a file grouped by contiguous ascending
+t_points while it reads it and hands any other file to `read_snapshots_csv`
+and `diff_snapshots`.  Either way a run must write what the library path
+writes, or fail with its message."""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io as textio
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdcolo import ConfigError, DataFormatError, diff_snapshots, io
+from mdcolo.cli import main
+
+from conftest import forbid_snapshots
+
+SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+FEATURES = ["A", "B", "C,D"]
+# Quoted ids, one spanning two physical lines.
+IDS = ["1", "2", 'x"y', "p\nq"]
+KEYS = [(f, i) for f in FEATURES for i in IDS]
+# "1.0" and "1.00" are one number written two ways.
+COORDS = ["0", "1.0", "1.00", "2.5", "-3", "1e2"]
+BAD = ["zz", "nan", "1e300", ""]
+
+
+@st.composite
+def snapshot_files(draw) -> str:
+    """Snapshot CSV text of 1-4 t_points that mostly repeat the records of
+    the t_point before, grouped ascending, descending or interleaved, with
+    at times a gap, a duplicate key, a bad coordinate on a key that was
+    valid the t_point before, t_points written two ways, and blank rows."""
+    start = draw(st.integers(-1, 2))
+    groups: list[list[list[str]]] = []
+    last: dict[tuple[str, str], tuple[str, str]] = {}
+    for k in range(draw(st.sampled_from([1, 2, 3, 3, 4, 4]))):
+        rows = []
+        for key in draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=6, unique=True)):
+            if key in last and draw(st.sampled_from(range(4))):
+                x, y = last[key]
+            else:
+                x, y = draw(st.sampled_from(COORDS)), draw(st.sampled_from(COORDS))
+            rows.append([start + k, *key, x, y])
+        last = {(r[1], r[2]): (r[3], r[4]) for r in rows}
+        groups.append(rows)
+    flat = [(k, i) for k, rows in enumerate(groups) for i in range(len(rows))]
+    if flat and draw(st.sampled_from(range(8))) == 0:
+        k, i = draw(st.sampled_from(flat))
+        duplicate = list(groups[k][i])
+        if draw(st.booleans()):
+            duplicate[3] = draw(st.sampled_from(COORDS))
+        groups[k].insert(draw(st.integers(0, len(groups[k]))), duplicate)
+    if flat and draw(st.sampled_from(range(8))) == 0:
+        k, i = draw(st.sampled_from(flat))
+        groups[k][i][draw(st.sampled_from([3, 4]))] = draw(st.sampled_from(BAD))
+    if len(groups) > 1 and draw(st.sampled_from(range(8))) == 0:
+        for rows in groups[draw(st.integers(1, len(groups) - 1)):]:
+            for row in rows:
+                row[0] += 1
+    for rows in groups:
+        for row in rows:
+            t = row[0]
+            row[0] = f"+{t}" if t >= 0 and draw(st.sampled_from(range(6))) == 0 else str(t)
+    order = draw(st.sampled_from(["ascending"] * 3 + ["descending", "interleaved"]))
+    if order == "descending":
+        groups.reverse()
+    rows = [row for group in groups for row in group]
+    if order == "interleaved":
+        rows = draw(st.permutations(rows))
+    out = textio.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    lines = out.getvalue().splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "\n")
+    return "t_point,feature,instance_id,x,y\n" + "".join(lines)
+
+
+def library_diff(path: str, output: str) -> tuple[int, str]:
+    """What `mdcolo diff` did when it read the whole file and then diffed
+    it: the exit status and stderr; the series goes to `output`."""
+    try:
+        snapshots = io.read_snapshots_csv(path)
+        with io.located(path):
+            series = diff_snapshots(snapshots)
+    except (ConfigError, DataFormatError) as exc:
+        return 2, f"error: {exc}\n"
+    io.write_series_csv(output, series)
+    n = sum(len(w) for w in series.windows)
+    return 0, f"{len(snapshots)} snapshots -> {series.window_count} windows, {n} dynamic instances\n"
+
+
+@SETTINGS
+@given(snapshot_files())
+def test_diff_equals_the_library_path(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snaps.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = library_diff(str(path), str(Path(tmp) / "expected.csv"))
+        err = textio.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["diff", str(path), "-o", str(Path(tmp) / "got.csv")])
+        assert (code, err.getvalue()) == expected
+        if code == 0:
+            assert (Path(tmp) / "got.csv").read_bytes() == (
+                Path(tmp) / "expected.csv"
+            ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["mine", "diff"])
+def test_a_later_format_error_beats_an_earlier_duplicate(tmp_path, capsys, command):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text(
+        "t_point,feature,instance_id,x,y\n0,A,1,0,0\n0,A,1,1,1\n0,B,1,0,0\n0,B,2,0,0\n"
+        "1,A,1,0,0\n1,B,1,0,0\n1,B,2,0,0\n1,A,2,zz,0\n"
+    )
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\nB,3\n")
+    extra = ["--lifecycles", str(lc)] if command == "mine" else []
+    assert main([command, str(snaps), "-o", str(tmp_path / "out")] + extra) == 2
+    assert capsys.readouterr().err == f"error: {snaps}:9: x is not a number: 'zz'\n"
+
+
+def test_a_life_cycle_error_beats_too_few_snapshots(tmp_path, capsys):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n0,A,1,0,0\n0,B,1,1,1\n")
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\nB,zz\n")
+    assert main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {lc}:3: life_cycle is not a number: 'zz'\n"
+
+
+def test_a_grouped_file_builds_no_snapshots(tmp_path, monkeypatch):
+    prefix = str(tmp_path / "data")
+    assert main([
+        "gen", "-o", prefix, "--instances", "300", "--features", "4",
+        "--life-cycles", "9,3,30,15", "--area", "400", "400", "--seed", "5",
+    ]) == 0
+    grouped = f"{prefix}.snapshots.csv"
+    header, *rows = Path(grouped).read_text(encoding="utf-8").splitlines(keepends=True)
+    interleaved = tmp_path / "interleaved.csv"
+    interleaved.write_text(header + "".join(rows[1::2] + rows[::2]), encoding="utf-8")
+
+    def mine(path: str, report: str) -> int:
+        return main([
+            "mine", path, "--lifecycles", f"{prefix}.lifecycles.csv",
+            "-o", str(tmp_path / report), "--pairs-dump", str(tmp_path / f"{report}.pairs"),
+        ])
+
+    forbid_snapshots(monkeypatch)
+    assert mine(grouped, "grouped.txt") == 0
+    # An interleaved file is read whole, into snapshots.
+    with pytest.raises(AssertionError, match="snapshot t=.* was built"):
+        mine(str(interleaved), "interleaved.txt")
+    monkeypatch.undo()
+    assert mine(str(interleaved), "interleaved.txt") == 0
+    for name in ("grouped.txt", "grouped.txt.pairs"):
+        assert (tmp_path / name).read_bytes() == (
+            tmp_path / name.replace("grouped", "interleaved")
+        ).read_bytes()
+    assert (tmp_path / "grouped.txt").read_bytes()
