@@ -39,12 +39,12 @@ def _parse(convert, text: str, what: str):
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    snapshots = io.SnapshotSeries(args.input)
-    series = snapshots.series()
+    series, _ = io.read_series(args.input)
     io.write_series_csv(args.output, series)
     n = sum(len(w) for w in series.windows)
+    # The t_points of a series are contiguous: one more than its windows.
     _info(
-        f"{snapshots.t_points} snapshots -> {series.window_count} windows, "
+        f"{series.window_count + 1} snapshots -> {series.window_count} windows, "
         f"{n} dynamic instances"
     )
     return 0
@@ -61,20 +61,14 @@ def _mining_config(args: argparse.Namespace) -> MiningConfig:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    # The read and the diff are timed together: a grouped file is diffed
-    # while it is read.
-    started = time.perf_counter()
-    snapshots = io.SnapshotSeries(args.input)
-    read_ms = (time.perf_counter() - started) * 1000
+    # The life cycles and settings are read first, so their errors come
+    # before the snapshot file's.  One timer covers reading and diffing it.
     lifecycles = io.read_lifecycles_csv(args.lifecycles)
     config = _mining_config(args)
-
-    # Diff first: a file with too few snapshots says so before its features
-    # are checked against the life cycles.
     started = time.perf_counter()
-    series = snapshots.series()
-    diff_ms = read_ms + (time.perf_counter() - started) * 1000
-    unknown = [f.id for f in lifecycles if f.id not in snapshots.features]
+    series, features = io.read_series(args.input)
+    diff_ms = (time.perf_counter() - started) * 1000
+    unknown = [f.id for f in lifecycles if f.id not in features]
     if unknown:
         io.reject_unknown_features(args.lifecycles, unknown)
 

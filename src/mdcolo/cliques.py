@@ -5,8 +5,10 @@ Tanaka & Takahashi 2006).  Each call holds the clique built so far, the
 candidates that would extend it, and the excluded vertices: those that would
 extend it too but whose branches an earlier sibling has already searched.  The
 pivot is the candidate with the most candidate neighbors, and only candidates
-outside its neighborhood open a branch.  A call with no candidates left holds
-a maximal clique exactly when nothing is excluded, so each maximal clique is
+outside its neighborhood open a branch.  The scan for it stops at the first
+candidate adjacent to all the others, so a call inside a clique intersects one
+neighborhood, not one per candidate.  A call with no candidates left holds a
+maximal clique exactly when nothing is excluded, so each maximal clique is
 emitted once and no filter runs afterwards.  Ties break on canonical feature
 order, and the output is canonically sorted.
 """
@@ -30,7 +32,14 @@ def _expand(
         if not excluded and len(clique) >= 2:
             out.append(Pattern(clique))
         return
-    pivot = min(candidates, key=lambda v: (-len(adj[v] & candidates), v.sort_key))
+    # The first in canonical order with the most candidate neighbors.
+    pivot, most, everyone = None, -1, len(candidates) - 1
+    for v in sorted(candidates, key=lambda f: f.sort_key):
+        n = len(adj[v] & candidates)
+        if n > most:
+            pivot, most = v, n
+            if n == everyone:
+                break
     for v in sorted(candidates - adj[pivot], key=lambda f: f.sort_key):
         _expand(clique + (v,), candidates & adj[v], excluded & adj[v], adj, out)
         candidates.discard(v)

@@ -4,8 +4,8 @@ All writers emit LF line endings and repr-faithful floats so identical inputs
 produce byte-identical files on every platform.  The CSV writers format each
 row as one string and write it at once, so no file is held in memory; a text
 field is quoted as `_field` says.  Readers report problems with one-based
-physical line numbers.  `SnapshotSeries` diffs a snapshot CSV grouped by
-t_point while it reads it.
+physical line numbers.  `read_series` diffs a snapshot CSV grouped by
+t_point while it reads it, and any other snapshot CSV once it is read.
 """
 
 from __future__ import annotations
@@ -172,15 +172,15 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
     return [Snapshot(t, tuple(records)) for t, records in sorted(by_t.items())]
 
 
-def _stream(path: str) -> tuple[DynamicDatasetSeries, int, set[str]] | None:
-    """The series, t_point count and feature ids of a snapshot CSV whose
-    records come grouped by contiguous ascending t_points, diffed while it is
-    read; None, having read no further, on the first sign that the file is
-    not such a file (a t_point out of order, a gap, a duplicate key) or when
-    it holds fewer than two t_points.  Each t_point is indexed as key ->
-    (x text, y text), and at most two indexes are alive.  A record whose key
-    held the same two texts at the t_point before was checked there, so only
-    the other records are parsed and checked, as `read_snapshots_csv` checks
+def _stream(path: str) -> tuple[DynamicDatasetSeries, set[str]] | None:
+    """The series and feature ids of a snapshot CSV whose records come
+    grouped by contiguous ascending t_points, diffed while it is read; None,
+    having read no further, on the first sign that the file is not such a
+    file (a t_point out of order, a gap, a duplicate key) or when it holds
+    fewer than two t_points.  Each t_point is indexed as key -> (x text,
+    y text), and at most two indexes are alive.  A record whose key held the
+    same two texts at the t_point before was checked there, so only the
+    other records are parsed and checked, as `read_snapshots_csv` checks
     them: any format error it would raise first is raised here too."""
     log = EventLog()
     features: set[str] = set()
@@ -238,7 +238,7 @@ def _stream(path: str) -> tuple[DynamicDatasetSeries, int, set[str]] | None:
     log.add_t_point(born, _parsed(before))
     if log.t_points < 2:
         return None
-    return log.series(), log.t_points, features
+    return log.series(), features
 
 
 def _parsed(index: dict[Key, tuple[str, str]]) -> list[SnapshotRecord]:
@@ -247,35 +247,18 @@ def _parsed(index: dict[Key, tuple[str, str]]) -> list[SnapshotRecord]:
     return [(f, i, float(x), float(y)) for (f, i), (x, y) in index.items()]
 
 
-class SnapshotSeries:
-    """A snapshot CSV read for the diff: its t_point count, its feature ids,
-    and its series.  A file that `_stream` can diff while it reads is held as
-    its series only; any other file is read whole (`read_snapshots_csv`), and
-    `series()` diffs its snapshots, with the errors `located` names.  So a
-    caller can read other files between the read and the diff, and the diff's
-    errors come after theirs."""
-
-    __slots__ = ("path", "t_points", "features", "_series", "_snapshots")
-
-    def __init__(self, path: str):
-        self.path = path
-        streamed = _stream(path)
-        if streamed is None:
-            self._series = None
-            self._snapshots = read_snapshots_csv(path)
-            self.t_points = len(self._snapshots)
-            self.features = {r[0] for snap in self._snapshots for r in snap.records}
-        else:
-            self._series, self.t_points, self.features = streamed
-            self._snapshots = None
-
-    def series(self) -> DynamicDatasetSeries:
-        if self._series is None:
-            with located(self.path):
-                self._series = diff_snapshots(self._snapshots)
-            # The series holds all a mine needs; the records need not outlive it.
-            self._snapshots = None
-        return self._series
+def read_series(path: str) -> tuple[DynamicDatasetSeries, set[str]]:
+    """The series and feature ids of a snapshot CSV.  A file that `_stream`
+    can diff while it reads it is diffed so; any other file is read whole
+    (`read_snapshots_csv`) and diffed by `diff_snapshots`, with the errors
+    `located` names."""
+    streamed = _stream(path)
+    if streamed is not None:
+        return streamed
+    snapshots = read_snapshots_csv(path)
+    with located(path):
+        series = diff_snapshots(snapshots)
+    return series, {r[0] for snap in snapshots for r in snap.records}
 
 
 def _at_record(

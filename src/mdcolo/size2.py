@@ -130,11 +130,12 @@ def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
     for inst, rank, ordinal in zip(instances, ranks, ordinals):
         by_rank[rank][ordinal] = inst
     lookup = dict(zip(features, by_rank))
-    tables = [
+    # Ranks are canonical, the lower first: the keys sort as the patterns do.
+    tables = (
         TableInstance(Pattern((features[key // width], features[key % width])), columns, lookup)
-        for key, columns in grouped.items()
-    ]
-    return {t.pattern: t for t in sorted(tables, key=lambda t: t.pattern.sort_key)}
+        for key, columns in sorted(grouped.items())
+    )
+    return {t.pattern: t for t in tables}
 
 
 def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:
@@ -190,13 +191,13 @@ def prevalent_size2(
     counts: Mapping[DynamicFeature, int],
     config: MiningConfig,
 ) -> dict[Pattern, TableInstance]:
-    """Keep the pair tables whose participation index passes the threshold."""
-    kept = {
+    """Keep the pair tables whose participation index passes the threshold,
+    in the order given."""
+    return {
         pat: table
         for pat, table in tables.items()
         if passes_prevalence(participation_index(table, counts), len(table), config)
     }
-    return dict(sorted(kept.items(), key=lambda kv: kv[0].sort_key))
 
 
 class FeatureGraph:

@@ -82,8 +82,8 @@ Key = tuple[str, str]
 class EventLog:
     """The events of a series, t_point by t_point, and the one rule that
     numbers them into a DynamicDatasetSeries.  Both paths to a series fill
-    one: `diff_snapshots`, and `io.SnapshotSeries`, which diffs a snapshot
-    CSV while it reads it.
+    one: `diff_snapshots`, and `io.read_series`, which diffs a snapshot CSV
+    grouped by t_point while it reads it.
 
     A diff steps through the t_points in order.  Each record of t_point k+1
     pops its key from t_point k's index: a key found nowhere is a new event

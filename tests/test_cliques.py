@@ -60,6 +60,28 @@ def test_complete_graph_is_one_clique():
     assert cliques[0].size == 6
 
 
+class CountingAdjacency(dict):
+    """An adjacency that counts its neighborhood lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_a_wide_clique_takes_a_few_lookups_per_feature():
+    # The pivot scan stops at a candidate adjacent to all the others, so
+    # each level of a clique's search reads a few neighborhoods, not one
+    # per candidate.
+    feats = [feat(f"{feature_name(i)}_new") for i in range(200)]
+    graph = FeatureGraph(Pattern(pair) for pair in combinations(feats, 2))
+    graph.adjacency = CountingAdjacency(graph.adjacency)
+    cliques = maximal_cliques(graph)
+    assert [c.features for c in cliques] == [tuple(graph.vertices)]
+    assert graph.adjacency.lookups <= 5 * len(feats)
+
+
 def test_two_disjoint_triangles():
     f = [feat(f"{feature_name(i)}_new") for i in range(6)]
     edges = [(f[0], f[1]), (f[0], f[2]), (f[1], f[2]),

@@ -1,10 +1,10 @@
 """The streaming snapshot front end against the library path.
 
 `mdcolo diff` and `mdcolo mine` read a snapshot CSV through
-`io.SnapshotSeries`, which diffs a file grouped by contiguous ascending
+`io.read_series`, which diffs a file grouped by contiguous ascending
 t_points while it reads it and hands any other file to `read_snapshots_csv`
 and `diff_snapshots`.  Either way a run must write what the library path
-writes, or fail with its message."""
+writes, or fail with its message; `mine` reads the life cycles first."""
 
 from __future__ import annotations
 
@@ -140,6 +140,22 @@ def test_a_life_cycle_error_beats_too_few_snapshots(tmp_path, capsys):
     lc.write_text("feature,life_cycle\nA,3\nB,zz\n")
     assert main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {lc}:3: life_cycle is not a number: 'zz'\n"
+
+
+@pytest.mark.parametrize("life_cycle, extra, message", [
+    ("yy", [], "{lc}:2: life_cycle is not a number: 'yy'"),
+    ("3", ["--dd", "-1"], "d_d must be positive and finite, got -1.0"),
+], ids=["life-cycle", "setting"])
+def test_life_cycles_and_settings_beat_a_snapshot_format_error(
+    tmp_path, capsys, life_cycle, extra, message
+):
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n0,A,1,0,0\n1,A,1,zz,0\n")
+    lc = tmp_path / "lc.csv"
+    lc.write_text(f"feature,life_cycle\nA,{life_cycle}\n")
+    argv = ["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err == f"error: {message.format(lc=lc)}\n"
 
 
 def test_a_grouped_file_builds_no_snapshots(tmp_path, monkeypatch):
