@@ -12,12 +12,15 @@ byte-identical datasets on every platform and Python version.  Each planned
 disappearance gets its own instance, alive from the first snapshot until its
 event; each appearance gets an instance alive from its event to the end.
 Total dynamic instances therefore equal the configured budget exactly.
+Each event makes one record, shared by every snapshot it is alive in, and
+one sort of those records by (feature, id) orders every snapshot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .model import DEAD, NEW, BaseFeature, ConfigError
 from .neighborhood import MAX_COORDINATE
@@ -45,7 +48,8 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        # `random()` written out: one call per draw on the generator's hot path.
+        return lo + (hi - lo) * ((self.next_u64() >> 11) * (2.0 ** -53))
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi]; modulo bias is irrelevant here."""
@@ -176,6 +180,7 @@ def generate(config: GenConfig) -> tuple[list[Snapshot], GenReport]:
     """Generate a snapshot series realizing the configured event budget."""
     rng = SplitMix64(config.seed)
     w, h = config.area
+    r = config.cluster_radius
     windows = config.n_time_points - 1
     sites = _plan_sites(config, rng)
 
@@ -192,16 +197,17 @@ def generate(config: GenConfig) -> tuple[list[Snapshot], GenReport]:
                 break
             # Uniform disk point by rejection from the bounding square.
             while True:
-                dx = rng.uniform(-config.cluster_radius, config.cluster_radius)
-                dy = rng.uniform(-config.cluster_radius, config.cluster_radius)
-                if dx * dx + dy * dy <= config.cluster_radius ** 2:
+                dx = rng.uniform(-r, r)
+                dy = rng.uniform(-r, r)
+                if dx * dx + dy * dy <= r ** 2:
                     break
             x = min(max(site.center[0] + dx, 0.0), w)
             y = min(max(site.center[1] + dy, 0.0), h)
             events.append((base, kind, window, x, y))
     cluster_events = len(events)
+    names = [feature_name(i) for i in range(config.n_base_features)]
     while len(events) < config.n_dynamic_instances:
-        base = feature_name(rng.randint(0, config.n_base_features - 1))
+        base = names[rng.randint(0, config.n_base_features - 1)]
         kind = NEW if rng.random() < 0.5 else DEAD
         window = rng.randint(0, windows - 1)
         events.append((base, kind, window, rng.uniform(0, w), rng.uniform(0, h)))
@@ -210,24 +216,25 @@ def generate(config: GenConfig) -> tuple[list[Snapshot], GenReport]:
     # alive for snapshots 0..k; an appearance is alive from k+1 to the end.
     counters: dict[str, int] = {}
     event_counts: dict[tuple[int, str, str], int] = {}
+    lifetimes: list[tuple[tuple[str, str, float, float], int, int]] = []
+    for base, kind, window, x, y in events:
+        counters[base] = counters.get(base, 0) + 1
+        key = (window, base, kind)
+        event_counts[key] = event_counts.get(key, 0) + 1
+        first, end = (0, window + 1) if kind == DEAD else (window + 1, config.n_time_points)
+        lifetimes.append(((base, str(counters[base]), x, y), first, end))
+    # Ids count per base, so no two records share (base, id): one sort of the
+    # records puts every snapshot in its sorted order as it is filled.
+    lifetimes.sort(key=itemgetter(0))
     per_snapshot: list[list[tuple[str, str, float, float]]] = [
         [] for _ in range(config.n_time_points)
     ]
-    for base, kind, window, x, y in events:
-        counters[base] = counters.get(base, 0) + 1
-        instance_id = str(counters[base])
-        key = (window, base, kind)
-        event_counts[key] = event_counts.get(key, 0) + 1
-        if kind == DEAD:
-            alive = range(0, window + 1)
-        else:
-            alive = range(window + 1, config.n_time_points)
-        for t in alive:
-            per_snapshot[t].append((base, instance_id, x, y))
+    appends = [records.append for records in per_snapshot]
+    for record, first, end in lifetimes:
+        for append in appends[first:end]:
+            append(record)
 
-    snapshots = [
-        Snapshot(t, tuple(sorted(records))) for t, records in enumerate(per_snapshot)
-    ]
+    snapshots = [Snapshot(t, tuple(records)) for t, records in enumerate(per_snapshot)]
     report = GenReport(
         config=config,
         sites=tuple(sites),

@@ -3,7 +3,8 @@
 All writers emit LF line endings and repr-faithful floats so identical inputs
 produce byte-identical files on every platform.  The CSV writers format each
 row as one string and write it at once, so no file is held in memory; a text
-field is quoted as `_field` says.  Readers report problems with one-based
+field is quoted as `_field` says.  The snapshot writer formats a record that
+recurs at many t_points once.  Readers report problems with one-based
 physical line numbers.  `read_series` diffs a snapshot CSV grouped by
 t_point while it reads it, and any other snapshot CSV once it is read.
 """
@@ -298,12 +299,25 @@ def located(path: str):
 
 
 def write_snapshots_csv(path: str, snapshots: Sequence[Snapshot]) -> None:
+    """Each snapshot's records in sorted order, snapshots by t_point.  A
+    record alive at many t_points is formatted once: its text after the
+    t_point is kept by the record's value while the writer runs."""
     features = _Fields()
+    texts: dict[SnapshotRecord, str] = {}
     with _open_writer(path, SNAPSHOT_HEADER) as write:
         for snap in sorted(snapshots, key=lambda s: s.t_point):
-            t = snap.t_point
-            for feature, instance_id, x, y in sorted(snap.records):
-                write(f"{t},{features[feature]},{_field(instance_id)},{x!r},{y!r}\n")
+            t = f"{snap.t_point},"
+            for record in sorted(snap.records):
+                feature, instance_id, x, y = record
+                # Only equal non-zero floats are sure to print alike: 0.0 and
+                # -0.0, or 1 and 1.0, are equal keys with different texts.
+                kept = type(x) is float and type(y) is float and x and y
+                text = texts.get(record) if kept else None
+                if text is None:
+                    text = f"{features[feature]},{_field(instance_id)},{x!r},{y!r}\n"
+                    if kept:
+                        texts[record] = text
+                write(t + text)
 
 
 def write_series_csv(path: str, series: DynamicDatasetSeries) -> None:

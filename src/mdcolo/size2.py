@@ -15,6 +15,7 @@ search.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
@@ -208,7 +209,11 @@ class FeatureGraph:
     """
 
     def __init__(self, edges: Iterable[Pattern], vertices: Iterable[DynamicFeature] = ()):
-        self.edges: tuple[Pattern, ...] = tuple(sorted(set(edges), key=lambda p: p.sort_key))
+        # `dict.fromkeys` keeps the input's order, so edges that arrive sorted,
+        # as `prevalent_size2` hands them, cost the sort one linear pass.
+        self.edges: tuple[Pattern, ...] = tuple(
+            sorted(dict.fromkeys(edges), key=attrgetter("sort_key"))
+        )
         adjacency: dict[DynamicFeature, set[DynamicFeature]] = {v: set() for v in vertices}
         for pat in self.edges:
             if pat.size != 2:

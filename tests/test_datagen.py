@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
-from mdcolo import ConfigError, diff_snapshots
+from mdcolo import ConfigError, diff_snapshots, io
 from mdcolo.datagen import GenConfig, SplitMix64, feature_name, generate
 
 
@@ -180,3 +181,42 @@ def test_report_render_mentions_sites_and_counts():
     assert "site 0:" in text
     assert "events per window" in text
     assert text.endswith("\n")
+
+
+# SHA-256 of the snapshot CSV `io.write_snapshots_csv` writes for
+# `generate(small_config(**overrides))`, and of `GenReport.render()`: a
+# faster generator or writer must not move a byte.  Past 26 features the
+# `F26...` names sort among the letters; int sides and radius keep ints in
+# the generator's arithmetic and in the report.
+GOLDEN = {
+    "small": ({}, "ac65f4f718a288adbae3c2b562991da4ee6e504941ec09520751cb7553f7525f",
+              "bfe3805a6412dfef2c2a9f53e7aaf688f843b3e1283349a03b5a67d719dff866"),
+    "30 features": (
+        dict(n_base_features=30, life_cycles=tuple(float(3 + i % 7) for i in range(30)),
+             n_dynamic_instances=600, cluster_count=5),
+        "d5c6162abab9af369a8930aa5c97f2b3c7e0d83e28ace688ec46b519e9c0ba99",
+        "a7b995718fb089a2cb6474852f5667db030c978b375f104455527fc72f333383",
+    ),
+    "no churn": (dict(churn_ratio=0.0),
+                 "392c887de7c49e808ad5cfd90e23937267e07c438f53f876fc46d9537123538f",
+                 "4c890cf5a67bf695cc2c9e60ecded6a0bfe1cba6a985181fc50d29ae62f270d9"),
+    "all churn": (dict(churn_ratio=1.0),
+                  "d01e04fafc7f7c4a8820b79f3310b2dd4bc292a6a5e2af449607289590d01520",
+                  "66a03785308f0a5c73a8d2c2836acee1c27befdd8645c5b587688b9a8fabce00"),
+    "int sides": (dict(area=(200, 150), cluster_radius=8),
+                  "fb3d9c7ad1d0ffb7dc405a6280f8ed0094f88353b5c558d89587cd05804c7f89",
+                  "628512dfb59fc7ea6f938d3696ce8d9a3df26256917abafa9c09d23bfc8539d9"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_generated_files_are_pinned(name, tmp_path):
+    overrides, snapshots_sha, report_sha = GOLDEN[name]
+    snapshots, report = generate(small_config(**overrides))
+    # The writer sorts, so the digest alone would not see the order generate
+    # hands out.
+    assert all(list(s.records) == sorted(s.records) for s in snapshots)
+    path = tmp_path / "snapshots.csv"
+    io.write_snapshots_csv(str(path), snapshots)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == snapshots_sha
+    assert hashlib.sha256(report.render().encode("utf-8")).hexdigest() == report_sha
