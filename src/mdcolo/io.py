@@ -6,7 +6,8 @@ row as one string and write it at once, so no file is held in memory; a text
 field is quoted as `_field` says.  The snapshot writer formats a record that
 recurs at many t_points once.  Readers report problems with one-based
 physical line numbers.  `read_series` diffs a snapshot CSV grouped by
-t_point while it reads it, and any other snapshot CSV once it is read.
+t_point while it reads it, one t_point's set of line texts against the
+next, and reads any file it cannot be sure of with the csv module.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 from contextlib import contextmanager
 from itertools import islice
-from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .model import BaseFeature, DataFormatError, MissingLifeCycleError
 from .neighborhood import MAX_COORDINATE, Join, NeighborPair
@@ -38,6 +39,9 @@ LIFECYCLE_HEADER = ["feature", "life_cycle"]
 PAIRS_HEADER = ["feature_a", "ordinal_a", "t_a", "feature_b", "ordinal_b", "t_b", "distance"]
 SIZE2_HEADER = ["pattern", "dpi", "rows"]
 BENCH_HEADER = ["param", "value", "algo", "maximal_count", "prevalent_count", "millis"]
+
+# The characters `read_series` reads at a time.
+_BLOCK = 1 << 16
 
 
 @contextmanager
@@ -173,86 +177,125 @@ def read_snapshots_csv(path: str) -> list[Snapshot]:
     return [Snapshot(t, tuple(records)) for t, records in sorted(by_t.items())]
 
 
+def _t_point_lines(read: Callable[[int], str]) -> Iterator[list[str] | None]:
+    """The record lines of a snapshot CSV after its header, one list per
+    t_point, each line without its `t,` prefix.  The text is read `_BLOCK`
+    characters at a time, and the whole lines of a block that belong to one
+    t_point are cut with one `split` on its `"\\n{t},"`.  The first line
+    names the first t_point, and each next t_point, one more, begins at the
+    first line that starts with it.  Yields None and stops where the csv
+    module might read the text otherwise or the t_points might not be
+    contiguous and ascending: at a `"`, `\\r` or NUL, a t_point not written
+    as `str(int)`, or a blank line or a line without its t_point's
+    prefix."""
+    # What is read but not yet cut, from the "\n" before a line on, and the
+    # lines of t_point `t` cut so far.
+    text, lines, t = "\n", [], None
+    while True:
+        block = read(_BLOCK)
+        if '"' in block or "\r" in block or "\0" in block:
+            yield None
+            return
+        text += block
+        if not block and not text.endswith("\n"):
+            text += "\n"
+        end = text.rfind("\n")
+        whole, text = text[:end], text[end:]
+        try:
+            while whole:
+                if t is None:
+                    first = whole[1:whole.find(",")]
+                    t = int(first)
+                    if "," not in whole or str(t) != first:
+                        raise ValueError(f"not a t_point: {first!r}")
+                    # A t_point too long for `str` is a ValueError too.
+                    prefix, mark = f"\n{t},", f"\n{t + 1},"
+                cut = whole.find(mark)
+                part, whole = (whole, "") if cut < 0 else (whole[:cut], whole[cut:])
+                cut_lines = part.split(prefix)
+                if len(cut_lines) != part.count("\n") + 1:
+                    raise ValueError(f"a line without {prefix!r}")
+                del cut_lines[0]
+                lines += cut_lines
+                if cut >= 0:
+                    yield lines
+                    lines, t = [], t + 1
+                    prefix, mark = mark, f"\n{t + 1},"
+        except ValueError:
+            yield None
+            return
+        if not block:
+            if t is not None:
+                yield lines
+            return
+
+
 def _stream(path: str) -> tuple[DynamicDatasetSeries, set[str]] | None:
     """The series and feature ids of a snapshot CSV whose records come
-    grouped by contiguous ascending t_points, diffed while it is read; None,
-    having read no further, on the first sign that the file is not such a
-    file (a t_point out of order, a gap, a duplicate key) or when it holds
-    fewer than two t_points.  Each t_point is indexed as key -> (x text,
-    y text), and at most two indexes are alive.  A record whose key held the
-    same two texts at the t_point before was checked there, so only the
-    other records are parsed and checked, as `read_snapshots_csv` checks
-    them: any format error it would raise first is raised here too."""
+    grouped by contiguous ascending t_points, diffed t_point by t_point as
+    sets of line texts; None, to read the file with the csv module, on the
+    first sign that the text might not be such a file or might not be read
+    so (`_t_point_lines`), at a repeated line or key, at a line that
+    `read_snapshots_csv` would reject, or when the file holds fewer than two
+    t_points or does not decode.  A line that t_point k+1 shares with k
+    names the same record, so only the lines new to k+1 are split, parsed
+    and checked, and each line of k that k+1 lacks gives back its record.
+    A key among both is a moved instance, which is no event."""
     log = EventLog()
     features: set[str] = set()
-    # The t_point before and the one being read, and the records it adds.
-    before: dict[Key, tuple[str, str]] = {}
-    after: dict[Key, tuple[str, str]] = {}
-    born: list[SnapshotRecord] = []
-    pop, keep = before.pop, after.setdefault
-    t = t_text = None
-    with _open_csv(path) as reader:
-        _check_header(next(reader, None), SNAPSHOT_HEADER, path)
-        for row in reader:
-            try:
-                text, feature, instance_id, x, y = row
-            except ValueError:
-                if not row:
-                    continue
-                raise DataFormatError(
-                    f"{path}:{reader.line_num}: expected 5 columns, got {len(row)}"
-                ) from None
-            if text != t_text:
-                try:
-                    t_next = int(text)
-                except ValueError:
-                    _reject_snapshot_record(row, path, reader.line_num)
-                if t_next != t:
-                    if t is not None:
-                        if t_next != t + 1:
-                            return None
-                        log.add_t_point(born, _parsed(before))
-                        before, after, born = after, {}, []
-                        pop, keep = before.pop, after.setdefault
-                    t = t_next
-                t_text = text
-            key = (feature, instance_id)
-            xy = (x, y)
-            old = pop(key, None)
-            if old != xy:
-                try:
-                    fx, fy = float(x), float(y)
-                except ValueError:
-                    _reject_snapshot_record(row, path, reader.line_num)
-                # NaN and infinities fail the bound too.
-                if not (
-                    feature and instance_id
-                    and -MAX_COORDINATE <= fx <= MAX_COORDINATE
-                    and -MAX_COORDINATE <= fy <= MAX_COORDINATE
-                ):
-                    _reject_snapshot_record(row, path, reader.line_num)
-                if old is None:
-                    born.append((feature, instance_id, fx, fy))
-                    features.add(feature)
-            if keep(key, xy) is not xy:
+    # The lines of the t_point before, and the record of each key there.
+    before: set[str] = set()
+    records: dict[Key, SnapshotRecord] = {}
+    limit = csv.field_size_limit()
+    header = ",".join(SNAPSHOT_HEADER) + "\n"
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if fh.read(len(header)) != header:
                 return None
-    log.add_t_point(born, _parsed(before))
+            for lines in _t_point_lines(fh.read):
+                if lines is None:
+                    return None
+                after = set(lines)
+                if len(after) != len(lines):
+                    return None
+                gone: dict[Key, SnapshotRecord] = {}
+                for line in before - after:
+                    feature, instance_id, _ = line.split(",", 2)
+                    key = (feature, instance_id)
+                    gone[key] = records.pop(key)
+                born: list[SnapshotRecord] = []
+                for line in after - before:
+                    try:
+                        feature, instance_id, x, y = line.split(",")
+                        fx, fy = float(x), float(y)
+                    except ValueError:
+                        return None
+                    key = (feature, instance_id)
+                    # NaN and infinities fail the bound too.
+                    if not (
+                        feature and instance_id and len(line) <= limit
+                        and -MAX_COORDINATE <= fx <= MAX_COORDINATE
+                        and -MAX_COORDINATE <= fy <= MAX_COORDINATE
+                    ) or key in records:
+                        return None
+                    records[key] = record = (feature, instance_id, fx, fy)
+                    if gone.pop(key, None) is None:
+                        born.append(record)
+                        features.add(feature)
+                log.add_t_point(born, gone.values())
+                before = after
+    except UnicodeDecodeError:
+        return None
     if log.t_points < 2:
         return None
     return log.series(), features
-
-
-def _parsed(index: dict[Key, tuple[str, str]]) -> list[SnapshotRecord]:
-    """The records of a text index, their coordinates parsed; every text was
-    checked when it was read."""
-    return [(f, i, float(x), float(y)) for (f, i), (x, y) in index.items()]
 
 
 def read_series(path: str) -> tuple[DynamicDatasetSeries, set[str]]:
     """The series and feature ids of a snapshot CSV.  A file that `_stream`
     can diff while it reads it is diffed so; any other file is read whole
     (`read_snapshots_csv`) and diffed by `diff_snapshots`, with the errors
-    `located` names."""
+    `located` names, so every error comes from the csv path."""
     streamed = _stream(path)
     if streamed is not None:
         return streamed

@@ -6,8 +6,10 @@ larger of the two features' spans (inclusive by default, strict optionally).
 Candidates come from a uniform grid with cells just wider than d_d.  Each cell
 is joined with itself and with the 4 of its 8 neighbours that lie forward of
 it, so every pair of adjacent cells is joined once (a half-shell cell list).
-Each cell lists its instances by window, and no instance is compared with one
-more than the largest span away in time, so the work does not grow with the
+Each cell lists its instances by window, and so does one list merged from its
+4 forward neighbours.  An instance meets the later ones of its own cell and
+that list from one lower pointer, so no instance is compared with one more
+than the largest span away in time, and the work does not grow with the
 number of windows.
 
 The join numbers instances and features in canonical order and returns the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import ConfigError, DynamicFeature, DynamicInstance, MiningConfig
@@ -44,9 +46,11 @@ _MAX_CELLS = 2**30
 # infinite d_d * d_d.
 MAX_COORDINATE = 1e150
 
-# The cells joined with cell (cx, cy): itself and the 4 neighbours forward of
-# it.  Each of the other 4 neighbours has (cx, cy) forward of it.
-_HALF_SHELL = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
+# The 4 neighbours forward of cell (cx, cy), joined with it as one list.
+# Each of the other 4 neighbours has (cx, cy) forward of it.
+_FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
+# The t_index of a cell entry.
+_WINDOW = itemgetter(0)
 
 
 class Join(NamedTuple):
@@ -145,24 +149,24 @@ def grid_join(
     hit = hits.append
     neighbour = cells.get
     for (cx, cy), bucket in cells.items():
-        for ox, oy in _HALF_SHELL:
+        # The instances of the 4 forward neighbours, merged by t_index.
+        forward = []
+        for ox, oy in _FORWARD:
             other = neighbour((cx + ox, cy + oy))
-            if other is None:
-                continue
-            same = other is bucket
-            # Within the cell, each instance meets those after it; across
-            # cells, a lower pointer slides up `other` as t_index grows.
-            lo = 0
-            end = len(other)
-            for i, (ta, ca, ra, xa, ya, sa) in enumerate(bucket, start=1):
-                if same:
-                    lo = i
-                else:
-                    t_lo = ta - max_span
-                    while lo < end and other[lo][0] < t_lo:
-                        lo += 1
-                t_hi = ta + max_span
-                for tb, cb, rb, xb, yb, sb in islice(other, lo, None):
+            if other is not None:
+                forward += other
+        forward.sort(key=_WINDOW)
+        lo, end = 0, len(forward)
+        for i, (ta, ca, ra, xa, ya, sa) in enumerate(bucket, start=1):
+            # Each instance meets those after it in its own cell, and those
+            # of the forward list from a lower pointer that slides up as
+            # t_index grows.
+            t_lo = ta - max_span
+            while lo < end and forward[lo][0] < t_lo:
+                lo += 1
+            t_hi = ta + max_span
+            for other, start in ((bucket, i), (forward, lo)):
+                for tb, cb, rb, xb, yb, sb in islice(other, start, None):
                     if tb > t_hi:
                         break
                     if rb == ra:

@@ -25,6 +25,8 @@ from .snapshots import DynamicDatasetSeries
 FeatureCounts = dict[DynamicFeature, int]
 # feature -> ordinal -> instance, for every feature of one join
 Lookup = Mapping[DynamicFeature, Mapping[int, DynamicInstance]]
+# ordinal -> its bit in a participant mask
+_BIT = (1).__lshift__
 
 
 def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
@@ -89,7 +91,7 @@ class TableInstance:
         a feature ordinals are unique (`number_instances` checks) and start at
         1, so the mask's bit count is the number of participants."""
         if self._columns is None:
-            self._columns = tuple(sum(1 << o for o in set(column)) for column in self.ordinals)
+            self._columns = tuple(sum(map(_BIT, set(column))) for column in self.ordinals)
         return self._columns
 
     def pair_index(self) -> PairIndex:
@@ -193,12 +195,16 @@ def prevalent_size2(
     config: MiningConfig,
 ) -> dict[Pattern, TableInstance]:
     """Keep the pair tables whose participation index passes the threshold,
-    in the order given."""
-    return {
-        pat: table
-        for pat, table in tables.items()
-        if passes_prevalence(participation_index(table, counts), len(table), config)
-    }
+    in the order given.  A pair table's index is read from its two column
+    masks."""
+    prevalent = {}
+    for pat, table in tables.items():
+        (a, b), (mask_a, mask_b) = pat.features, table.columns()
+        share_a = participation_share(mask_a, counts.get(a, 0))
+        share_b = participation_share(mask_b, counts.get(b, 0))
+        if passes_prevalence(min(share_a, share_b), len(table), config):
+            prevalent[pat] = table
+    return prevalent
 
 
 class FeatureGraph:

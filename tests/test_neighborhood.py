@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from mdcolo import ConfigError, MiningConfig
@@ -197,6 +199,52 @@ def test_pairs_only_inside_the_span_of_a_long_series(mode):
         for _, b in windows[max(a.t_index - reach, 0):a.t_index + reach + 1]
     )
     assert neighbor_pairs(series, {a_new: 2, b_dead: 1}, cfg) == expected
+
+
+@pytest.mark.parametrize("mode", ["inclusive", "strict"])
+def test_partners_across_the_merged_forward_list(mode):
+    # 4 x 4 cells of width about 1, with instances of 6 features in 40
+    # windows at random, so each cell's forward list merges partners from
+    # its 4 forward neighbours interleaved in time, and spans of 1 to 3
+    # windows make its lower pointer slide.
+    import random
+    from operator import attrgetter
+
+    from mdcolo import DynamicInstance
+    from mdcolo.neighborhood import _CELL_SLACK
+    from mdcolo.snapshots import DynamicDatasetSeries
+    from conftest import feat
+
+    rng = random.Random(25)
+    features = [feat(f"{b}_{k}") for b in "ABC" for k in ("new", "dead")]
+    spans = dict(zip(features, (1, 1, 2, 1, 3, 1)))
+    ordinals = dict.fromkeys(features, 0)
+    windows = []
+    for t in range(40):
+        window = []
+        for _ in range(rng.randrange(2, 9)):
+            f = rng.choice(features)
+            ordinals[f] += 1
+            window.append(DynamicInstance(f, ordinals[f], rng.uniform(-2, 2), rng.uniform(-2, 2), t))
+        windows.append(tuple(sorted(window, key=attrgetter("sort_key"))))
+    series = DynamicDatasetSeries(tuple(windows))
+    cfg = MiningConfig(d_d=1.0, min_prev=0.1, time_span=3.0, temporal_comparison=mode)
+    pairs = neighbor_pairs(series, spans, cfg)
+    assert pairs == all_pairs_scan(series, spans, cfg)
+
+    def offset(a, b):
+        """The step from the lower cell of the pair to the other's."""
+        ca, cb = (
+            (math.floor(i.x / _CELL_SLACK), math.floor(i.y / _CELL_SLACK)) for i in (a, b)
+        )
+        lo, hi = min(ca, cb), max(ca, cb)
+        return hi[0] - lo[0], hi[1] - lo[1]
+
+    # Related pairs lie within one cell and across each forward offset, both
+    # in one window and windows apart.
+    seen = {(offset(a, b), a.t_index == b.t_index) for a, b in pairs}
+    forward = {(0, 0), (1, -1), (1, 0), (1, 1), (0, 1)}
+    assert {(o, same) for o in forward for same in (True, False)} <= seen
 
 
 def test_grid_matches_all_pairs_scan_on_generated_series():

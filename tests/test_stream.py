@@ -1,10 +1,11 @@
-"""The streaming snapshot front end against the library path.
+"""The set-based snapshot front end against the library path.
 
 `mdcolo diff` and `mdcolo mine` read a snapshot CSV through
 `io.read_series`, which diffs a file grouped by contiguous ascending
-t_points while it reads it and hands any other file to `read_snapshots_csv`
-and `diff_snapshots`.  Either way a run must write what the library path
-writes, or fail with its message; `mine` reads the life cycles first."""
+t_points as sets of line texts while it reads it, and hands any file it
+cannot be sure of to `read_snapshots_csv` and `diff_snapshots`.  Either way
+a run must write what the library path writes, or fail with its message;
+`mine` reads the life cycles first."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import csv
 import io as textio
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -21,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdcolo import ConfigError, DataFormatError, diff_snapshots, io
+from mdcolo import ConfigError, DataFormatError, GenConfig, diff_snapshots, generate, io
 from mdcolo.cli import main
 
 from conftest import forbid_snapshots
@@ -32,23 +34,32 @@ FEATURES = ["A", "B", "C,D"]
 # Quoted ids, one spanning two physical lines.
 IDS = ["1", "2", 'x"y', "p\nq"]
 KEYS = [(f, i) for f in FEATURES for i in IDS]
+# Keys that need no quotes, so that a file can take the set path.
+PLAIN_KEYS = [(f, i) for f in ["A", "B", "C"] for i in ["1", "2", "x", "q"]]
 # "1.0" and "1.00" are one number written two ways.
 COORDS = ["0", "1.0", "1.00", "2.5", "-3", "1e2"]
 BAD = ["zz", "nan", "1e300", ""]
 
 
 @st.composite
-def snapshot_files(draw) -> str:
+def snapshot_files(
+    draw, keys=KEYS, clean: bool = False
+) -> tuple[str, list[list[str]], bool]:
     """Snapshot CSV text of 1-4 t_points that mostly repeat the records of
     the t_point before, grouped ascending, descending or interleaved, with
     at times a gap, a duplicate key, a bad coordinate on a key that was
-    valid the t_point before, t_points written two ways, and blank rows."""
+    valid the t_point before, t_points written two ways, and blank rows;
+    the records it wrote as text fields in file order, and whether it
+    inserted blank rows.  With `clean`, t_points written as `+t` and blank
+    rows come in a third of the files each, so that more files hold
+    neither."""
+    signs = not clean or draw(st.sampled_from(range(3))) == 0
     start = draw(st.integers(-1, 2))
     groups: list[list[list[str]]] = []
     last: dict[tuple[str, str], tuple[str, str]] = {}
     for k in range(draw(st.sampled_from([1, 2, 3, 3, 4, 4]))):
         rows = []
-        for key in draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=6, unique=True)):
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6, unique=True)):
             if key in last and draw(st.sampled_from(range(4))):
                 x, y = last[key]
             else:
@@ -73,7 +84,8 @@ def snapshot_files(draw) -> str:
     for rows in groups:
         for row in rows:
             t = row[0]
-            row[0] = f"+{t}" if t >= 0 and draw(st.sampled_from(range(6))) == 0 else str(t)
+            plus = signs and t >= 0 and draw(st.sampled_from(range(6))) == 0
+            row[0] = f"+{t}" if plus else str(t)
     order = draw(st.sampled_from(["ascending"] * 3 + ["descending", "interleaved"]))
     if order == "descending":
         groups.reverse()
@@ -83,9 +95,27 @@ def snapshot_files(draw) -> str:
     out = textio.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     lines = out.getvalue().splitlines(keepends=True)
-    for _ in range(draw(st.integers(0, 2))):
+    blanks = draw(st.integers(0, 2)) if not clean or draw(st.sampled_from(range(3))) == 0 else 0
+    for _ in range(blanks):
         lines.insert(draw(st.integers(0, len(lines))), "\n")
-    return "t_point,feature,instance_id,x,y\n" + "".join(lines)
+    return "t_point,feature,instance_id,x,y\n" + "".join(lines), rows, blanks > 0
+
+
+def set_path_serves(rows: list[list[str]], blanks: bool) -> bool:
+    """Whether `io.read_series` must diff a file of these plain records
+    without the csv module: no blank row, every t_point written as
+    `str(int)` and grouped contiguous ascending, at least two t_points, no
+    key twice in one t_point, and every record valid."""
+    ts = [int(row[0]) for row in rows]
+    keys = {(t, row[1], row[2]) for row, t in zip(rows, ts)}
+    return (
+        not blanks
+        and all(row[0] == str(t) for row, t in zip(rows, ts))
+        and all(b - a in (0, 1) for a, b in zip(ts, ts[1:]))
+        and len(set(ts)) >= 2
+        and len(keys) == len(rows)
+        and all(row[3] in COORDS and row[4] in COORDS for row in rows)
+    )
 
 
 def library_diff(path: str, output: str) -> tuple[int, str]:
@@ -102,9 +132,7 @@ def library_diff(path: str, output: str) -> tuple[int, str]:
     return 0, f"{len(snapshots)} snapshots -> {series.window_count} windows, {n} dynamic instances\n"
 
 
-@SETTINGS
-@given(snapshot_files())
-def test_diff_equals_the_library_path(text):
+def assert_diff_equals_the_library_path(text: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snaps.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -117,6 +145,27 @@ def test_diff_equals_the_library_path(text):
             assert (Path(tmp) / "got.csv").read_bytes() == (
                 Path(tmp) / "expected.csv"
             ).read_bytes()
+
+
+@SETTINGS
+@given(snapshot_files())
+def test_diff_equals_the_library_path(drawn):
+    assert_diff_equals_the_library_path(drawn[0])
+
+
+# Blocks of 1 and 7 characters cut lines and t_point boundaries anywhere.
+@pytest.mark.parametrize("block", [1, 7, 64])
+@SETTINGS
+@given(snapshot_files(PLAIN_KEYS, clean=True))
+def test_plain_files_take_the_set_path(block, drawn):
+    text, rows, blanks = drawn
+    with mock.patch.object(io, "_BLOCK", block):
+        assert_diff_equals_the_library_path(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snaps.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            streamed = io._stream(str(path))
+            assert (streamed is not None) == set_path_serves(rows, blanks)
 
 
 @pytest.mark.parametrize("command", ["mine", "diff"])
@@ -187,3 +236,40 @@ def test_a_grouped_file_builds_no_snapshots(tmp_path, monkeypatch):
             tmp_path / name.replace("grouped", "interleaved")
         ).read_bytes()
     assert (tmp_path / "grouped.txt").read_bytes()
+
+
+def test_generated_traffic_takes_the_set_path(tmp_path, monkeypatch):
+    # What `mdcolo gen` and the benchmark write: more than one block, so
+    # lines and t_points straddle block cuts.
+    gen = GenConfig(area=(300.0, 300.0), n_dynamic_instances=1500, seed=4)
+    snapshots, _ = generate(gen)
+    plain = tmp_path / "plain.csv"
+    io.write_snapshots_csv(str(plain), snapshots)
+    lifecycles = tmp_path / "lc.csv"
+    io.write_lifecycles_csv(str(lifecycles), gen.base_features())
+    assert plain.stat().st_size > io._BLOCK
+    # One instance id written quoted: the same records, read by the csv module.
+    header, first, *rest = plain.read_text(encoding="utf-8").splitlines(keepends=True)
+    t, feature, instance_id, x, y = first.split(",")
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(
+        header + f'{t},{feature},"{instance_id}",{x},{y}' + "".join(rest), encoding="utf-8"
+    )
+
+    def mine(path, name: str) -> int:
+        return main([
+            "mine", str(path), "--lifecycles", str(lifecycles), "--dd", "6",
+            "-o", str(tmp_path / name), "--pairs-dump", str(tmp_path / f"{name}.pairs"),
+        ])
+
+    forbid_snapshots(monkeypatch)
+    assert mine(plain, "plain.txt") == 0
+    with pytest.raises(AssertionError, match="snapshot t=.* was built"):
+        mine(quoted, "quoted.txt")
+    monkeypatch.undo()
+    assert mine(quoted, "quoted.txt") == 0
+    for name in ("plain.txt", "plain.txt.pairs"):
+        assert (tmp_path / name).read_bytes() == (
+            tmp_path / name.replace("plain", "quoted")
+        ).read_bytes()
+    assert (tmp_path / "plain.txt").read_bytes()
