@@ -41,7 +41,7 @@ def _parse(convert, text: str, what: str):
 def cmd_diff(args: argparse.Namespace) -> int:
     series, _ = io.read_series(args.input)
     io.write_series_csv(args.output, series)
-    n = sum(len(w) for w in series.windows)
+    n = len(series.columns.ranks)
     # The t_points of a series are contiguous: one more than its windows.
     _info(
         f"{series.window_count + 1} snapshots -> {series.window_count} windows, "

@@ -364,16 +364,14 @@ def write_snapshots_csv(path: str, snapshots: Sequence[Snapshot]) -> None:
 
 
 def write_series_csv(path: str, series: DynamicDatasetSeries) -> None:
+    """One line per instance in the order of the series' windows
+    (`DynamicDatasetSeries.window_rows`, which reads a diffed series'
+    columns)."""
     # The kind is `new` or `dead`, which never needs quoting.
     bases = _Fields(lambda f: f.base)
     with _open_writer(path, SERIES_HEADER) as write:
-        for window in series.windows:
-            for inst in window:
-                feature = inst.feature
-                write(
-                    f"{inst.t_index},{bases[feature]},{feature.kind},"
-                    f"{inst.ordinal},{inst.x!r},{inst.y!r}\n"
-                )
+        for t, feature, ordinal, x, y in series.window_rows():
+            write(f"{t},{bases[feature]},{feature.kind},{ordinal},{x!r},{y!r}\n")
 
 
 def read_lifecycles_csv(path: str) -> list[BaseFeature]:
@@ -418,13 +416,15 @@ def write_lifecycles_csv(path: str, features: Sequence[BaseFeature]) -> None:
 def write_pairs_csv(path: str, pairs: Join | Iterable[NeighborPair]) -> None:
     """Debug dump of related pairs with their actual distances, in the order
     given: a join's codes, or instance pairs.  Each instance's fields are
-    formatted once."""
+    formatted once, from its series' columns and one label per feature."""
     join = pairs if isinstance(pairs, Join) else Join.of_pairs(pairs)
-    instances, n = join.instances, len(join.instances)
-    labels = _Fields(lambda f: f.label)
-    fields = [f"{labels[i.feature]},{i.ordinal},{i.t_index}" for i in instances]
-    xs = [i.x for i in instances]
-    ys = [i.y for i in instances]
+    columns = join.series.columns
+    labels = [_field(f.label) for f in columns.features]
+    fields = [
+        f"{labels[rank]},{ordinal},{t}"
+        for rank, ordinal, t in zip(columns.ranks, columns.ordinals, columns.t_indexes)
+    ]
+    xs, ys, n = columns.xs, columns.ys, len(columns.ranks)
     sqrt = math.sqrt
     with _open_writer(path, PAIRS_HEADER) as write:
         for code in join.codes:

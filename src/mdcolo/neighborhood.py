@@ -12,17 +12,19 @@ that list from one lower pointer, so no instance is compared with one more
 than the largest span away in time, and the work does not grow with the
 number of windows.
 
-The join numbers instances and features in canonical order and returns the
-related pairs as sorted int codes (`Join`).  Pair tables are built straight
-from those codes (`size2.pair_tables`), and the pairs dump walks them;
-`neighbor_pairs` maps them to instance pairs for callers that want those.
+The join reads the series' columns (`DynamicDatasetSeries.columns`), which
+number instances and features in canonical order, and returns the related
+pairs as sorted int codes over them (`Join`).  Pair tables are built straight
+from those codes (`size2.pair_tables`), and the pairs dump reads them with
+the columns; `neighbor_pairs` maps them to instance pairs for callers that
+want those.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import ConfigError, DynamicFeature, DynamicInstance, MiningConfig
@@ -54,17 +56,20 @@ _WINDOW = itemgetter(0)
 
 
 class Join(NamedTuple):
-    """Related pairs as int codes.  `instances` is in canonical order and
-    code `i` names `instances[i]`; `ranks[i]` is the position of its feature
-    in `features`, which is in canonical order too.  `codes` holds
-    `i * len(instances) + j` for each pair (i, j).  `grid_join` gives every
-    related pair once, with `i < j`, sorted, which is the pairs' canonical
-    order."""
+    """Related pairs as int codes over one series: code `i` names the
+    instance at position `i` of `series.columns`, which are in canonical
+    order.  `codes` holds `i * n + j` for each pair (i, j), where `n` is
+    the series' instance count.  `grid_join` gives every related pair once,
+    with `i < j`, sorted, which is the pairs' canonical order.  Instance
+    objects are built only by `instances` and `pairs`."""
 
-    instances: list[DynamicInstance]
-    features: list[DynamicFeature]
-    ranks: list[int]
+    series: DynamicDatasetSeries
     codes: list[int]
+
+    @property
+    def instances(self) -> list[DynamicInstance]:
+        """The series' instances in canonical order, indexed by code."""
+        return self.series.instances()
 
     def pairs(self) -> Iterator[NeighborPair]:
         """The related instance pairs, canonically ordered and sorted."""
@@ -74,36 +79,14 @@ class Join(NamedTuple):
     @classmethod
     def of_pairs(cls, pairs: Iterable[NeighborPair]) -> Join:
         """The join that holds the given instance pairs, coded in the order
-        given; no two instances may share a name."""
+        given; no two instances may share a name.  Their series holds them
+        as one window and is numbered as any window-built series is."""
         pairs = list(pairs)
-        instances, features, ranks = number_instances({inst for pair in pairs for inst in pair})
+        series = DynamicDatasetSeries((tuple({inst for pair in pairs for inst in pair}),))
+        instances = series.instances()
         code = {inst: i for i, inst in enumerate(instances)}
         n = len(instances)
-        return cls(instances, features, ranks, [code[a] * n + code[b] for a, b in pairs])
-
-
-def number_instances(
-    instances: Iterable[DynamicInstance],
-) -> tuple[list[DynamicInstance], list[DynamicFeature], list[int]]:
-    """The instances in canonical order, their features in canonical order,
-    and each instance's feature rank; a ConfigError when two instances share
-    a name (feature and ordinal), which names them everywhere downstream."""
-    ordered = sorted(instances, key=attrgetter("sort_key"))
-    features: list[DynamicFeature] = []
-    ranks: list[int] = []
-    rank = -1
-    last = feature_key = None
-    for inst in ordered:
-        if inst.sort_key == last:
-            raise ConfigError(f"two instances are named {inst.label}")
-        last = inst.sort_key
-        feature = inst.feature
-        if feature.sort_key != feature_key:
-            feature_key = feature.sort_key
-            features.append(feature)
-            rank += 1
-        ranks.append(rank)
-    return ordered, features, ranks
+        return cls(series, [code[a] * n + code[b] for a, b in pairs])
 
 
 def grid_join(
@@ -115,35 +98,37 @@ def grid_join(
 
     Every feature present in the series must have a span, no coordinate
     may exceed MAX_COORDINATE in magnitude, and no two instances may share
-    a name.
+    a name (a window-built series is numbered here, by `number_instances`).
     """
-    # Instances (codes) and features (ranks) are numbered in canonical order,
-    # so the join compares plain ints.
-    instances, features, ranks = number_instances(series.all_instances())
+    # Instances (codes) and features (ranks) are numbered in canonical order
+    # by the series, so the join compares plain ints.
+    columns = series.columns
+    features, ranks, xs, ys = columns.features, columns.ranks, columns.xs, columns.ys
     missing = set(features) - set(spans)
     if missing:
         names = ", ".join(sorted(f.label for f in missing))
         raise ConfigError(f"no span for feature(s): {names}")
     hits: list[int] = []
-    if not instances:
-        return Join(instances, features, ranks, hits)
+    if not ranks:
+        return Join(series, hits)
 
     rank_spans = [spans[f] for f in features]
     max_span = max(rank_spans)
-    reach = max(max(abs(inst.x), abs(inst.y)) for inst in instances)
+    reach = max(max(map(abs, xs)), max(map(abs, ys)))
     if reach > MAX_COORDINATE:
         raise ConfigError(f"a coordinate of magnitude {reach!r} is beyond {MAX_COORDINATE:g}")
     width = max(config.d_d, reach / _MAX_CELLS) * _CELL_SLACK
     # cell -> (t_index, code, rank, x, y, span) of its instances, by t_index
     cells: dict[tuple[int, int], list[tuple]] = {}
-    for code, (inst, r) in enumerate(zip(instances, ranks)):
-        cells.setdefault(
-            (math.floor(inst.x / width), math.floor(inst.y / width)), []
-        ).append((inst.t_index, code, r, inst.x, inst.y, rank_spans[r]))
+    floor = math.floor
+    for code, (t, r, x, y) in enumerate(zip(columns.t_indexes, ranks, xs, ys)):
+        cells.setdefault((floor(x / width), floor(y / width)), []).append(
+            (t, code, r, x, y, rank_spans[r])
+        )
     for bucket in cells.values():
         bucket.sort()
 
-    n = len(instances)
+    n = len(ranks)
     dd_sq = config.d_d * config.d_d
     inclusive = config.temporal_comparison == "inclusive"
     hit = hits.append
@@ -181,7 +166,7 @@ def grid_join(
                         hit(ca * n + cb if ca < cb else cb * n + ca)
     del cells, neighbour
     hits.sort()
-    return Join(instances, features, ranks, hits)
+    return Join(series, hits)
 
 
 def neighbor_pairs(

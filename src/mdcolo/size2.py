@@ -2,21 +2,22 @@
 
 A pattern's table instance lists every instance combination realizing it, as
 one column of instance ordinals per feature; the tables of one join share a
-lookup that names each ordinal's instance.  The pair tables come from the
-join's int codes in one pass, and no stage of a mine reads more of a table
-than its ordinals.  A feature's participation ratio in a table is the share
-of its instances (over the whole series) that appear in at least one row;
-the participation index of the table is the minimum ratio over the
-pattern's features, whose participants every stage reads as one ordinal
-bitmask each (`TableInstance.columns`).  Pairs whose index passes the
-threshold become the edges of the feature graph that seeds the clique
-search.
+lookup that names each ordinal's instance, built only when read.  The pair
+tables come from the join's int codes and the series' columns in one pass,
+and no stage of a mine reads more of a table than its ordinals.  A feature's
+participation ratio in a table is the share of its instances (over the whole
+series) that appear in at least one row; the participation index of the
+table is the minimum ratio over the pattern's features, whose participants
+every stage reads as one ordinal bitmask each (`TableInstance.columns`).
+Pairs whose index passes the threshold become the edges of the feature graph
+that seeds the clique search.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
 from .neighborhood import Join, NeighborPair
@@ -30,11 +31,40 @@ _BIT = (1).__lshift__
 
 
 def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
-    """Total instances per dynamic feature across all windows."""
-    counts: FeatureCounts = {}
-    for inst in series.all_instances():
-        counts[inst.feature] = counts.get(inst.feature, 0) + 1
-    return counts
+    """Total instances per dynamic feature across all windows, in canonical
+    feature order, read from the series' columns."""
+    columns = series.columns
+    return dict(zip(columns.features, columns.counts))
+
+
+class InstanceLookup(abc.Mapping):
+    """Feature -> ordinal -> instance over one series: the lookup that every
+    table of one join shares.  It is built on its first read, from the
+    series' instances, so a mine that reads no rows builds none."""
+
+    __slots__ = ("series", "_by_feature")
+
+    def __init__(self, series: DynamicDatasetSeries):
+        self.series = series
+        self._by_feature: dict[DynamicFeature, dict[int, DynamicInstance]] | None = None
+
+    def _lookup(self) -> dict[DynamicFeature, dict[int, DynamicInstance]]:
+        if self._by_feature is None:
+            columns = self.series.columns
+            by_rank: list[dict[int, DynamicInstance]] = [{} for _ in columns.features]
+            for inst, rank in zip(self.series.instances(), columns.ranks):
+                by_rank[rank][inst.ordinal] = inst
+            self._by_feature = dict(zip(columns.features, by_rank))
+        return self._by_feature
+
+    def __getitem__(self, feature: DynamicFeature) -> dict[int, DynamicInstance]:
+        return self._lookup()[feature]
+
+    def __iter__(self) -> Iterator[DynamicFeature]:
+        return iter(self._lookup())
+
+    def __len__(self) -> int:
+        return len(self._lookup())
 
 
 class PairIndex(NamedTuple):
@@ -54,9 +84,11 @@ class TableInstance:
     in the pattern's canonical feature order.  A table holds its rows as one
     list of instance ordinals per feature (`ordinals`), row by row, and
     names them through `instances` (feature -> ordinal -> instance), a
-    lookup that every table of one join shares.  Two tables are equal when
-    their patterns and ordinal columns are.  The participant masks and a
-    pair table's index are built on first use, from the ordinals alone."""
+    lookup that every table of one join shares; `pair_tables` hands over an
+    `InstanceLookup`, which builds the instances on its first read.  Two
+    tables are equal when their patterns and ordinal columns are.  The
+    participant masks and a pair table's index are built on first use, from
+    the ordinals alone."""
 
     __slots__ = ("pattern", "ordinals", "instances", "_columns", "_pair_index")
 
@@ -109,10 +141,12 @@ class TableInstance:
 def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
     """One table instance per feature pair that has a related pair, in
     canonical pattern order.  One pass over the join's codes fills each
-    table's two ordinal columns, in code order."""
-    instances, features, ranks, codes = join
-    n, width = len(instances), len(features)
-    ordinals = [inst.ordinal for inst in instances]
+    table's two ordinal columns, in code order, from the series' rank and
+    ordinal columns."""
+    series, codes = join
+    numbering = series.columns
+    features, ranks, ordinals = numbering.features, numbering.ranks, numbering.ordinals
+    n, width = len(ranks), len(features)
     # ranks[a] * width + ranks[b] -> the ordinal columns of that feature pair
     grouped: dict[int, tuple[list[int], list[int]]] = {}
     # Sorted codes come in runs of one first instance `a`, read once a run.
@@ -129,10 +163,7 @@ def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
         columns[0].append(a_ordinal)
         columns[1].append(ordinals[b])
 
-    by_rank: list[dict[int, DynamicInstance]] = [{} for _ in features]
-    for inst, rank, ordinal in zip(instances, ranks, ordinals):
-        by_rank[rank][ordinal] = inst
-    lookup = dict(zip(features, by_rank))
+    lookup = InstanceLookup(series)
     # Ranks are canonical, the lower first: the keys sort as the patterns do.
     tables = (
         TableInstance(Pattern((features[key // width], features[key % width])), columns, lookup)

@@ -6,15 +6,21 @@ its old position; an id absent in k but present in k+1 becomes a "new" one at
 its new position.  Ids present in both contribute nothing, even if they moved.
 An id that disappears and later reappears is a fresh new instance; identity
 does not survive a gap.
+
+The diff numbers what it finds: `EventLog.series` hands over the series as
+columns in canonical order (`SeriesColumns`), which the join, the pair
+tables and the writers read, so a mine builds no `DynamicInstance`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     DEAD,
     NEW,
+    ConfigError,
     DataFormatError,
     DynamicFeature,
     DynamicInstance,
@@ -51,28 +57,135 @@ class Snapshot(Value):
         self.t_point, self.records = t_point, records
 
 
+class SeriesColumns(NamedTuple):
+    """The instances of a series as columns, in canonical order: code `i`
+    names the instance at position `i` of each per-instance column.  The
+    features are in canonical order too, and an instance's rank is the
+    position of its feature there."""
+
+    # per feature rank: the feature, and how many instances it has
+    features: list[DynamicFeature]
+    counts: list[int]
+    # per instance code
+    ranks: list[int]
+    ordinals: list[int]
+    t_indexes: list[int]
+    xs: list[float]
+    ys: list[float]
+
+
+def number_instances(
+    instances: Iterable[DynamicInstance],
+) -> tuple[list[DynamicInstance], SeriesColumns]:
+    """The instances in canonical order and their columns; a ConfigError
+    when two instances share a name (feature and ordinal), which names them
+    everywhere downstream.  This numbers a series built from its windows;
+    `EventLog.series` hands its columns over already numbered."""
+    ordered = sorted(instances, key=attrgetter("sort_key"))
+    features: list[DynamicFeature] = []
+    counts: list[int] = []
+    ranks: list[int] = []
+    last = feature_key = None
+    for inst in ordered:
+        if inst.sort_key == last:
+            raise ConfigError(f"two instances are named {inst.label}")
+        last = inst.sort_key
+        feature = inst.feature
+        if feature.sort_key != feature_key:
+            feature_key = feature.sort_key
+            features.append(feature)
+            counts.append(0)
+        counts[-1] += 1
+        ranks.append(len(features) - 1)
+    return ordered, SeriesColumns(
+        features, counts, ranks,
+        [inst.ordinal for inst in ordered], [inst.t_index for inst in ordered],
+        [inst.x for inst in ordered], [inst.y for inst in ordered],
+    )
+
+
 class DynamicDatasetSeries(Value):
     """The dynamic instances of every transition window, in canonical order.
 
     Windows may be empty; they are kept so that t_index stays aligned with the
-    original snapshot positions.
+    original snapshot positions.  A series holds its instances either as
+    windows (`DynamicDatasetSeries(windows)`, as tests and oracles build
+    one) or as columns (`of_columns`, as the diff hands it over), and builds
+    the other form on first use and keeps it: a window-built series is
+    numbered by `number_instances`, with its own instances, and a
+    column-built one builds its `DynamicInstance`s only when its windows or
+    instances are read.  Two series are equal when their windows are, which
+    never change, so the hash stays valid.
     """
 
-    __slots__ = _compared = ("windows",)
+    _compared = ("windows",)
+    __slots__ = ("window_count", "_windows", "_columns", "_instances")
 
     def __init__(self, windows: tuple[tuple[DynamicInstance, ...], ...]):
-        self.windows = windows
+        self.window_count = len(windows)
+        self._windows = windows
+        self._columns: SeriesColumns | None = None
+        self._instances: list[DynamicInstance] | None = None
+
+    @classmethod
+    def of_columns(cls, columns: SeriesColumns, window_count: int) -> DynamicDatasetSeries:
+        """The series of `window_count` windows that holds these columns."""
+        series = cls.__new__(cls)
+        series.window_count, series._windows = window_count, None
+        series._columns, series._instances = columns, None
+        return series
+
+    @property
+    def columns(self) -> SeriesColumns:
+        if self._columns is None:
+            self._instances, self._columns = number_instances(self.all_instances())
+        return self._columns
+
+    def instances(self) -> list[DynamicInstance]:
+        """The instances in canonical order: code `i` names `instances()[i]`.
+        A window-built series numbers its own instances; a column-built one
+        builds them here."""
+        c = self.columns
+        if self._instances is None:
+            self._instances = list(map(
+                DynamicInstance, map(c.features.__getitem__, c.ranks),
+                c.ordinals, c.xs, c.ys, c.t_indexes,
+            ))
+        return self._instances
+
+    @property
+    def windows(self) -> tuple[tuple[DynamicInstance, ...], ...]:
+        if self._windows is None:
+            per_window: list[list[DynamicInstance]] = [[] for _ in range(self.window_count)]
+            for inst in self.instances():
+                per_window[inst.t_index].append(inst)
+            self._windows = tuple(map(tuple, per_window))
+        return self._windows
 
     def all_instances(self) -> Iterator[DynamicInstance]:
         for window in self.windows:
             yield from window
 
-    def features(self) -> set[DynamicFeature]:
-        return {inst.feature for inst in self.all_instances()}
+    def window_rows(self) -> Iterator[tuple[int, DynamicFeature, int, float, float]]:
+        """(t_index, feature, ordinal, x, y) of each instance, in the order
+        of `windows`, read from the columns while the windows are unbuilt."""
+        if self._windows is not None:
+            return (
+                (inst.t_index, inst.feature, inst.ordinal, inst.x, inst.y)
+                for inst in self.all_instances()
+            )
+        c = self._columns
+        features, ranks, ordinals, t_indexes, xs, ys = (
+            c.features, c.ranks, c.ordinals, c.t_indexes, c.xs, c.ys
+        )
+        # A stable sort keeps canonical order within each window.
+        order = sorted(range(len(ranks)), key=t_indexes.__getitem__)
+        return (
+            (t_indexes[i], features[ranks[i]], ordinals[i], xs[i], ys[i]) for i in order
+        )
 
-    @property
-    def window_count(self) -> int:
-        return len(self.windows)
+    def features(self) -> set[DynamicFeature]:
+        return set(self.columns.features)
 
 
 # (feature id, instance id): what names a record within one snapshot
@@ -112,17 +225,29 @@ class EventLog:
             events.setdefault((feature, NEW), []).append((k, instance_id, x, y))
 
     def series(self) -> DynamicDatasetSeries:
-        """Ordinals are assigned per dynamic feature by window, then by
-        instance id, so they do not depend on record order.  Features in
-        canonical order, each with ascending ordinals, fill every window
-        already in canonical instance order."""
-        per_window: list[list[DynamicInstance]] = [[] for _ in range(self.t_points - 1)]
+        """The series as columns (`SeriesColumns`), numbered here: ordinals
+        are assigned per dynamic feature by window, then by instance id, so
+        they do not depend on record order.  Features in canonical order,
+        each with ascending ordinals, are the canonical instance order."""
         features = sorted((DynamicFeature(*key) for key in self.events), key=lambda f: f.sort_key)
-        for feature in features:
+        counts: list[int] = []
+        ranks: list[int] = []
+        ordinals: list[int] = []
+        t_indexes: list[int] = []
+        xs: list[float] = []
+        ys: list[float] = []
+        for rank, feature in enumerate(features):
             events = sorted(self.events[feature.base, feature.kind])
-            for ordinal, (k, _instance_id, x, y) in enumerate(events, start=1):
-                per_window[k].append(DynamicInstance(feature, ordinal, x, y, k))
-        return DynamicDatasetSeries(tuple(map(tuple, per_window)))
+            n = len(events)
+            counts.append(n)
+            ranks += [rank] * n
+            ordinals += range(1, n + 1)
+            ks, _instance_ids, exs, eys = zip(*events)
+            t_indexes += ks
+            xs += exs
+            ys += eys
+        columns = SeriesColumns(features, counts, ranks, ordinals, t_indexes, xs, ys)
+        return DynamicDatasetSeries.of_columns(columns, self.t_points - 1)
 
 
 def diff_snapshots(snapshots: Sequence[Snapshot]) -> DynamicDatasetSeries:

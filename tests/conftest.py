@@ -18,6 +18,7 @@ from mdcolo import (
     BaseFeature,
     DataFormatError,
     DynamicFeature,
+    DynamicInstance,
     MiningConfig,
     Snapshot,
     diff_snapshots,
@@ -66,6 +67,13 @@ def forbid_snapshots(monkeypatch) -> None:
     def init(self, t_point, records):
         raise AssertionError(f"snapshot t={t_point} was built")
     monkeypatch.setattr(Snapshot, "__init__", init)
+
+
+def forbid_instances(monkeypatch) -> None:
+    """Make building any `DynamicInstance` fail the test."""
+    def init(self, feature, ordinal, x, y, t_index):
+        raise AssertionError(f"instance {feature}.{ordinal} was built")
+    monkeypatch.setattr(DynamicInstance, "__init__", init)
 
 
 def bits(mask: int) -> set[int]:

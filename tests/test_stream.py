@@ -23,10 +23,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdcolo import ConfigError, DataFormatError, GenConfig, diff_snapshots, generate, io
+from mdcolo import (
+    ConfigError, DataFormatError, GenConfig, MiningConfig, diff_snapshots, generate, io,
+)
 from mdcolo.cli import main
+from mdcolo.model import compute_spans
+from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.snapshots import DynamicDatasetSeries
 
-from conftest import forbid_snapshots
+from conftest import forbid_instances, forbid_snapshots
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -238,9 +243,11 @@ def test_a_grouped_file_builds_no_snapshots(tmp_path, monkeypatch):
     assert (tmp_path / "grouped.txt").read_bytes()
 
 
-def test_generated_traffic_takes_the_set_path(tmp_path, monkeypatch):
-    # What `mdcolo gen` and the benchmark write: more than one block, so
-    # lines and t_points straddle block cuts.
+def generated_traffic(tmp_path: Path) -> tuple[Path, Path, Path]:
+    """What `mdcolo gen` and the benchmark write, as a snapshot CSV of more
+    than one block, so lines and t_points straddle block cuts; the same
+    records with one instance id written quoted, which the csv module
+    reads; and the life-cycle CSV."""
     gen = GenConfig(area=(300.0, 300.0), n_dynamic_instances=1500, seed=4)
     snapshots, _ = generate(gen)
     plain = tmp_path / "plain.csv"
@@ -248,13 +255,17 @@ def test_generated_traffic_takes_the_set_path(tmp_path, monkeypatch):
     lifecycles = tmp_path / "lc.csv"
     io.write_lifecycles_csv(str(lifecycles), gen.base_features())
     assert plain.stat().st_size > io._BLOCK
-    # One instance id written quoted: the same records, read by the csv module.
     header, first, *rest = plain.read_text(encoding="utf-8").splitlines(keepends=True)
     t, feature, instance_id, x, y = first.split(",")
     quoted = tmp_path / "quoted.csv"
     quoted.write_text(
         header + f'{t},{feature},"{instance_id}",{x},{y}' + "".join(rest), encoding="utf-8"
     )
+    return plain, quoted, lifecycles
+
+
+def test_generated_traffic_takes_the_set_path(tmp_path, monkeypatch):
+    plain, quoted, lifecycles = generated_traffic(tmp_path)
 
     def mine(path, name: str) -> int:
         return main([
@@ -273,3 +284,42 @@ def test_generated_traffic_takes_the_set_path(tmp_path, monkeypatch):
             tmp_path / name.replace("plain", "quoted")
         ).read_bytes()
     assert (tmp_path / "plain.txt").read_bytes()
+
+
+def test_generated_traffic_builds_no_instances(tmp_path, monkeypatch):
+    # The diff hands over columns, and a mine, its dumps and `mdcolo diff`
+    # read them, on either reader path and either algorithm.
+    plain, quoted, lifecycles = generated_traffic(tmp_path)
+
+    def mine(path, name: str, *extra: str) -> int:
+        return main([
+            "mine", str(path), "--lifecycles", str(lifecycles), "--dd", "6",
+            "-o", str(tmp_path / name), "--size2-report", str(tmp_path / f"{name}.size2"),
+            "--pairs-dump", str(tmp_path / f"{name}.pairs"), *extra,
+        ])
+
+    forbid_instances(monkeypatch)
+    assert mine(plain, "plain.txt", "--derive-all") == 0
+    assert mine(quoted, "quoted.txt", "--derive-all") == 0
+    assert mine(plain, "join.txt", "--algo", "join") == 0
+    assert main(["diff", str(plain), "-o", str(tmp_path / "series.csv")]) == 0
+    monkeypatch.undo()
+    for suffix in ("", ".size2", ".pairs"):
+        for name in ("quoted.txt", "join.txt"):
+            assert (tmp_path / f"plain.txt{suffix}").read_bytes() == (
+                tmp_path / f"{name}{suffix}"
+            ).read_bytes()
+    assert (tmp_path / "plain.txt").read_text().count("\n") > 1
+
+    # The same files through instance objects: the series built from its
+    # windows, and the dump written from instance pairs.
+    series = DynamicDatasetSeries(io.read_series(str(plain))[0].windows)
+    io.write_series_csv(str(tmp_path / "windows.csv"), series)
+    assert (tmp_path / "windows.csv").read_bytes() == (tmp_path / "series.csv").read_bytes()
+    life = {f.id: f.life_cycle for f in io.read_lifecycles_csv(str(lifecycles))}
+    config = MiningConfig(d_d=6.0, min_prev=0.1, time_span=3.0)
+    pairs = neighbor_pairs(series, compute_spans(series.features(), life, 3.0), config)
+    io.write_pairs_csv(str(tmp_path / "instances.pairs"), pairs)
+    assert (tmp_path / "instances.pairs").read_bytes() == (
+        tmp_path / "plain.txt.pairs"
+    ).read_bytes()
