@@ -36,8 +36,8 @@ def join_based_mine(
         if passes_prevalence(dpi, len(table), config):
             level[pat] = list(zip(*table.ordinals))
             all_prevalent[pat] = (dpi, len(table))
-            # the instance lookup that every table of the join shares
-            lookup = table.instances
+            # every table of the join names its rows through one series
+            series = table.series
 
     while level:
         next_level: dict[Pattern, list[tuple[int, ...]]] = {}
@@ -63,7 +63,7 @@ def join_based_mine(
                 if not rows:
                     continue
                 candidate = Pattern(a_pat.features + (b_pat.features[-1],))
-                table = TableInstance(candidate, tuple(map(list, zip(*rows))), lookup)
+                table = TableInstance(candidate, tuple(map(list, zip(*rows))), series)
                 dpi = participation_index(table, counts)
                 if passes_prevalence(dpi, len(rows), config):
                     next_level[candidate] = rows

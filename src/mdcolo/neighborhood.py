@@ -13,7 +13,7 @@ than the largest span away in time, and the work does not grow with the
 number of windows.
 
 The join reads the series' columns (`DynamicDatasetSeries.columns`), which
-number instances and features in canonical order, and returns the related
+hold instances and features in canonical order, and returns the related
 pairs as sorted int codes over them (`Join`).  Pair tables are built straight
 from those codes (`size2.pair_tables`), and the pairs dump reads them with
 the columns; `neighbor_pairs` maps them to instance pairs for callers that
@@ -61,28 +61,30 @@ class Join(NamedTuple):
     order.  `codes` holds `i * n + j` for each pair (i, j), where `n` is
     the series' instance count.  `grid_join` gives every related pair once,
     with `i < j`, sorted, which is the pairs' canonical order.  Instance
-    objects are built only by `instances` and `pairs`."""
+    objects are built only by `pairs`."""
 
     series: DynamicDatasetSeries
     codes: list[int]
 
-    @property
-    def instances(self) -> list[DynamicInstance]:
-        """The series' instances in canonical order, indexed by code."""
-        return self.series.instances()
-
     def pairs(self) -> Iterator[NeighborPair]:
         """The related instance pairs, canonically ordered and sorted."""
-        instances, n = self.instances, len(self.instances)
+        instances = self.series.instances()
+        n = len(instances)
         return ((instances[code // n], instances[code % n]) for code in self.codes)
 
     @classmethod
     def of_pairs(cls, pairs: Iterable[NeighborPair]) -> Join:
         """The join that holds the given instance pairs, coded in the order
-        given; no two instances may share a name.  Their series holds them
-        as one window and is numbered as any window-built series is."""
+        given; no two instances may share a name.  Their series holds each
+        in the window of its t_index."""
         pairs = list(pairs)
-        series = DynamicDatasetSeries((tuple({inst for pair in pairs for inst in pair}),))
+        distinct = {inst for pair in pairs for inst in pair}
+        windows: list[list[DynamicInstance]] = [
+            [] for _ in range(max((inst.t_index for inst in distinct), default=-1) + 1)
+        ]
+        for inst in distinct:
+            windows[inst.t_index].append(inst)
+        series = DynamicDatasetSeries(tuple(map(tuple, windows)))
         instances = series.instances()
         code = {inst: i for i, inst in enumerate(instances)}
         n = len(instances)
@@ -96,9 +98,8 @@ def grid_join(
 ) -> Join:
     """All related instance pairs, as the sorted codes of `Join`.
 
-    Every feature present in the series must have a span, no coordinate
-    may exceed MAX_COORDINATE in magnitude, and no two instances may share
-    a name (a window-built series is numbered here, by `number_instances`).
+    Every feature present in the series must have a span, and no
+    coordinate may exceed MAX_COORDINATE in magnitude.
     """
     # Instances (codes) and features (ranks) are numbered in canonical order
     # by the series, so the join compares plain ints.

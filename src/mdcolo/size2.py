@@ -1,10 +1,10 @@
 """Pair tables, participation measures, and the prevalent-pair feature graph.
 
 A pattern's table instance lists every instance combination realizing it, as
-one column of instance ordinals per feature; the tables of one join share a
-lookup that names each ordinal's instance, built only when read.  The pair
-tables come from the join's int codes and the series' columns in one pass,
-and no stage of a mine reads more of a table than its ordinals.  A feature's
+one column of instance ordinals per feature, and names each ordinal's
+instance through its series (`DynamicDatasetSeries.named`).  The pair tables
+come from the join's int codes and the series' columns in one pass, and no
+stage of a mine reads more of a table than its ordinals.  A feature's
 participation ratio in a table is the share of its instances (over the whole
 series) that appear in at least one row; the participation index of the
 table is the minimum ratio over the pattern's features, whose participants
@@ -15,17 +15,14 @@ that seeds the clique search.
 
 from __future__ import annotations
 
-from collections import abc
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
 from .neighborhood import Join, NeighborPair
 from .snapshots import DynamicDatasetSeries
 
 FeatureCounts = dict[DynamicFeature, int]
-# feature -> ordinal -> instance, for every feature of one join
-Lookup = Mapping[DynamicFeature, Mapping[int, DynamicInstance]]
 # ordinal -> its bit in a participant mask
 _BIT = (1).__lshift__
 
@@ -35,36 +32,6 @@ def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
     feature order, read from the series' columns."""
     columns = series.columns
     return dict(zip(columns.features, columns.counts))
-
-
-class InstanceLookup(abc.Mapping):
-    """Feature -> ordinal -> instance over one series: the lookup that every
-    table of one join shares.  It is built on its first read, from the
-    series' instances, so a mine that reads no rows builds none."""
-
-    __slots__ = ("series", "_by_feature")
-
-    def __init__(self, series: DynamicDatasetSeries):
-        self.series = series
-        self._by_feature: dict[DynamicFeature, dict[int, DynamicInstance]] | None = None
-
-    def _lookup(self) -> dict[DynamicFeature, dict[int, DynamicInstance]]:
-        if self._by_feature is None:
-            columns = self.series.columns
-            by_rank: list[dict[int, DynamicInstance]] = [{} for _ in columns.features]
-            for inst, rank in zip(self.series.instances(), columns.ranks):
-                by_rank[rank][inst.ordinal] = inst
-            self._by_feature = dict(zip(columns.features, by_rank))
-        return self._by_feature
-
-    def __getitem__(self, feature: DynamicFeature) -> dict[int, DynamicInstance]:
-        return self._lookup()[feature]
-
-    def __iter__(self) -> Iterator[DynamicFeature]:
-        return iter(self._lookup())
-
-    def __len__(self) -> int:
-        return len(self._lookup())
 
 
 class PairIndex(NamedTuple):
@@ -83,17 +50,17 @@ class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
     in the pattern's canonical feature order.  A table holds its rows as one
     list of instance ordinals per feature (`ordinals`), row by row, and
-    names them through `instances` (feature -> ordinal -> instance), a
-    lookup that every table of one join shares; `pair_tables` hands over an
-    `InstanceLookup`, which builds the instances on its first read.  Two
+    names them through the series they come from (`series.named()`).  Two
     tables are equal when their patterns and ordinal columns are.  The
     participant masks and a pair table's index are built on first use, from
     the ordinals alone."""
 
-    __slots__ = ("pattern", "ordinals", "instances", "_columns", "_pair_index")
+    __slots__ = ("pattern", "ordinals", "series", "_columns", "_pair_index")
 
-    def __init__(self, pattern: Pattern, ordinals: tuple[list[int], ...], instances: Lookup):
-        self.pattern, self.ordinals, self.instances = pattern, ordinals, instances
+    def __init__(
+        self, pattern: Pattern, ordinals: tuple[list[int], ...], series: DynamicDatasetSeries
+    ):
+        self.pattern, self.ordinals, self.series = pattern, ordinals, series
         self._columns: tuple[int, ...] | None = None
         self._pair_index: PairIndex | None = None
 
@@ -101,8 +68,9 @@ class TableInstance:
     def rows(self) -> tuple[tuple[DynamicInstance, ...], ...]:
         """The rows as instance tuples, rebuilt on each call.  No stage of a
         mine reads them; the benchmark's traced pass and the tests do."""
+        named = self.series.named()
         return tuple(zip(*(
-            map(self.instances[f].__getitem__, column)
+            map(named[f].__getitem__, column)
             for f, column in zip(self.pattern.features, self.ordinals)
         )))
 
@@ -163,10 +131,9 @@ def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
         columns[0].append(a_ordinal)
         columns[1].append(ordinals[b])
 
-    lookup = InstanceLookup(series)
     # Ranks are canonical, the lower first: the keys sort as the patterns do.
     tables = (
-        TableInstance(Pattern((features[key // width], features[key % width])), columns, lookup)
+        TableInstance(Pattern((features[key // width], features[key % width])), columns, series)
         for key, columns in sorted(grouped.items())
     )
     return {t.pattern: t for t in tables}

@@ -7,9 +7,11 @@ its new position.  Ids present in both contribute nothing, even if they moved.
 An id that disappears and later reappears is a fresh new instance; identity
 does not survive a gap.
 
-The diff numbers what it finds: `EventLog.series` hands over the series as
-columns in canonical order (`SeriesColumns`), which the join, the pair
-tables and the writers read, so a mine builds no `DynamicInstance`.
+A series is its instances as columns in canonical order (`SeriesColumns`).
+The diff numbers what it finds and hands the columns over
+(`EventLog.series`); a series built from its windows is numbered at
+construction (`number_instances`).  The join, the pair tables and the
+writers read the columns, so a mine builds no `DynamicInstance`.
 """
 
 from __future__ import annotations
@@ -105,62 +107,74 @@ def number_instances(
 
 
 class DynamicDatasetSeries(Value):
-    """The dynamic instances of every transition window, in canonical order.
+    """The dynamic instances of every transition window, held as their
+    columns (`SeriesColumns`) in canonical order.
 
     Windows may be empty; they are kept so that t_index stays aligned with the
-    original snapshot positions.  A series holds its instances either as
-    windows (`DynamicDatasetSeries(windows)`, as tests and oracles build
-    one) or as columns (`of_columns`, as the diff hands it over), and builds
-    the other form on first use and keeps it: a window-built series is
-    numbered by `number_instances`, with its own instances, and a
-    column-built one builds its `DynamicInstance`s only when its windows or
-    instances are read.  Two series are equal when their windows are, which
-    never change, so the hash stays valid.
+    original snapshot positions.  The diff hands its columns over
+    (`of_columns`); a series built from its windows
+    (`DynamicDatasetSeries(windows)`, as tests and oracles build one) is
+    numbered at construction by `number_instances` and keeps its own
+    instances.  A column-built series builds its `DynamicInstance`s only
+    when its instances, windows or names are read.  `windows` come from the
+    columns by t_index, in canonical order within each window.  Two series
+    are equal when their window counts and columns are.
     """
 
-    _compared = ("windows",)
-    __slots__ = ("window_count", "_windows", "_columns", "_instances")
+    _compared = ("window_count", "columns")
+    __slots__ = ("window_count", "columns", "_instances", "_named")
 
     def __init__(self, windows: tuple[tuple[DynamicInstance, ...], ...]):
+        for t_index, window in enumerate(windows):
+            for inst in window:
+                if inst.t_index != t_index:
+                    raise ConfigError(
+                        f"instance {inst.label} has t_index {inst.t_index}"
+                        f" but sits in window {t_index}"
+                    )
         self.window_count = len(windows)
-        self._windows = windows
-        self._columns: SeriesColumns | None = None
-        self._instances: list[DynamicInstance] | None = None
+        self._instances, self.columns = number_instances(
+            inst for window in windows for inst in window
+        )
+        self._named: dict[DynamicFeature, dict[int, DynamicInstance]] | None = None
 
     @classmethod
     def of_columns(cls, columns: SeriesColumns, window_count: int) -> DynamicDatasetSeries:
         """The series of `window_count` windows that holds these columns."""
         series = cls.__new__(cls)
-        series.window_count, series._windows = window_count, None
-        series._columns, series._instances = columns, None
+        series.window_count, series.columns = window_count, columns
+        series._instances = series._named = None
         return series
 
-    @property
-    def columns(self) -> SeriesColumns:
-        if self._columns is None:
-            self._instances, self._columns = number_instances(self.all_instances())
-        return self._columns
+    def __hash__(self) -> int:
+        # The columns are lists; equal series have equal feature counts.
+        return hash((self.window_count, tuple(self.columns.counts)))
 
     def instances(self) -> list[DynamicInstance]:
-        """The instances in canonical order: code `i` names `instances()[i]`.
-        A window-built series numbers its own instances; a column-built one
-        builds them here."""
-        c = self.columns
+        """The instances in canonical order: code `i` names `instances()[i]`."""
         if self._instances is None:
+            c = self.columns
             self._instances = list(map(
                 DynamicInstance, map(c.features.__getitem__, c.ranks),
                 c.ordinals, c.xs, c.ys, c.t_indexes,
             ))
         return self._instances
 
+    def named(self) -> dict[DynamicFeature, dict[int, DynamicInstance]]:
+        """Feature -> ordinal -> instance, for every feature of the series."""
+        if self._named is None:
+            by_rank: list[dict[int, DynamicInstance]] = [{} for _ in self.columns.features]
+            for inst, rank in zip(self.instances(), self.columns.ranks):
+                by_rank[rank][inst.ordinal] = inst
+            self._named = dict(zip(self.columns.features, by_rank))
+        return self._named
+
     @property
     def windows(self) -> tuple[tuple[DynamicInstance, ...], ...]:
-        if self._windows is None:
-            per_window: list[list[DynamicInstance]] = [[] for _ in range(self.window_count)]
-            for inst in self.instances():
-                per_window[inst.t_index].append(inst)
-            self._windows = tuple(map(tuple, per_window))
-        return self._windows
+        per_window: list[list[DynamicInstance]] = [[] for _ in range(self.window_count)]
+        for inst in self.instances():
+            per_window[inst.t_index].append(inst)
+        return tuple(map(tuple, per_window))
 
     def all_instances(self) -> Iterator[DynamicInstance]:
         for window in self.windows:
@@ -168,13 +182,8 @@ class DynamicDatasetSeries(Value):
 
     def window_rows(self) -> Iterator[tuple[int, DynamicFeature, int, float, float]]:
         """(t_index, feature, ordinal, x, y) of each instance, in the order
-        of `windows`, read from the columns while the windows are unbuilt."""
-        if self._windows is not None:
-            return (
-                (inst.t_index, inst.feature, inst.ordinal, inst.x, inst.y)
-                for inst in self.all_instances()
-            )
-        c = self._columns
+        of `windows`, read from the columns."""
+        c = self.columns
         features, ranks, ordinals, t_indexes, xs, ys = (
             c.features, c.ranks, c.ordinals, c.t_indexes, c.xs, c.ys
         )

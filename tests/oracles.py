@@ -116,7 +116,7 @@ def candidate_table_instance(
             if all((prev, o) in related[i, j] for i, prev in enumerate(row))
         ]
     columns = tuple([row[i] for row in rows] for i in range(clique.size))
-    return TableInstance(clique, columns, table.instances)
+    return TableInstance(clique, columns, table.series)
 
 
 def bron_kerbosch(graph: FeatureGraph) -> tuple[Pattern, ...]:

@@ -133,10 +133,8 @@ def test_two_instances_with_one_name_are_an_error():
     a1 = DynamicInstance(feat("A_new"), 1, 0.0, 0.0, 0)
     b1 = DynamicInstance(feat("B_new"), 1, 1.0, 0.0, 0)
     a1_again = DynamicInstance(feat("A_new"), 1, 5.0, 0.0, 1)
-    series = DynamicDatasetSeries(((a1, b1), (a1_again,)))
-    spans = {a1.feature: 1, b1.feature: 1}
     with pytest.raises(ConfigError, match=r"two instances are named A_new\.1"):
-        neighbor_pairs(series, spans, CONFIG_SMALL)
+        DynamicDatasetSeries(((a1, b1), (a1_again,)))
 
 
 def test_partners_in_all_nine_cells_are_found_once():

@@ -1,12 +1,13 @@
 """One numbering of a series, whichever way it was made.
 
 The diff numbers the series it hands over (`EventLog.series`), and a series
-built from its windows is numbered by `number_instances`.  Random snapshot
-series go through the set path (`io._stream`), the whole-file path (a file
-with one quoted id, read by `io.read_series`) and `diff_snapshots`; each
-series must hold the columns that `number_instances` gives its instances,
-count its features as a walk over its windows does, and join as the same
-series built from its windows and as the exhaustive pair scan do.  A
+built from its windows is numbered at construction by `number_instances`.
+Random snapshot series go through the set path (`io._stream`), the
+whole-file path (a file with one quoted id, read by `io.read_series`) and
+`diff_snapshots`; each series must hold the columns that `number_instances`
+gives its instances, count its features as a walk over its windows does,
+hold the columns and windows of the same series rebuilt from its windows,
+and join as that series and as the exhaustive pair scan do.  A
 reference diff, written out here, checks the windows themselves."""
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def test_every_path_numbers_the_series_once(snapshots, spans, d_d):
     assert series.window_count == len(snapshots) - 1
 
     built = DynamicDatasetSeries(series.windows)
+    assert built.columns == series.columns
+    assert built.windows == series.windows
     for mode in ("inclusive", "strict"):
         config = MiningConfig(d_d=d_d, min_prev=0.1, time_span=3.0, temporal_comparison=mode)
         join = grid_join(diff_snapshots(snapshots), spans, config)

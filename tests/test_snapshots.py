@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from mdcolo import DataFormatError, InsufficientDataError, Snapshot, diff_snapshots
+from mdcolo import (
+    ConfigError,
+    DataFormatError,
+    DynamicDatasetSeries,
+    DynamicInstance,
+    InsufficientDataError,
+    Snapshot,
+    diff_snapshots,
+)
 
-from conftest import SHOPS_EXPECTED_INSTANCES, instances_by_label, snap
+from conftest import SHOPS_EXPECTED_INSTANCES, feat, instances_by_label, snap
 
 
 def test_shops_series_instances(shops_series):
@@ -114,3 +122,15 @@ def test_windows_are_canonically_sorted(burst_series):
     for window in burst_series.windows:
         keys = [inst.sort_key for inst in window]
         assert keys == sorted(keys)
+
+
+def test_an_instance_outside_its_window_is_an_error():
+    # The windows are built from the columns by t_index, so an instance
+    # must sit in the window of its t_index.
+    a1 = DynamicInstance(feat("A_new"), 1, 0.0, 0.0, 5)
+    b1 = DynamicInstance(feat("B_new"), 1, 1.0, 0.0, 0)
+    with pytest.raises(ConfigError, match=r"instance A_new\.1 has t_index 5 but sits in window 0"):
+        DynamicDatasetSeries(((a1, b1),))
+    series = DynamicDatasetSeries(((b1,), (), (), (), (), (a1,)))
+    assert series.columns.t_indexes == [5, 0]
+    assert series.windows == ((b1,), (), (), (), (), (a1,))

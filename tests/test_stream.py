@@ -287,9 +287,12 @@ def test_generated_traffic_takes_the_set_path(tmp_path, monkeypatch):
 
 
 def test_generated_traffic_builds_no_instances(tmp_path, monkeypatch):
-    # The diff hands over columns, and a mine, its dumps and `mdcolo diff`
-    # read them, on either reader path and either algorithm.
+    # The diff hands over columns, and a mine, its dumps, `mdcolo diff` and
+    # `mdcolo bench` read them, on either reader path and either algorithm.
     plain, quoted, lifecycles = generated_traffic(tmp_path)
+    # One bench point, mined by both algorithms from generated snapshots.
+    spec = tmp_path / "spec.txt"
+    spec.write_text("instances=300\nfeatures=3\nclusters=2\narea=300\ndd=20\n")
 
     def mine(path, name: str, *extra: str) -> int:
         return main([
@@ -303,7 +306,9 @@ def test_generated_traffic_builds_no_instances(tmp_path, monkeypatch):
     assert mine(quoted, "quoted.txt", "--derive-all") == 0
     assert mine(plain, "join.txt", "--algo", "join") == 0
     assert main(["diff", str(plain), "-o", str(tmp_path / "series.csv")]) == 0
+    assert main(["bench", str(spec), "-o", str(tmp_path / "bench.csv")]) == 0
     monkeypatch.undo()
+    assert (tmp_path / "bench.csv").read_text().count("\n") == 3
     for suffix in ("", ".size2", ".pairs"):
         for name in ("quoted.txt", "join.txt"):
             assert (tmp_path / f"plain.txt{suffix}").read_bytes() == (

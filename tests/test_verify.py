@@ -202,7 +202,7 @@ def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, mo
         assert summary == summarize(clique, tables), clique.label
     pattern, table = max(tables.items(), key=lambda kv: len(kv[1]))
     reversed_columns = tuple(column[::-1] for column in table.ordinals)
-    assert TableInstance(pattern, reversed_columns, table.instances).rows == table.rows[::-1]
+    assert TableInstance(pattern, reversed_columns, table.series).rows == table.rows[::-1]
 
 
 def test_early_abort_indexes_only_anchor_tables(monkeypatch):

@@ -143,9 +143,13 @@ def test_snapshot_writer_formats_equal_records_apart(snapshots):
 @SETTINGS
 @given(instances(PLAIN, COORD))
 def test_series_writer_matches_csv_writer(insts):
-    series = DynamicDatasetSeries((tuple(insts), ()))
+    # Each instance in the window of its t_index, which `instances` draws
+    # from 0-3; rows come in window order, then in canonical order.
+    series = DynamicDatasetSeries(
+        tuple(tuple(i for i in insts if i.t_index == t) for t in range(4))
+    )
     rows = [[i.t_index, i.feature.base, i.feature.kind, i.ordinal, repr(i.x), repr(i.y)]
-            for i in insts]
+            for i in sorted(insts, key=lambda i: (i.t_index, i.sort_key))]
     assert written(io.write_series_csv, series) == reference(io.SERIES_HEADER, rows)
 
 
