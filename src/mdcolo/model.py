@@ -229,6 +229,12 @@ class MiningConfig(Value):
                  temporal_comparison: str = "inclusive", prevalence_comparison: str = "inclusive"):
         if not (0 < d_d < math.inf):
             raise ConfigError(f"d_d must be positive and finite, got {d_d}")
+        # Below 2**-511, d_d * d_d is not a normal float, and squared
+        # distances that underflow to 0 would pass for any d_d.
+        if d_d < 2.0**-511:
+            raise ConfigError(
+                f"d_d must be at least 2**-511 so its square is a normal float, got {d_d}"
+            )
         if not (0.0 <= min_prev <= 1.0):
             raise ConfigError(f"min_prev must be within [0, 1], got {min_prev}")
         if not (0 < time_span < math.inf):

@@ -88,16 +88,54 @@ def test_pair_a_rounding_error_over_d_d_is_found():
 
 
 def test_tiny_d_d_does_not_overflow_the_grid():
-    # x / d_d is infinite for d_d = 5e-324, so cells must be wider than d_d.
+    # A d_d whose square is not a normal float is refused.  At the smallest
+    # one, 2**-511, the points lie 2**512 row widths of d_d from the origin,
+    # far beyond the rounding the slack covers, so rows must be wider.
     from mdcolo import DynamicInstance
     from mdcolo.snapshots import DynamicDatasetSeries
     from conftest import feat
 
+    with pytest.raises(ConfigError, match=r"at least 2\*\*-511"):
+        MiningConfig(d_d=5e-324, min_prev=0.1, time_span=3.0)
     a = DynamicInstance(feat("A_new"), 1, 1.0, 2.0, 0)
     b = DynamicInstance(feat("B_new"), 1, 1.0, 2.0, 0)
     series = DynamicDatasetSeries(((a, b),))
     spans = {a.feature: 1, b.feature: 1}
-    cfg = MiningConfig(d_d=5e-324, min_prev=0.1, time_span=3.0)
+    cfg = MiningConfig(d_d=2**-511, min_prev=0.1, time_span=3.0)
+    assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg) == ((a, b),)
+
+
+def test_d_d_whose_square_underflows_is_an_error(tmp_path, capsys):
+    # At d_d = 5e-324 both 1e-200 * 1e-200 and d_d * d_d round to 0, so the
+    # distance test passed for points 2e123 times d_d apart: the all-pairs
+    # scan kept such a pair, and the join, whose grid put the two about 1e9
+    # cells apart, did not.  Such a d_d is refused, in the library and by
+    # `mdcolo mine` with exit 2.
+    from mdcolo import DynamicInstance
+    from mdcolo.cli import main
+    from mdcolo.snapshots import DynamicDatasetSeries
+    from conftest import feat
+
+    message = "d_d must be at least 2**-511 so its square is a normal float, got 5e-324"
+    with pytest.raises(ConfigError) as refused:
+        MiningConfig(d_d=5e-324, min_prev=0.1, time_span=3.0)
+    assert str(refused.value) == message
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text("t_point,feature,instance_id,x,y\n0,C,1,5,5\n1,C,1,5,5\n1,A,1,0,0\n"
+                     "1,B,1,1e-200,0\n")
+    lc = tmp_path / "lc.csv"
+    lc.write_text("feature,life_cycle\nA,3\nB,3\nC,3\n")
+    argv = ["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]
+    assert main(argv + ["--dd", "5e-324"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+    # From 2**-511 up, the join and the scan agree on both sides of d_d.
+    a = DynamicInstance(feat("A_new"), 1, 0.0, 0.0, 0)
+    b = DynamicInstance(feat("B_new"), 1, 1e-200, 0.0, 0)
+    c = DynamicInstance(feat("C_new"), 1, 1e-150, 0.0, 0)
+    series = DynamicDatasetSeries(((a, b, c),))
+    spans = {x.feature: 1 for x in (a, b, c)}
+    cfg = MiningConfig(d_d=2**-511, min_prev=0.1, time_span=3.0)
     assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg) == ((a, b),)
 
 
@@ -202,9 +240,9 @@ def test_pairs_only_inside_the_span_of_a_long_series(mode):
 @pytest.mark.parametrize("mode", ["inclusive", "strict"])
 def test_partners_across_the_merged_forward_list(mode):
     # 4 x 4 cells of width about 1, with instances of 6 features in 40
-    # windows at random, so each cell's forward list merges partners from
-    # its 4 forward neighbours interleaved in time, and spans of 1 to 3
-    # windows make its lower pointer slide.
+    # windows at random.  Spans of 1 to 3 windows cut the series into 10
+    # time blocks of 4 windows, so partners lie in one row, in the row above
+    # and in the next block's three rows, interleaved in time.
     import random
     from operator import attrgetter
 
@@ -265,3 +303,105 @@ def test_empty_series_yields_no_pairs():
     from mdcolo.snapshots import DynamicDatasetSeries
 
     assert neighbor_pairs(DynamicDatasetSeries(((), ())), {}, CONFIG_SMALL) == ()
+
+
+def _series_of(*instances):
+    from mdcolo.snapshots import DynamicDatasetSeries
+
+    windows = max(inst.t_index for inst in instances) + 1
+    return DynamicDatasetSeries(tuple(
+        tuple(sorted((i for i in instances if i.t_index == t), key=lambda i: i.sort_key))
+        for t in range(windows)
+    ))
+
+
+@pytest.mark.parametrize("mode", ["inclusive", "strict"])
+def test_a_pair_max_span_apart_across_a_block_boundary(mode):
+    # The largest span is 2, so time blocks are 3 windows: 0-2, 3-5, 6-8.
+    # A_new.1 (window 1) and B_new.1 (window 3) lie in adjacent blocks,
+    # exactly the largest span apart.  B_new.2 (window 4) is one window too
+    # late for A_new.1, and B_new.3 (window 6) sits two blocks away.
+    from mdcolo import DynamicInstance
+    from conftest import feat
+
+    a_new, b_new = feat("A_new"), feat("B_new")
+    a = DynamicInstance(a_new, 1, 0.0, 0.0, 1)
+    b = DynamicInstance(b_new, 1, 0.5, 0.0, 3)
+    too_late = DynamicInstance(b_new, 2, 0.0, 0.5, 4)
+    far = DynamicInstance(b_new, 3, 0.0, 0.0, 6)
+    series = _series_of(a, b, too_late, far)
+    spans = {a_new: 2, b_new: 1}
+    cfg = MiningConfig(d_d=1.0, min_prev=0.1, time_span=3.0, temporal_comparison=mode)
+    expected = ((a, b),) if mode == "inclusive" else ()
+    assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg) == expected
+
+
+def test_a_pair_exactly_d_d_apart_across_a_row_boundary():
+    # Rows are 5 * (1 + 1e-6) wide: y = -1 lies in row -1 and y = 3 in row 0.
+    # (0, -1) and (3, 3) are exactly d_d = 5 apart (9 + 16 = 25), in one
+    # window, in adjacent windows of one block, and in adjacent blocks (the
+    # largest span is 1, so blocks are 2 windows).  The points of C_new sit
+    # just over d_d from A_new's.
+    from mdcolo import DynamicInstance
+    from conftest import feat
+
+    a_new, b_new, c_new = feat("A_new"), feat("B_new"), feat("C_new")
+    anchors = [DynamicInstance(a_new, t // 2 + 1, 0.0, -1.0, t) for t in (0, 4, 7)]
+    partners = [DynamicInstance(b_new, t // 2 + 1, 3.0, 3.0, t) for t in (0, 5, 8)]
+    over = [DynamicInstance(c_new, t // 2 + 1, 3.0, 3.0000001, t) for t in (0, 5, 8)]
+    series = _series_of(*anchors, *partners, *over)
+    spans = {a_new: 1, b_new: 1, c_new: 1}
+    cfg = MiningConfig(d_d=5.0, min_prev=0.1, time_span=3.0)
+    pairs = neighbor_pairs(series, spans, cfg)
+    assert pairs == all_pairs_scan(series, spans, cfg)
+    assert [p for p in pairs if p[0].feature == a_new] == list(zip(anchors, partners))
+
+
+def test_a_partner_in_the_next_blocks_row_below():
+    # The largest span is 1, so blocks are 2 windows.  A_new.1 (window 1,
+    # row 0) relates only to B_new.1 (window 2, row -1): the next block's
+    # row below.  The B_new decoys of that row are too far off in x.
+    from mdcolo import DynamicInstance
+    from conftest import feat
+
+    a_new, b_new = feat("A_new"), feat("B_new")
+    a = DynamicInstance(a_new, 1, 4.0, 0.2, 1)
+    b = DynamicInstance(b_new, 1, 4.5, -0.3, 2)
+    decoys = [DynamicInstance(b_new, k + 2, x, -0.3, 2) for k, x in enumerate((2.0, 6.0))]
+    series = _series_of(a, b, *decoys)
+    spans = {a_new: 1, b_new: 1}
+    cfg = MiningConfig(d_d=1.0, min_prev=0.1, time_span=3.0)
+    assert neighbor_pairs(series, spans, cfg) == all_pairs_scan(series, spans, cfg) == ((a, b),)
+
+
+def test_join_memory_is_linear_in_the_instances():
+    # One A_new and one B_new per window, 3 apart in one row, and spans of
+    # half the windows: the next block holds half the instances, all within
+    # the largest span of the last windows of the block before.  Doubling
+    # the windows may not much more than double the join's peak memory.
+    import gc
+    import tracemalloc
+
+    from mdcolo import DynamicInstance
+    from mdcolo.neighborhood import grid_join
+    from conftest import feat
+
+    a_new, b_new = feat("A_new"), feat("B_new")
+    cfg = MiningConfig(d_d=1.0, min_prev=0.1, time_span=3.0)
+
+    def peak(windows: int) -> int:
+        series = _series_of(*(
+            DynamicInstance(f, t + 1, x, 0.0, t)
+            for t in range(windows) for f, x in ((a_new, 0.0), (b_new, 3.0))
+        ))
+        spans = {a_new: windows // 2, b_new: windows // 2}
+        # Garbage collected inside the join would lower its peak.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert grid_join(series, spans, cfg).codes == []
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1600) <= 2.5 * peak(800)

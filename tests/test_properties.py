@@ -1,4 +1,5 @@
-"""Randomized properties: the grid join against the all-pairs scan, the
+"""Randomized properties: the grid join against the all-pairs scan (also
+across several time blocks), the
 row-free candidate summary against the anchorless row reference (on small
 and on multi-word ordinals, and on instances grouped by shared partners),
 table participant masks against their rows, clique enumeration against
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from mdcolo import DynamicInstance, MiningConfig, Pattern, mine_series
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
-from mdcolo.neighborhood import grid_join, neighbor_pairs
+from mdcolo.neighborhood import _CELL_SLACK, grid_join, neighbor_pairs
 from mdcolo.size2 import FeatureGraph, feature_counts, pair_tables, size2_table_instances
 from mdcolo.snapshots import DynamicDatasetSeries
 from oracles import (
@@ -73,6 +74,34 @@ def join_inputs(draw):
 @SETTINGS
 @given(join_inputs())
 def test_grid_join_equals_all_pairs_scan(inputs):
+    series, spans, config = inputs
+    assert neighbor_pairs(series, spans, config) == all_pairs_scan(series, spans, config)
+
+
+@st.composite
+def block_join_inputs(draw):
+    """A series of 12 windows and spans of 1 to 4 windows, so the join cuts
+    it into several time blocks, with coordinates on multiples of d_d and of
+    the row width, so pairs lie exactly d_d apart and on row bounds, and
+    either temporal mode."""
+    d_d = draw(st.sampled_from([0.5, 1.0, 2.5, 3.0, 0.1]))
+    # The row width for coordinates this small.
+    width = d_d * _CELL_SLACK
+    coord = st.builds(lambda k, unit: k * unit, st.integers(-2, 2), st.sampled_from([d_d, width]))
+    events = draw(
+        st.lists(st.tuples(st.sampled_from(FEATURES), coord, coord, st.integers(0, 11)),
+                 min_size=20, max_size=40)
+    )
+    series = series_of(events, 12)
+    spans = {f: draw(st.integers(1, 4)) for f in FEATURES}
+    mode = draw(st.sampled_from(["inclusive", "strict"]))
+    config = MiningConfig(d_d=d_d, min_prev=0.1, time_span=3.0, temporal_comparison=mode)
+    return series, spans, config
+
+
+@SETTINGS
+@given(block_join_inputs())
+def test_grid_join_equals_all_pairs_scan_across_time_blocks(inputs):
     series, spans, config = inputs
     assert neighbor_pairs(series, spans, config) == all_pairs_scan(series, spans, config)
 
