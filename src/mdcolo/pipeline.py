@@ -153,8 +153,7 @@ def mine_series(
 
             if derive_all:
                 t4 = time.perf_counter()
-                maximal = [r.pattern for r in results]
-                derived = derive_all_prevalent(maximal, tables, counts, config)
+                derived = derive_all_prevalent(results, tables, counts, config)
                 timings["derive"] = (time.perf_counter() - t4) * 1000
         finally:
             sys.setrecursionlimit(limit)

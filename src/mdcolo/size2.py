@@ -36,12 +36,14 @@ def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
 
 class PairIndex(NamedTuple):
     """A pair table's partners as int bitsets, in the ordinal bits of
-    `TableInstance.columns`."""
+    `TableInstance.columns`.  Each direction is a list indexed by ordinal
+    (ordinals run 1..count per feature), up to the column's largest; an
+    ordinal without partners, and index 0, hold 0."""
 
     # first-column ordinal -> mask of its second-column partners
-    forward: dict[int, int]
+    forward: list[int]
     # second-column ordinal -> mask of its first-column partners
-    reverse: dict[int, int]
+    reverse: list[int]
     # the table's `columns()`: per column, the ordinals that have any partner
     columns: tuple[int, int]
 
@@ -97,12 +99,14 @@ class TableInstance:
     def pair_index(self) -> PairIndex:
         """A pair table's partner index, shared by verify and derive."""
         if self._pair_index is None:
-            forward: dict[int, int] = {}
-            reverse: dict[int, int] = {}
+            columns = self.columns()
+            # A column mask's highest bit is its largest ordinal.
+            forward = [0] * columns[0].bit_length()
+            reverse = [0] * columns[1].bit_length()
             for i, j in zip(*self.ordinals):
-                forward[i] = forward.get(i, 0) | 1 << j
-                reverse[j] = reverse.get(j, 0) | 1 << i
-            self._pair_index = PairIndex(forward, reverse, self.columns())
+                forward[i] |= 1 << j
+                reverse[j] |= 1 << i
+            self._pair_index = PairIndex(forward, reverse, columns)
         return self._pair_index
 
 

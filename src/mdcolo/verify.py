@@ -5,8 +5,13 @@ Candidates (feature cliques) are processed largest first, and one loop in
 pattern is skipped as subsumed; one the early bound rules out is aborted;
 any other is verified, and accepted when its participation index passes the
 threshold.  An aborted or failed candidate of size three or more decomposes
-into its one-smaller sub-cliques, which join the queue as canonical feature
-tuples; a `Pattern` is built only when one is dequeued.
+into its one-smaller sub-cliques, which join the queue.
+
+Verify and derive number the candidates' features once per run (`_Ranks`)
+and view the pair tables by rank pair.  Verify queues each candidate as an
+int mask of its feature ranks: the subsumed check is `mask & acc == mask`,
+and a sub-clique is the mask with one bit cleared.  A `Pattern` is built
+only for a candidate that is summarized.
 
 A candidate's table instance is defined by its pair tables: a row picks one
 instance per feature such that every feature pair is itself a pair-table
@@ -31,8 +36,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .model import DynamicFeature, MiningConfig, Pattern, Value
 from .size2 import (
-    FeatureCounts, TableInstance, meets_min_prev, participation_share,
-    passes_prevalence,
+    FeatureCounts, TableInstance, meets_min_prev, participation_share, passes_prevalence,
 )
 
 
@@ -79,35 +83,67 @@ class VerifyStats:
         }
 
 
-class CandidateSummary(Value):
-    """What prevalence needs of a candidate's table instance: its row count
-    and each feature's participants as a mask of ordinal bits, as in
-    `TableInstance.columns`, without the rows."""
+class _Ranks:
+    """The features of one verify or derive run by rank, with their instance
+    totals, and the pair tables among them by rank pair.
 
-    __slots__ = _compared = ("pattern", "row_count", "participants")
+    Rank r is bit r of a candidate's mask.  Ranks count down the canonical
+    order: of n features the canonically first has rank n - 1.  So a mask's
+    bits read from the top are its features in canonical order, masks of one
+    size sort, largest first, as their patterns do, and a pair table's key
+    is (rank of its first feature, rank of its second), the larger first.
+    """
 
-    def __init__(self, pattern: Pattern, row_count: int, participants: dict[DynamicFeature, int]):
-        self.pattern, self.row_count, self.participants = pattern, row_count, participants
+    __slots__ = ("features", "rank", "totals", "tables")
 
-    def ratios(self, counts: Mapping[DynamicFeature, int]) -> dict[DynamicFeature, float]:
-        """Participation ratio per feature, 0.0 for a feature without instances."""
-        return {f: participation_share(m, counts.get(f, 0)) for f, m in self.participants.items()}
+    def __init__(
+        self,
+        features: Iterable[DynamicFeature],
+        size2: Mapping[Pattern, TableInstance],
+        counts: Mapping[DynamicFeature, int],
+    ):
+        self.features = sorted(set(features), key=lambda f: f.sort_key, reverse=True)
+        self.rank = rank = {f: r for r, f in enumerate(self.features)}
+        self.totals = [counts.get(f, 0) for f in self.features]
+        self.tables: dict[tuple[int, int], TableInstance] = {}
+        for pair, table in size2.items():
+            a, b = pair.features
+            ra, rb = rank.get(a), rank.get(b)
+            if ra is not None and rb is not None:
+                self.tables[ra, rb] = table
+
+    def of(self, pattern: Pattern) -> tuple[int, ...]:
+        """The pattern's ranks in canonical order, once every pair of them is
+        known to have a table."""
+        ranks = tuple(map(self.rank.__getitem__, pattern.features))
+        if not all(map(self.tables.__contains__, combinations(ranks, 2))):
+            pair = next(p for p in combinations(ranks, 2) if p not in self.tables)
+            label = Pattern(map(self.features.__getitem__, pair)).label
+            raise ValueError(f"no pair table for {label}; candidate is not a clique over this data")
+        return ranks
+
+    def pattern(self, ranks: Iterable[int]) -> Pattern:
+        return Pattern(map(self.features.__getitem__, ranks))
+
+    def ratios(self, ranks: Sequence[int], participants: Sequence[int]) -> list[float]:
+        """Participation ratio per rank, 0.0 for a feature without instances."""
+        return list(map(participation_share, participants, map(self.totals.__getitem__, ranks)))
 
 
-# A pattern's canonical feature tuple, the name verify queues and derive checks.
-Features = tuple[DynamicFeature, ...]
-# Pair tables by their feature tuple, so that a candidate finds its tables
-# without building a Pattern for each of its feature pairs.
-PairTables = dict[Features, TableInstance]
+def _ranks(mask: int) -> list[int]:
+    """The ranks set in a mask, highest first: canonical order."""
+    ranks = []
+    while mask:
+        r = mask.bit_length() - 1
+        mask ^= 1 << r
+        ranks.append(r)
+    return ranks
 
 
-def _by_features(size2: Mapping[Pattern, TableInstance]) -> PairTables:
-    return {pair.features: table for pair, table in size2.items()}
-
-
-def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
-    """Row count and participant masks of the candidate's table instance,
-    over pair tables keyed by their feature tuples.
+def _summarize(ranks: Sequence[int], run: _Ranks) -> tuple[int, Sequence[int]]:
+    """Row count of the candidate's table instance, and per rank in the
+    order given (canonical) the mask of its participants' ordinal bits, as
+    in `TableInstance.columns`.
 
     A pair reads them off its pair table's `columns()`.  A larger candidate
     runs a backtracking over the pair tables' bitset indexes that never
@@ -137,14 +173,13 @@ def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
     search is done breaks that cycle, so the summary leaves nothing for the
     cyclic collector and the CLI can run with the collector paused.
     """
-    features, k = clique.features, clique.size
+    tables, k = run.tables, len(ranks)
     if k == 2:
-        table = _pair_table(tables, features)
-        return CandidateSummary(clique, len(table), dict(zip(features, table.columns())))
+        table = tables[ranks[0], ranks[1]]
+        return len(table), table.columns()
     # Pair-table indexes at canonical positions (i, j), i < j; feature i is column 0.
     indexes = {
-        (i, j): _pair_table(tables, (features[i], features[j])).pair_index()
-        for i, j in combinations(range(k), 2)
+        (i, j): tables[ranks[i], ranks[j]].pair_index() for i, j in combinations(range(k), 2)
     }
     domains = [-1] * k
     for (i, j), index in indexes.items():
@@ -152,7 +187,7 @@ def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
         domains[j] &= index.columns[1]
     order = sorted(range(k), key=lambda i: (domains[i].bit_count(), i))
 
-    def toward(i: int, j: int) -> dict[int, int]:
+    def toward(i: int, j: int) -> list[int]:
         """Ordinal of feature i -> mask of its partners of feature j."""
         return indexes[i, j].forward if i < j else indexes[j, i].reverse
 
@@ -203,44 +238,30 @@ def _summarize(clique: Pattern, tables: PairTables) -> CandidateSummary:
 
     row_count = count(0, *[domains[i] for i in order])
     del count
-    participants = {features[i]: mask for i, mask in zip(order, found)}
-    return CandidateSummary(clique, row_count, participants)
+    return row_count, [mask for _, mask in sorted(zip(order, found))]
 
 
-def _pair_table(tables: PairTables, pair: tuple[DynamicFeature, ...]) -> TableInstance:
-    try:
-        return tables[pair]
-    except KeyError:
-        raise ValueError(
-            f"no pair table for {Pattern(pair).label}; candidate is not a clique over this data"
-        )
+def decompose(mask: int, accepted: Sequence[int], pending: Collection[int]) -> list[int]:
+    """Rank masks of a failed candidate's one-smaller sub-cliques still worth
+    queueing, in canonical order (the canonically last feature, the lowest
+    bit, is dropped first).
 
-
-def decompose(
-    clique: Pattern,
-    accepted: Sequence[frozenset[DynamicFeature]],
-    pending: Collection[Features],
-) -> list[Features]:
-    """Feature tuples of a failed candidate's one-smaller sub-cliques still
-    worth queueing.
-
-    `accepted` holds the feature sets of the accepted patterns, `pending` the
-    queued feature tuples.  Sub-cliques contained in an accepted pattern are
-    prevalent but can never be maximal; queued ones would be duplicates.
+    `accepted` holds the accepted patterns' masks, `pending` the queued ones.
+    Sub-cliques contained in an accepted pattern are prevalent but can never
+    be maximal; queued ones would be duplicates.
     """
     out = []
-    for sub in combinations(clique.features, clique.size - 1):
-        if sub not in pending:
-            # A frozenset hashes each feature once; `<=` then reuses the hashes.
-            feature_set = frozenset(sub)
-            if not any(feature_set <= acc for acc in accepted):
-                out.append(sub)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        sub = mask ^ low
+        if sub not in pending and not any(sub & acc == sub for acc in accepted):
+            out.append(sub)
     return out
 
 
-def _hopeless(
-    clique: Pattern, tables: PairTables, counts: FeatureCounts, config: MiningConfig
-) -> bool:
+def _hopeless(ranks: Sequence[int], run: _Ranks, config: MiningConfig) -> bool:
     """True when the early bound rules a candidate of size three or more out.
 
     The bound takes the canonically first feature as the anchor: it allows
@@ -251,13 +272,14 @@ def _hopeless(
     misses.  Only the anchor tables are indexed, so a hopeless candidate
     never indexes the others.
     """
+    totals = run.totals
 
-    def misses(feature: DynamicFeature, bound: int) -> bool:
-        total = counts.get(feature, 0)
+    def misses(rank: int, bound: int) -> bool:
+        total = totals[rank]
         return total == 0 or not meets_min_prev(bound / total, config)
 
-    anchor, *others = clique.features
-    indexes = [_pair_table(tables, (anchor, f)).pair_index() for f in others]
+    anchor, *others = ranks
+    indexes = [run.tables[anchor, r].pair_index() for r in others]
     common = -1
     for index in indexes:
         common &= index.columns[0]
@@ -268,11 +290,12 @@ def _hopeless(
         a = common.bit_length() - 1
         common ^= 1 << a
         anchors.append(a)
-    for f, index in zip(others, indexes):
+    for r, index in zip(others, indexes):
         union = 0
+        forward = index.forward
         for a in anchors:
-            union |= index.forward[a]
-        if misses(f, union.bit_count()):
+            union |= forward[a]
+        if misses(r, union.bit_count()):
             return True
     return False
 
@@ -291,46 +314,49 @@ def verify_all(
     Returns the prevalent maximal patterns, canonically sorted.  The loop
     body decides each candidate's route.  The early abort only skips work
     whose outcome is already decided, so the result is identical with or
-    without it.
+    without it.  A candidate with a feature pair that has no table is a
+    ValueError, raised before any candidate is checked.
     """
     stats = stats if stats is not None else VerifyStats()
-    # Pending cliques' feature tuples by size.  Decomposition only adds cliques
+    run = _Ranks((f for clique in cliques for f in clique.features), size2, counts)
+    # Pending candidates' masks by size.  Decomposition only adds cliques
     # one size smaller, so visiting sizes largest first sees every one once.
-    by_size: dict[int, set[Features]] = {}
+    by_size: dict[int, set[int]] = {}
     for clique in cliques:
-        by_size.setdefault(clique.size, set()).add(clique.features)
+        by_size.setdefault(clique.size, set()).add(sum(1 << r for r in run.of(clique)))
     accepted: list[PatternResult] = []
-    # The accepted patterns' feature sets, read by the subsumed check and decompose.
-    covering: list[frozenset[DynamicFeature]] = []
-    tables = _by_features(size2)
+    # The accepted patterns' masks, read by the subsumed check and decompose.
+    covering: list[int] = []
 
     for size in range(max(by_size, default=2), 1, -1):
-        for clique in sorted(map(Pattern, by_size.pop(size, ())), key=lambda c: c.sort_key):
-            if any(clique.feature_set <= acc for acc in covering):
+        for mask in sorted(by_size.pop(size, ()), reverse=True):
+            if any(mask & acc == mask for acc in covering):
                 stats.subsumed_skips += 1
                 continue
-            if early_abort and size > 2 and _hopeless(clique, tables, counts, config):
+            ranks = _ranks(mask)
+            if early_abort and size > 2 and _hopeless(ranks, run, config):
                 stats.early_aborts += 1
             else:
-                summary = _summarize(clique, tables)
-                ratios = summary.ratios(counts)
+                row_count, participants = _summarize(ranks, run)
+                ratios = run.ratios(ranks, participants)
+                clique = run.pattern(ranks)
                 stats.verified += 1
-                stats.rows_counted += summary.row_count
-                stats.ratio_log.append((clique, ratios))
-                dpi = min(ratios.values())
-                if passes_prevalence(dpi, summary.row_count, config):
-                    accepted.append(PatternResult(clique, dpi, summary.row_count, True))
-                    covering.append(clique.feature_set)
+                stats.rows_counted += row_count
+                stats.ratio_log.append((clique, dict(zip(clique.features, ratios))))
+                dpi = min(ratios)
+                if passes_prevalence(dpi, row_count, config):
+                    accepted.append(PatternResult(clique, dpi, row_count, True))
+                    covering.append(mask)
                     continue
             if size > 2:
                 pending = by_size.setdefault(size - 1, set())
-                pending.update(decompose(clique, covering, pending))
+                pending.update(decompose(mask, covering, pending))
                 stats.decomposed += 1
     return sorted(accepted, key=lambda r: r.pattern.sort_key)
 
 
 def derive_all_prevalent(
-    maximal: Iterable[Pattern],
+    maximal: Iterable[PatternResult | Pattern],
     size2: Mapping[Pattern, TableInstance],
     counts: FeatureCounts,
     config: MiningConfig,
@@ -340,17 +366,21 @@ def derive_all_prevalent(
     Participation ratios never grow when a pattern does, so each subset of a
     prevalent maximal pattern is prevalent; enumerating subsets of size two or
     more and summarizing each one's table yields the complete prevalent set.
+    A maximal pattern given as verify's `PatternResult` is taken as it is;
+    one given as a `Pattern` is summarized like its subsets.
     """
-    maximal_set = set(maximal)
-    tables = _by_features(size2)
-    results: dict[Features, PatternResult] = {}
-    for pattern in sorted(maximal_set, key=lambda p: p.sort_key):
-        for k in range(2, pattern.size + 1):
-            for combo in combinations(pattern.features, k):
-                if combo in results:
+    given = [(m.pattern, m) if isinstance(m, PatternResult) else (m, None) for m in maximal]
+    run = _Ranks((f for pattern, _ in given for f in pattern.features), size2, counts)
+    tops = [run.of(pattern) for pattern, _ in given]
+    top_set = set(tops)
+    # Results by rank tuple, seeded with the maximal patterns' own.
+    results = {top: result for top, (_, result) in zip(tops, given) if result is not None}
+    for top in tops:
+        for k in range(2, len(top) + 1):
+            for sub in combinations(top, k):
+                if sub in results:
                     continue
-                sub = Pattern(combo)
-                summary = _summarize(sub, tables)
-                dpi = min(summary.ratios(counts).values())
-                results[combo] = PatternResult(sub, dpi, summary.row_count, sub in maximal_set)
+                row_count, participants = _summarize(sub, run)
+                dpi = min(run.ratios(sub, participants))
+                results[sub] = PatternResult(run.pattern(sub), dpi, row_count, sub in top_set)
     return sorted(results.values(), key=lambda r: r.pattern.sort_key)

@@ -12,6 +12,8 @@ clique enumeration, and verification all have exact known outcomes.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from mdcolo import (
@@ -20,13 +22,14 @@ from mdcolo import (
     DynamicFeature,
     DynamicInstance,
     MiningConfig,
+    Pattern,
     Snapshot,
     diff_snapshots,
 )
 from mdcolo.datagen import GenConfig, generate
 from mdcolo.model import DEAD, NEW
 from mdcolo.size2 import TableInstance
-from mdcolo.verify import _by_features, _summarize
+from mdcolo.verify import _Ranks, _summarize
 
 
 def parse_feature_label(label: str) -> DynamicFeature:
@@ -49,10 +52,34 @@ def instances_by_label(series) -> dict:
     return {inst.label: inst for inst in series.all_instances()}
 
 
+class Summary(NamedTuple):
+    """A candidate's row count and its participant mask per feature."""
+
+    row_count: int
+    participants: dict
+
+
 def summarize(pattern, tables):
-    """The candidate's `CandidateSummary` over pair tables keyed by pattern,
-    as verify and derive compute it."""
-    return _summarize(pattern, _by_features(tables))
+    """The candidate's `Summary` over pair tables keyed by pattern, as verify
+    and derive compute it."""
+    run = _Ranks(pattern.features, tables, {})
+    row_count, participants = _summarize(run.of(pattern), run)
+    return Summary(row_count, dict(zip(pattern.features, participants)))
+
+
+def rank_masks(features):
+    """Conversions between patterns over `features` and their rank masks as
+    verify numbers them (the canonically last feature holds bit 0): a
+    pattern's mask, and a mask's pattern label."""
+    ranked = sorted(features, key=lambda f: f.sort_key, reverse=True)
+
+    def mask(pattern) -> int:
+        return sum(1 << ranked.index(f) for f in pattern.features)
+
+    def label(mask: int) -> str:
+        return Pattern(f for r, f in enumerate(ranked) if mask >> r & 1).label
+
+    return mask, label
 
 
 def forbid_rows(monkeypatch) -> None:

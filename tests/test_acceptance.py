@@ -51,6 +51,7 @@ from conftest import (
     burst_snapshots,
     feat,
     instances_by_label,
+    rank_masks,
     shops_snapshots,
 )
 from test_cliques import random_graph
@@ -189,8 +190,9 @@ def test_criterion_1_hand_built_series():
     # A failed size-4 candidate decomposes into exactly the size-3 subsets
     # not already covered by an accepted pattern.
     failed = Pattern((feat("A_dead"), feat("B_new"), feat("C_dead"), feat("D_new")))
-    subs = decompose(failed, [triple.feature_set], [])
-    ok = ok and [Pattern(s).label for s in subs] == [
+    mask, label = rank_masks(failed.features)
+    subs = decompose(mask(failed), [mask(triple)], [])
+    ok = ok and [label(s) for s in subs] == [
         "A_dead,B_new,D_new", "A_dead,C_dead,D_new", "B_new,C_dead,D_new",
     ]
 

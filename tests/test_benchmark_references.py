@@ -50,3 +50,27 @@ def test_benchmark_outputs_equal_their_pins(bench, tmp_path, name):
     assert set(pins) == {"seed", *workload.outputs}
     for output in workload.outputs:
         assert sha256(tmp_path / output) == pins[output], output
+
+
+# Verify's counters in the seedless manifest of each workload's pinned mine.
+COUNTERS = {
+    "dense": dict(
+        verified_candidates=24, early_aborts=156, subsumed_skips=16, decompositions=164,
+        rows_counted=617839, maximal_count=16, pattern_count=16,
+    ),
+    "pruned": dict(
+        verified_candidates=48, early_aborts=550, subsumed_skips=66, decompositions=550,
+        rows_counted=188417, maximal_count=48, pattern_count=200,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTERS))
+def test_benchmark_verify_counters_equal_their_pins(bench, tmp_path, name):
+    workload = bench.WORKLOADS[name]
+    bench.make_inputs(workload, workload.default_seed, tmp_path)
+    argv = workload.mine_argv(tmp_path, tmp_path, "--seedless-report")
+    assert main(argv[3:]) == 0
+    lines = (tmp_path / "patterns.txt.manifest").read_text(encoding="utf-8").splitlines()
+    entries = dict(line.split(": ", 1) for line in lines)
+    assert {key: int(entries[key]) for key in COUNTERS[name]} == COUNTERS[name]

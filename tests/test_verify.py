@@ -9,6 +9,7 @@ from mdcolo import DynamicInstance, MiningConfig, Pattern, size2, verify
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.pipeline import mine_series
 from mdcolo.size2 import (
     TableInstance,
     build_feature_graph,
@@ -30,6 +31,7 @@ from conftest import (
     SHOPS_EXPECTED_MAXIMAL,
     bits,
     feat,
+    rank_masks,
     small_series,
     summarize,
 )
@@ -192,8 +194,8 @@ def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, mo
             index = table.pair_index()
             assert table.pair_index() is index, pair.label
             rows = {(a.ordinal, b.ordinal) for a, b in tables[pair].rows}
-            forward = {(a, b) for a, mask in index.forward.items() for b in bits(mask)}
-            reverse = {(a, b) for b, mask in index.reverse.items() for a in bits(mask)}
+            forward = {(a, b) for a, mask in enumerate(index.forward) for b in bits(mask)}
+            reverse = {(a, b) for b, mask in enumerate(index.reverse) for a in bits(mask)}
             assert forward == reverse == rows, pair.label
             assert tuple(map(bits, index.columns)) == tuple(map(set, zip(*rows))), pair.label
     assert any(clique.size > 2 for clique in cliques)
@@ -234,17 +236,90 @@ def test_candidate_table_requires_pair_tables(burst_series, lifecycles, config):
         candidate_table_instance(not_a_clique, tables)
 
 
+@pytest.mark.parametrize("early_abort", [True, False])
+def test_non_clique_candidate_is_a_value_error(burst_series, lifecycles, config, early_abort):
+    # A_new-C_dead has no pair table; the other two pairs of the triple do.
+    tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, config)
+    not_a_clique = Pattern([feat("A_new"), feat("B_new"), feat("C_dead")])
+    message = "no pair table for A_new,C_dead; candidate is not a clique over this data"
+    with pytest.raises(ValueError, match=message):
+        verify_all([not_a_clique], tables, counts, config, early_abort=early_abort)
+    with pytest.raises(ValueError, match=message):
+        derive_all_prevalent([not_a_clique], tables, counts, config)
+
+
+def test_results_do_not_depend_on_the_order_of_counts():
+    for seed in (0, 4):
+        series, features, cfg = small_series(seed, min_prev=0.05)
+        tables, counts, prevalent, cliques = mining_state(series, features, cfg)
+        outcomes = []
+        for given in (counts, dict(reversed(counts.items()))):
+            stats = VerifyStats()
+            maximal = verify_all(cliques, prevalent, given, cfg, stats=stats)
+            derived = derive_all_prevalent(maximal, tables, given, cfg)
+            outcomes.append((maximal, derived, stats.as_manifest_entries(), stats.ratio_log))
+        assert outcomes[0] == outcomes[1], f"seed {seed}"
+        assert any(r.pattern.size > 2 for r in outcomes[0][0]), f"seed {seed}"
+
+
+@pytest.mark.parametrize("early_abort", [True, False])
+def test_feature_without_count_is_never_prevalent(burst_series, lifecycles, config, early_abort):
+    tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, config)
+    missing = feat("C_dead")
+    del counts[missing]
+    stats = VerifyStats()
+    results = verify_all(cliques, prevalent, counts, config, early_abort=early_abort, stats=stats)
+    assert results and not any(missing in r.pattern for r in results)
+    logged = [ratios[missing] for pattern, ratios in stats.ratio_log if missing in pattern]
+    assert logged and all(ratio == 0.0 for ratio in logged)
+    triple = Pattern([feat("A_dead"), feat("B_new"), missing])
+    derived = derive_all_prevalent([triple], tables, counts, config)
+    assert [r.dpi for r in derived if missing in r.pattern] == [0.0, 0.0, 0.0]
+
+
+def test_derive_takes_verify_results_as_patterns_give_them():
+    for seed in (0, 4):
+        series, features, cfg = small_series(seed, min_prev=0.05)
+        tables, counts, prevalent, cliques = mining_state(series, features, cfg)
+        maximal = verify_all(cliques, prevalent, counts, cfg)
+        assert any(r.pattern.size > 2 for r in maximal), f"seed {seed}"
+        derived = derive_all_prevalent(maximal, tables, counts, cfg)
+        assert derived == derive_all_prevalent([r.pattern for r in maximal], tables, counts, cfg)
+        assert len(derived) > len(maximal), f"seed {seed}"
+
+
+def test_mine_summarizes_no_maximal_pattern_twice(monkeypatch):
+    # Verify summarizes each maximal pattern once; derive reuses its results.
+    summarized = []
+    summarize_ranks = verify._summarize
+
+    def counted(ranks, run):
+        summarized.append(frozenset(run.features[r] for r in ranks))
+        return summarize_ranks(ranks, run)
+
+    monkeypatch.setattr(verify, "_summarize", counted)
+    for seed in (0, 4):
+        summarized.clear()
+        series, features, cfg = small_series(seed, min_prev=0.05)
+        outcome = mine_series(series, features, cfg, derive_all=True)
+        assert any(r.pattern.size > 2 for r in outcome.results), f"seed {seed}"
+        for result in outcome.results:
+            assert summarized.count(result.pattern.feature_set) == 1, result.pattern.label
+        assert len(summarized) > len(outcome.results)
+
+
 def test_decompose_excludes_accepted_and_pending():
     failed = Pattern([feat("A_dead"), feat("B_new"), feat("C_dead"), feat("D_new")])
-    accepted = [Pattern([feat("A_dead"), feat("B_new"), feat("C_dead")]).feature_set]
-    subs = decompose(failed, accepted, [])
-    assert [Pattern(s).label for s in subs] == [
+    mask, label = rank_masks(failed.features)
+    accepted = [mask(Pattern([feat("A_dead"), feat("B_new"), feat("C_dead")]))]
+    subs = decompose(mask(failed), accepted, [])
+    assert [label(s) for s in subs] == [
         "A_dead,B_new,D_new",
         "A_dead,C_dead,D_new",
         "B_new,C_dead,D_new",
     ]
-    pending = [Pattern([feat("A_dead"), feat("B_new"), feat("D_new")]).features]
-    assert [Pattern(s).label for s in decompose(failed, accepted, pending)] == [
+    pending = [mask(Pattern([feat("A_dead"), feat("B_new"), feat("D_new")]))]
+    assert [label(s) for s in decompose(mask(failed), accepted, pending)] == [
         "A_dead,C_dead,D_new",
         "B_new,C_dead,D_new",
     ]
