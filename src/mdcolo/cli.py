@@ -88,7 +88,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     )
 
     if args.size2_report:
-        dpis = {pat: participation_index(t, outcome.counts) for pat, t in outcome.tables.items()}
+        dpis = {key: participation_index(t, outcome.counts) for key, t in outcome.tables.items()}
         io.write_size2_report_csv(args.size2_report, outcome.tables, dpis)
     if args.pairs_dump:
         io.write_pairs_csv(args.pairs_dump, outcome.join)

@@ -433,14 +433,14 @@ def write_pairs_csv(path: str, pairs: Join | Iterable[NeighborPair]) -> None:
             write(f"{fields[a]},{fields[b]},{dist!r}\n")
 
 
-def write_size2_report_csv(
-    path: str, tables: Mapping, dpis: Mapping
-) -> None:
-    """Size-2 report CSV: pattern,dpi,rows; patterns rendered as A_new|B_new."""
+def write_size2_report_csv(path: str, tables: Mapping, dpis: Mapping) -> None:
+    """Size-2 report CSV: pattern,dpi,rows; patterns rendered as A_new|B_new.
+    `tables` and `dpis` share their keys, which sort as the patterns do."""
     with _open_writer(path, SIZE2_HEADER) as write:
-        for pattern in sorted(tables, key=lambda p: p.sort_key):
-            label = _field("|".join(f.label for f in pattern.features))
-            write(f"{label},{dpis[pattern]!r},{len(tables[pattern])}\n")
+        for key in sorted(tables):
+            table = tables[key]
+            label = _field("|".join(f.label for f in table.features))
+            write(f"{label},{dpis[key]!r},{len(table)}\n")
 
 
 def write_bench_csv(

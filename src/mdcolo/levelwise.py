@@ -1,54 +1,59 @@
 """The level-wise join miner, the baseline the maximal miner is compared with.
 
 Size-k patterns grow by joining prefix-sharing prevalent size-(k-1) patterns
-and their rows, starting from the pair tables.  Each level keeps its rows as
-tuples of instance ordinals.  A joined row survives when its two last
-ordinals are a row of their pair table, checked against one set of ordinal
-pairs per table, and a table is built only to score a candidate.  It reports
-every prevalent pattern, so it doubles as a whole-result cross-check of
+and their rows, starting from the pair tables.  Patterns are tuples of their
+features' ranks, as the pair tables are keyed (`PairTables`), and each level
+keeps its rows as tuples of instance ordinals.  A joined row survives when
+its two last ordinals are a row of their pair table, checked against one set
+of ordinal pairs per table, and a candidate is scored from its ordinal
+columns.  A `Pattern` is built only for a result.  It reports every
+prevalent pattern, so it doubles as a whole-result cross-check of
 `--derive-all`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .model import MiningConfig, Pattern
-from .size2 import FeatureCounts, TableInstance, participation_index, passes_prevalence
+from .size2 import (
+    FeatureCounts, PairTables, participant_masks, participation_share, passes_prevalence,
+)
 from .verify import PatternResult
 
 
 def join_based_mine(
-    tables: Mapping[Pattern, TableInstance],
-    counts: FeatureCounts,
-    config: MiningConfig,
+    tables: PairTables, counts: FeatureCounts, config: MiningConfig
 ) -> list[PatternResult]:
     """Every prevalent pattern of size >= 2 with maximality flagged, grown
     level by level from `tables`, every pair table of the series."""
+    features = tables.series.columns.features
+    totals = [counts.get(f, 0) for f in features]
+
+    def index(ranks: tuple[int, ...], masks: tuple[int, ...]) -> float:
+        return min(map(participation_share, masks, map(totals.__getitem__, ranks)))
+
     # Per pair table, its rows as ordinal pairs.
-    related = {pat.features: set(zip(*table.ordinals)) for pat, table in tables.items()}
+    related = {key: set(zip(*table.ordinals)) for key, table in tables.items()}
 
     # Each prevalent pattern of the current size -> its rows as ordinal tuples
-    level: dict[Pattern, list[tuple[int, ...]]] = {}
-    all_prevalent: dict[Pattern, tuple[float, int]] = {}
-    for pat, table in tables.items():
-        dpi = participation_index(table, counts)
+    level: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    all_prevalent: dict[tuple[int, ...], tuple[float, int]] = {}
+    for key, table in tables.items():
+        dpi = index(key, table.columns())
         if passes_prevalence(dpi, len(table), config):
-            level[pat] = list(zip(*table.ordinals))
-            all_prevalent[pat] = (dpi, len(table))
-            # every table of the join names its rows through one series
-            series = table.series
+            level[key] = list(zip(*table.ordinals))
+            all_prevalent[key] = (dpi, len(table))
 
     while level:
-        next_level: dict[Pattern, list[tuple[int, ...]]] = {}
-        patterns = sorted(level, key=lambda p: p.sort_key)
+        next_level: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # Rank tuples sort as their patterns do.
+        patterns = sorted(level)
         for i, a_pat in enumerate(patterns):
             # a_pat's last ordinals by row prefix, built on its first join
             by_prefix: dict[tuple, list[int]] | None = None
             for b_pat in patterns[i + 1:]:
-                if a_pat.features[:-1] != b_pat.features[:-1]:
+                if a_pat[:-1] != b_pat[:-1]:
                     continue
-                pairs = related.get((a_pat.features[-1], b_pat.features[-1]))
+                pairs = related.get((a_pat[-1], b_pat[-1]))
                 if pairs is None:
                     continue
                 if by_prefix is None:
@@ -62,20 +67,17 @@ def join_based_mine(
                             rows.append(row[:-1] + (tail, row[-1]))
                 if not rows:
                     continue
-                candidate = Pattern(a_pat.features + (b_pat.features[-1],))
-                table = TableInstance(candidate, tuple(map(list, zip(*rows))), series)
-                dpi = participation_index(table, counts)
+                candidate = a_pat + (b_pat[-1],)
+                dpi = index(candidate, participant_masks(zip(*rows)))
                 if passes_prevalence(dpi, len(rows), config):
                     next_level[candidate] = rows
                     all_prevalent[candidate] = (dpi, len(rows))
         level = next_level
 
+    sets = {ranks: frozenset(ranks) for ranks in all_prevalent}
     results = []
-    patterns = list(all_prevalent)
-    for pat in patterns:
-        is_max = not any(
-            pat.feature_set < other.feature_set for other in patterns if other.size > pat.size
-        )
-        dpi, rows = all_prevalent[pat]
-        results.append(PatternResult(pat, dpi, rows, is_max))
-    return sorted(results, key=lambda r: r.pattern.sort_key)
+    for ranks, (dpi, rows) in sorted(all_prevalent.items()):
+        is_max = not any(sets[ranks] < other for other in sets.values() if len(other) > len(ranks))
+        pattern = Pattern(map(features.__getitem__, ranks))
+        results.append(PatternResult(pattern, dpi, rows, is_max))
+    return results

@@ -8,11 +8,11 @@ from collections import Counter
 from typing import Mapping, Sequence
 
 from .cliques import maximal_cliques
-from .model import BaseFeature, ConfigError, MiningConfig, Pattern, compute_spans
+from .model import BaseFeature, ConfigError, MiningConfig, compute_spans
 from .neighborhood import Join, grid_join
 from .size2 import (
     FeatureCounts,
-    TableInstance,
+    PairTables,
     build_feature_graph,
     feature_counts,
     pair_tables,
@@ -36,7 +36,7 @@ class MineOutcome:
         self, results: list[PatternResult], derived: list[PatternResult] | None,
         config: MiningConfig, algo: str, stats: VerifyStats,
         timings_ms: dict[str, float] | None = None, counters: dict[str, int] | None = None,
-        counts: FeatureCounts | None = None, tables: dict[Pattern, TableInstance] | None = None,
+        counts: FeatureCounts | None = None, tables: PairTables | None = None,
         join: Join | None = None,
     ):
         self.results, self.derived, self.config = results, derived, config
@@ -44,7 +44,7 @@ class MineOutcome:
         # Each dict left out is a fresh one, never shared between outcomes.
         self.timings_ms = {} if timings_ms is None else timings_ms
         self.counters = {} if counters is None else counters
-        # Instances per feature, every pair table, and the join's codes.
+        # Instances per feature, every pair table by rank pair, and the join's codes.
         self.counts = {} if counts is None else counts
         self.tables = {} if tables is None else tables
         self.join = join

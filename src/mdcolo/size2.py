@@ -3,18 +3,20 @@
 A pattern's table instance lists every instance combination realizing it, as
 one column of instance ordinals per feature, and names each ordinal's
 instance through its series (`DynamicDatasetSeries.named`).  The pair tables
-come from the join's int codes and the series' columns in one pass, and no
-stage of a mine reads more of a table than its ordinals.  A feature's
-participation ratio in a table is the share of its instances (over the whole
-series) that appear in at least one row; the participation index of the
-table is the minimum ratio over the pattern's features, whose participants
-every stage reads as one ordinal bitmask each (`TableInstance.columns`).
-Pairs whose index passes the threshold become the edges of the feature graph
-that seeds the clique search.
+come from the join's int codes in one pass, keyed by the ranks of their
+features (`PairTables`), and no stage of a mine reads more of a table than
+its ordinals.  A feature's participation ratio in a table is the share of
+its instances (over the whole series) that appear in at least one row; the
+participation index of the table is the minimum ratio over the pattern's
+features, whose participants every stage reads as one ordinal bitmask each
+(`TableInstance.columns`).  Pairs whose index passes the threshold become
+the edges, each one `Pattern`, of the feature graph that seeds the clique
+search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -30,8 +32,7 @@ _BIT = (1).__lshift__
 def feature_counts(series: DynamicDatasetSeries) -> FeatureCounts:
     """Total instances per dynamic feature across all windows, in canonical
     feature order, read from the series' columns."""
-    columns = series.columns
-    return dict(zip(columns.features, columns.counts))
+    return dict(zip(series.columns.features, series.columns.counts))
 
 
 class PairIndex(NamedTuple):
@@ -50,21 +51,26 @@ class PairIndex(NamedTuple):
 
 class TableInstance:
     """All rows realizing one pattern; each row has one instance per feature,
-    in the pattern's canonical feature order.  A table holds its rows as one
+    in canonical feature order (`features`).  A table holds its rows as one
     list of instance ordinals per feature (`ordinals`), row by row, and
     names them through the series they come from (`series.named()`).  Two
-    tables are equal when their patterns and ordinal columns are.  The
+    tables are equal when their features and ordinal columns are.  The
     participant masks and a pair table's index are built on first use, from
     the ordinals alone."""
 
-    __slots__ = ("pattern", "ordinals", "series", "_columns", "_pair_index")
+    __slots__ = ("features", "ordinals", "series", "_columns", "_pair_index")
 
     def __init__(
-        self, pattern: Pattern, ordinals: tuple[list[int], ...], series: DynamicDatasetSeries
+        self, features: tuple[DynamicFeature, ...], ordinals: tuple, series: DynamicDatasetSeries
     ):
-        self.pattern, self.ordinals, self.series = pattern, ordinals, series
+        self.features, self.ordinals, self.series = features, ordinals, series
         self._columns: tuple[int, ...] | None = None
         self._pair_index: PairIndex | None = None
+
+    @property
+    def label(self) -> str:
+        """The pattern's label, as `Pattern.label` gives it."""
+        return ",".join(f.label for f in self.features)
 
     @property
     def rows(self) -> tuple[tuple[DynamicInstance, ...], ...]:
@@ -72,8 +78,7 @@ class TableInstance:
         mine reads them; the benchmark's traced pass and the tests do."""
         named = self.series.named()
         return tuple(zip(*(
-            map(named[f].__getitem__, column)
-            for f, column in zip(self.pattern.features, self.ordinals)
+            map(named[f].__getitem__, column) for f, column in zip(self.features, self.ordinals)
         )))
 
     def __len__(self) -> int:
@@ -82,10 +87,10 @@ class TableInstance:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TableInstance):
             return NotImplemented
-        return self.pattern == other.pattern and self.ordinals == other.ordinals
+        return self.features == other.features and self.ordinals == other.ordinals
 
     def __repr__(self) -> str:
-        return f"TableInstance({self.pattern.label}, {len(self)} rows)"
+        return f"TableInstance({self.label}, {len(self)} rows)"
 
     def columns(self) -> tuple[int, ...]:
         """Per feature in canonical order, the mask of its participants: bit
@@ -93,7 +98,7 @@ class TableInstance:
         a feature ordinals are unique (`number_instances` checks) and start at
         1, so the mask's bit count is the number of participants."""
         if self._columns is None:
-            self._columns = tuple(sum(map(_BIT, set(column))) for column in self.ordinals)
+            self._columns = participant_masks(self.ordinals)
         return self._columns
 
     def pair_index(self) -> PairIndex:
@@ -110,7 +115,31 @@ class TableInstance:
         return self._pair_index
 
 
-def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
+def participant_masks(ordinals: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """Per column of instance ordinals, the mask of the ordinals it holds."""
+    return tuple(sum(map(_BIT, set(column))) for column in ordinals)
+
+
+class PairTables(dict):
+    """The pair tables of one series by the ranks of their two features,
+    lower first: rank `r` is `series.columns.features[r]`, so rank pairs
+    sort as the patterns do.  A stage that reads tables by key ranks its
+    features through the map's series (`rank`), not through the tables."""
+
+    __slots__ = ("series",)
+
+    def __init__(self, series: DynamicDatasetSeries):
+        super().__init__()
+        self.series = series
+
+    def rank(self, feature: DynamicFeature) -> int:
+        """The feature's rank in the series; -1, which no key holds, if it has none."""
+        features = self.series.columns.features
+        r = bisect_left(features, feature.sort_key, key=attrgetter("sort_key"))
+        return r if r < len(features) and features[r].sort_key == feature.sort_key else -1
+
+
+def pair_tables(join: Join) -> PairTables:
     """One table instance per feature pair that has a related pair, in
     canonical pattern order.  One pass over the join's codes fills each
     table's two ordinal columns, in code order, from the series' rank and
@@ -136,16 +165,18 @@ def pair_tables(join: Join) -> dict[Pattern, TableInstance]:
         columns[1].append(ordinals[b])
 
     # Ranks are canonical, the lower first: the keys sort as the patterns do.
-    tables = (
-        TableInstance(Pattern((features[key // width], features[key % width])), columns, series)
-        for key, columns in sorted(grouped.items())
-    )
-    return {t.pattern: t for t in tables}
+    # Every key holds one shared int object per rank.
+    tables, numbers = PairTables(series), list(range(width))
+    for key, columns in sorted(grouped.items()):
+        ra, rb = map(numbers.__getitem__, divmod(key, width))
+        tables[ra, rb] = TableInstance((features[ra], features[rb]), columns, series)
+    return tables
 
 
-def size2_table_instances(pairs: Iterable[NeighborPair]) -> dict[Pattern, TableInstance]:
+def size2_table_instances(pairs: Iterable[NeighborPair]) -> PairTables:
     """Group neighbor pairs into one table instance per feature pair, each
-    keeping its rows in the order given, through `pair_tables`."""
+    keeping its rows in the order given, through `pair_tables`.  The ranks
+    that key them number the features of the given pairs alone."""
     return pair_tables(Join.of_pairs(pairs))
 
 
@@ -159,9 +190,9 @@ def participation_ratio(
     table: TableInstance, feature: DynamicFeature, counts: Mapping[DynamicFeature, int]
 ) -> float:
     """Share of the feature's instances that participate in the table."""
-    if feature not in table.pattern:
-        raise ValueError(f"{feature} is not part of pattern {table.pattern.label}")
-    participants = table.columns()[table.pattern.features.index(feature)]
+    if feature not in table.features:
+        raise ValueError(f"{feature} is not part of pattern {table.label}")
+    participants = table.columns()[table.features.index(feature)]
     return participation_share(participants, counts.get(feature, 0))
 
 
@@ -170,7 +201,7 @@ def participation_index(table: TableInstance, counts: Mapping[DynamicFeature, in
     each feature's mask by its position."""
     return min(
         participation_share(participants, counts.get(f, 0))
-        for f, participants in zip(table.pattern.features, table.columns())
+        for f, participants in zip(table.features, table.columns())
     )
 
 
@@ -191,21 +222,16 @@ def meets_min_prev(value: float, config: MiningConfig) -> bool:
     return value > config.min_prev
 
 
-def prevalent_size2(
-    tables: Mapping[Pattern, TableInstance],
-    counts: Mapping[DynamicFeature, int],
-    config: MiningConfig,
-) -> dict[Pattern, TableInstance]:
+def prevalent_size2(tables: PairTables, counts: FeatureCounts, config: MiningConfig) -> PairTables:
     """Keep the pair tables whose participation index passes the threshold,
     in the order given.  A pair table's index is read from its two column
-    masks."""
-    prevalent = {}
-    for pat, table in tables.items():
-        (a, b), (mask_a, mask_b) = pat.features, table.columns()
-        share_a = participation_share(mask_a, counts.get(a, 0))
-        share_b = participation_share(mask_b, counts.get(b, 0))
-        if passes_prevalence(min(share_a, share_b), len(table), config):
-            prevalent[pat] = table
+    masks and the totals of its two ranks, each read from `counts` once."""
+    totals = [counts.get(f, 0) for f in tables.series.columns.features]
+    prevalent = PairTables(tables.series)
+    for key, table in tables.items():
+        index = min(map(participation_share, table.columns(), map(totals.__getitem__, key)))
+        if passes_prevalence(index, len(table), config):
+            prevalent[key] = table
     return prevalent
 
 
@@ -237,6 +263,6 @@ class FeatureGraph:
         )
 
 
-def build_feature_graph(prevalent: Mapping[Pattern, TableInstance]) -> FeatureGraph:
+def build_feature_graph(prevalent: Mapping[object, TableInstance]) -> FeatureGraph:
     """Feature graph whose edges are exactly the prevalent pairs."""
-    return FeatureGraph(prevalent)
+    return FeatureGraph(Pattern(table.features) for table in prevalent.values())

@@ -7,36 +7,32 @@ any other is verified, and accepted when its participation index passes the
 threshold.  An aborted or failed candidate of size three or more decomposes
 into its one-smaller sub-cliques, which join the queue.
 
-Verify and derive number the candidates' features once per run (`_Ranks`)
-and view the pair tables by rank pair.  Verify queues each candidate as an
-int mask of its feature ranks: the subsumed check is `mask & acc == mask`,
-and a sub-clique is the mask with one bit cleared.  A `Pattern` is built
-only for a candidate that is summarized.
+Verify and derive read a candidate's features by their ranks in the
+series' numbering, the ranks that key the pair tables (`PairTables`), and
+look up only the tables their candidates need.  Verify queues each
+candidate as an int mask of its ranks: the subsumed check is
+`mask & acc == mask`, and a sub-clique is the mask with one bit cleared.  A
+`Pattern` is built only for a candidate that is summarized.
 
 A candidate's table instance is defined by its pair tables: a row picks one
 instance per feature such that every feature pair is itself a pair-table
 row.  Verification counts those rows and collects each feature's
-participants as an ordinal bitmask, without building the rows.  It reads
-one bitset index per pair table (`TableInstance.pair_index`), which the
-table builds once and verify, the early bound and derive share.  The search
-is fail-first: the feature with the fewest instances partnered in every
-pair table of the candidate (the smallest domain) is picked first.
-Clustered instances narrow the deeper levels to the same partner masks, so
-the search memoises each level's row count by those masks, within one
-candidate and for at most MEMO_ENTRIES entries.  The early bound never
-changes the outcome: anchored on the canonically first feature, it reads
-only that feature's pair tables and stops at the first feature whose
-bounded ratio misses the threshold.
+participants as an ordinal bitmask, without building the rows, through one
+bitset index per pair table (`TableInstance.pair_index`) that verify, the
+early bound and derive share (`_summarize`).  The early bound never changes
+the outcome (`_hopeless`).
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .model import DynamicFeature, MiningConfig, Pattern, Value
 from .size2 import (
-    FeatureCounts, TableInstance, meets_min_prev, participation_share, passes_prevalence,
+    FeatureCounts, PairTables, meets_min_prev, participation_share, passes_prevalence,
 )
 
 
@@ -83,64 +79,46 @@ class VerifyStats:
         }
 
 
-class _Ranks:
-    """The features of one verify or derive run by rank, with their instance
-    totals, and the pair tables among them by rank pair.
-
-    Rank r is bit r of a candidate's mask.  Ranks count down the canonical
-    order: of n features the canonically first has rank n - 1.  So a mask's
-    bits read from the top are its features in canonical order, masks of one
-    size sort, largest first, as their patterns do, and a pair table's key
-    is (rank of its first feature, rank of its second), the larger first.
-    """
-
-    __slots__ = ("features", "rank", "totals", "tables")
-
-    def __init__(
-        self,
-        features: Iterable[DynamicFeature],
-        size2: Mapping[Pattern, TableInstance],
-        counts: Mapping[DynamicFeature, int],
-    ):
-        self.features = sorted(set(features), key=lambda f: f.sort_key, reverse=True)
-        self.rank = rank = {f: r for r, f in enumerate(self.features)}
-        self.totals = [counts.get(f, 0) for f in self.features]
-        self.tables: dict[tuple[int, int], TableInstance] = {}
-        for pair, table in size2.items():
-            a, b = pair.features
-            ra, rb = rank.get(a), rank.get(b)
-            if ra is not None and rb is not None:
-                self.tables[ra, rb] = table
-
-    def of(self, pattern: Pattern) -> tuple[int, ...]:
-        """The pattern's ranks in canonical order, once every pair of them is
-        known to have a table."""
-        ranks = tuple(map(self.rank.__getitem__, pattern.features))
-        if not all(map(self.tables.__contains__, combinations(ranks, 2))):
-            pair = next(p for p in combinations(ranks, 2) if p not in self.tables)
-            label = Pattern(map(self.features.__getitem__, pair)).label
-            raise ValueError(f"no pair table for {label}; candidate is not a clique over this data")
-        return ranks
-
-    def pattern(self, ranks: Iterable[int]) -> Pattern:
-        return Pattern(map(self.features.__getitem__, ranks))
-
-    def ratios(self, ranks: Sequence[int], participants: Sequence[int]) -> list[float]:
-        """Participation ratio per rank, 0.0 for a feature without instances."""
-        return list(map(participation_share, participants, map(self.totals.__getitem__, ranks)))
+def _number(
+    patterns: Iterable[Pattern], tables: PairTables, counts: Mapping[DynamicFeature, int]
+) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """Each pattern's ranks in canonical order, once every pair of them is
+    known to have a table, and each rank's instance total from `counts`."""
+    tops, totals = [], {}
+    for pattern in patterns:
+        ranks = tuple(map(tables.rank, pattern.features))
+        if not all(map(tables.__contains__, combinations(ranks, 2))):
+            pairs = combinations(zip(ranks, pattern.features), 2)
+            a, b = next((a, b) for (ra, a), (rb, b) in pairs if (ra, rb) not in tables)
+            raise ValueError(
+                f"no pair table for {a.label},{b.label}; candidate is not a clique over this data"
+            )
+        tops.append(ranks)
+        for r, f in zip(ranks, pattern.features):
+            totals[r] = counts.get(f, 0)
+    return tops, totals
 
 
-def _ranks(mask: int) -> list[int]:
-    """The ranks set in a mask, highest first: canonical order."""
+def _pattern(ranks: Iterable[int], tables: PairTables) -> Pattern:
+    return Pattern(map(tables.series.columns.features.__getitem__, ranks))
+
+
+def _ratios(ranks: Sequence[int], participants: Sequence[int], totals: Mapping[int, int]):
+    """Participation ratio per rank, 0.0 for a feature without instances."""
+    return list(map(participation_share, participants, map(totals.__getitem__, ranks)))
+
+
+def _ranks(mask: int) -> tuple[int, ...]:
+    """The bits set in a mask, lowest first: a rank mask's canonical order."""
     ranks = []
     while mask:
-        r = mask.bit_length() - 1
-        mask ^= 1 << r
-        ranks.append(r)
-    return ranks
+        low = mask & -mask
+        mask ^= low
+        ranks.append(low.bit_length() - 1)
+    return tuple(ranks)
 
 
-def _summarize(ranks: Sequence[int], run: _Ranks) -> tuple[int, Sequence[int]]:
+def _summarize(ranks: Sequence[int], tables: PairTables) -> tuple[int, Sequence[int]]:
     """Row count of the candidate's table instance, and per rank in the
     order given (canonical) the mask of its participants' ordinal bits, as
     in `TableInstance.columns`.
@@ -173,7 +151,7 @@ def _summarize(ranks: Sequence[int], run: _Ranks) -> tuple[int, Sequence[int]]:
     search is done breaks that cycle, so the summary leaves nothing for the
     cyclic collector and the CLI can run with the collector paused.
     """
-    tables, k = run.tables, len(ranks)
+    k = len(ranks)
     if k == 2:
         table = tables[ranks[0], ranks[1]]
         return len(table), table.columns()
@@ -243,7 +221,7 @@ def _summarize(ranks: Sequence[int], run: _Ranks) -> tuple[int, Sequence[int]]:
 
 def decompose(mask: int, accepted: Sequence[int], pending: Collection[int]) -> list[int]:
     """Rank masks of a failed candidate's one-smaller sub-cliques still worth
-    queueing, in canonical order (the canonically last feature, the lowest
+    queueing, in canonical order (the canonically last feature, the highest
     bit, is dropped first).
 
     `accepted` holds the accepted patterns' masks, `pending` the queued ones.
@@ -253,56 +231,48 @@ def decompose(mask: int, accepted: Sequence[int], pending: Collection[int]) -> l
     out = []
     rest = mask
     while rest:
-        low = rest & -rest
-        rest ^= low
-        sub = mask ^ low
+        high = 1 << (rest.bit_length() - 1)
+        rest ^= high
+        sub = mask ^ high
         if sub not in pending and not any(sub & acc == sub for acc in accepted):
             out.append(sub)
     return out
 
 
-def _hopeless(ranks: Sequence[int], run: _Ranks, config: MiningConfig) -> bool:
+def _hopeless(
+    ranks: Sequence[int], tables: PairTables, totals: Mapping[int, int], config: MiningConfig
+) -> bool:
     """True when the early bound rules a candidate of size three or more out.
 
     The bound takes the canonically first feature as the anchor: it allows
     the anchor instances partnered in every anchor pair table, and for each
     other feature their partners in its table.  Each caps its feature's
-    participants, so one that misses `min_prev` decides; each is tested as
-    soon as it is known, the anchor's first, and a feature without instances
-    misses.  Only the anchor tables are indexed, so a hopeless candidate
-    never indexes the others.
+    participants, so one whose share (as `participation_share` gives it)
+    misses `min_prev` decides; each is tested as soon as it is known, the
+    anchor's first.  Only the anchor tables are indexed, so a hopeless
+    candidate never indexes the others.
     """
-    totals = run.totals
 
     def misses(rank: int, bound: int) -> bool:
-        total = totals[rank]
-        return total == 0 or not meets_min_prev(bound / total, config)
+        return not meets_min_prev(participation_share(bound, totals[rank]), config)
 
     anchor, *others = ranks
-    indexes = [run.tables[anchor, r].pair_index() for r in others]
+    indexes = [tables[anchor, r].pair_index() for r in others]
     common = -1
     for index in indexes:
         common &= index.columns[0]
-    if misses(anchor, common.bit_count()):
+    if misses(anchor, common):
         return True
-    anchors = []
-    while common:
-        a = common.bit_length() - 1
-        common ^= 1 << a
-        anchors.append(a)
+    anchors = _ranks(common)
     for r, index in zip(others, indexes):
-        union = 0
-        forward = index.forward
-        for a in anchors:
-            union |= forward[a]
-        if misses(r, union.bit_count()):
+        if misses(r, reduce(or_, map(index.forward.__getitem__, anchors), 0)):
             return True
     return False
 
 
 def verify_all(
     cliques: Sequence[Pattern],
-    size2: Mapping[Pattern, TableInstance],
+    size2: PairTables,
     counts: FeatureCounts,
     config: MiningConfig,
     *,
@@ -318,28 +288,28 @@ def verify_all(
     ValueError, raised before any candidate is checked.
     """
     stats = stats if stats is not None else VerifyStats()
-    run = _Ranks((f for clique in cliques for f in clique.features), size2, counts)
+    tops, totals = _number(cliques, size2, counts)
     # Pending candidates' masks by size.  Decomposition only adds cliques
     # one size smaller, so visiting sizes largest first sees every one once.
     by_size: dict[int, set[int]] = {}
-    for clique in cliques:
-        by_size.setdefault(clique.size, set()).add(sum(1 << r for r in run.of(clique)))
+    for ranks in tops:
+        by_size.setdefault(len(ranks), set()).add(sum(1 << r for r in ranks))
     accepted: list[PatternResult] = []
     # The accepted patterns' masks, read by the subsumed check and decompose.
     covering: list[int] = []
 
     for size in range(max(by_size, default=2), 1, -1):
-        for mask in sorted(by_size.pop(size, ()), reverse=True):
+        # Rank tuples sort as their patterns do.
+        for ranks, mask in sorted((_ranks(m), m) for m in by_size.pop(size, ())):
             if any(mask & acc == mask for acc in covering):
                 stats.subsumed_skips += 1
                 continue
-            ranks = _ranks(mask)
-            if early_abort and size > 2 and _hopeless(ranks, run, config):
+            if early_abort and size > 2 and _hopeless(ranks, size2, totals, config):
                 stats.early_aborts += 1
             else:
-                row_count, participants = _summarize(ranks, run)
-                ratios = run.ratios(ranks, participants)
-                clique = run.pattern(ranks)
+                row_count, participants = _summarize(ranks, size2)
+                ratios = _ratios(ranks, participants, totals)
+                clique = _pattern(ranks, size2)
                 stats.verified += 1
                 stats.rows_counted += row_count
                 stats.ratio_log.append((clique, dict(zip(clique.features, ratios))))
@@ -357,7 +327,7 @@ def verify_all(
 
 def derive_all_prevalent(
     maximal: Iterable[PatternResult | Pattern],
-    size2: Mapping[Pattern, TableInstance],
+    size2: PairTables,
     counts: FeatureCounts,
     config: MiningConfig,
 ) -> list[PatternResult]:
@@ -370,8 +340,7 @@ def derive_all_prevalent(
     one given as a `Pattern` is summarized like its subsets.
     """
     given = [(m.pattern, m) if isinstance(m, PatternResult) else (m, None) for m in maximal]
-    run = _Ranks((f for pattern, _ in given for f in pattern.features), size2, counts)
-    tops = [run.of(pattern) for pattern, _ in given]
+    tops, totals = _number((pattern for pattern, _ in given), size2, counts)
     top_set = set(tops)
     # Results by rank tuple, seeded with the maximal patterns' own.
     results = {top: result for top, (_, result) in zip(tops, given) if result is not None}
@@ -380,7 +349,7 @@ def derive_all_prevalent(
             for sub in combinations(top, k):
                 if sub in results:
                     continue
-                row_count, participants = _summarize(sub, run)
-                dpi = min(run.ratios(sub, participants))
-                results[sub] = PatternResult(run.pattern(sub), dpi, row_count, sub in top_set)
-    return sorted(results.values(), key=lambda r: r.pattern.sort_key)
+                row_count, participants = _summarize(sub, size2)
+                dpi = min(_ratios(sub, participants, totals))
+                results[sub] = PatternResult(_pattern(sub, size2), dpi, row_count, sub in top_set)
+    return [results[sub] for sub in sorted(results)]

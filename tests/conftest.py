@@ -29,7 +29,7 @@ from mdcolo import (
 from mdcolo.datagen import GenConfig, generate
 from mdcolo.model import DEAD, NEW
 from mdcolo.size2 import TableInstance
-from mdcolo.verify import _Ranks, _summarize
+from mdcolo.verify import _summarize
 
 
 def parse_feature_label(label: str) -> DynamicFeature:
@@ -60,18 +60,23 @@ class Summary(NamedTuple):
 
 
 def summarize(pattern, tables):
-    """The candidate's `Summary` over pair tables keyed by pattern, as verify
-    and derive compute it."""
-    run = _Ranks(pattern.features, tables, {})
-    row_count, participants = _summarize(run.of(pattern), run)
+    """The candidate's `Summary` over pair tables keyed by rank pair, as
+    verify and derive compute it."""
+    row_count, participants = _summarize(tuple(map(tables.rank, pattern.features)), tables)
     return Summary(row_count, dict(zip(pattern.features, participants)))
+
+
+def by_features(tables) -> dict:
+    """Pair tables, keyed by rank pair, keyed instead by their canonical
+    feature tuple, which names a table whatever series numbers it."""
+    return {table.features: table for table in tables.values()}
 
 
 def rank_masks(features):
     """Conversions between patterns over `features` and their rank masks as
-    verify numbers them (the canonically last feature holds bit 0): a
+    verify numbers them (the canonically first feature holds bit 0): a
     pattern's mask, and a mask's pattern label."""
-    ranked = sorted(features, key=lambda f: f.sort_key, reverse=True)
+    ranked = sorted(features, key=lambda f: f.sort_key)
 
     def mask(pattern) -> int:
         return sum(1 << ranked.index(f) for f in pattern.features)
@@ -85,7 +90,7 @@ def rank_masks(features):
 def forbid_rows(monkeypatch) -> None:
     """Make building any table's rows fail the test."""
     def rows(table):
-        raise AssertionError(f"rows of {table.pattern.label} were built")
+        raise AssertionError(f"rows of {table.label} were built")
     monkeypatch.setattr(TableInstance, "rows", property(rows))
 
 

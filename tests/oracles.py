@@ -19,9 +19,11 @@ from typing import Mapping
 
 from mdcolo.model import ConfigError, DynamicFeature, MiningConfig, Pattern
 from mdcolo.neighborhood import NeighborPair
-from mdcolo.size2 import FeatureCounts, FeatureGraph, TableInstance, passes_prevalence
+from mdcolo.size2 import FeatureCounts, FeatureGraph, PairTables, TableInstance, passes_prevalence
 from mdcolo.snapshots import DynamicDatasetSeries
 from mdcolo.verify import PatternResult
+
+from conftest import by_features
 
 
 class CapExceededError(ConfigError):
@@ -85,20 +87,19 @@ def all_pairs_scan(
     return tuple(out)
 
 
-def candidate_table_instance(
-    clique: Pattern, size2: Mapping[Pattern, TableInstance]
-) -> TableInstance:
+def candidate_table_instance(clique: Pattern, size2: PairTables) -> TableInstance:
     """A candidate's table instance from its pair tables, no anchor involved:
     every combination of one ordinal per feature whose feature pairs are all
     pair-table rows.  A missing pair table means the clique never came from
     a feature graph over this data."""
     features = clique.features
+    named = by_features(size2)
     # (i, j) -> the ordinal pairs of features i < j; per feature, its ordinals
     related: dict[tuple[int, int], set[tuple[int, int]]] = {}
     domains: list[set[int]] = [set() for _ in features]
     for i, j in combinations(range(clique.size), 2):
         pair = Pattern((features[i], features[j]))
-        table = size2.get(pair)
+        table = named.get(pair.features)
         if table is None:
             raise ValueError(
                 f"no pair table for {pair.label}; "
@@ -116,7 +117,7 @@ def candidate_table_instance(
             if all((prev, o) in related[i, j] for i, prev in enumerate(row))
         ]
     columns = tuple([row[i] for row in rows] for i in range(clique.size))
-    return TableInstance(clique, columns, table.series)
+    return TableInstance(features, columns, table.series)
 
 
 def bron_kerbosch(graph: FeatureGraph) -> tuple[Pattern, ...]:

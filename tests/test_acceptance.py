@@ -49,6 +49,7 @@ from conftest import (
     LIFECYCLES,
     SHOPS_EXPECTED_INSTANCES,
     burst_snapshots,
+    by_features,
     feat,
     instances_by_label,
     rank_masks,
@@ -159,7 +160,7 @@ def test_criterion_1_hand_built_series():
     )
     counts = feature_counts(burst)
     tables = size2_table_instances(neighbor_pairs(burst, spans, CONFIG))
-    an_bn = tables[Pattern((feat("A_new"), feat("B_new")))]
+    an_bn = by_features(tables)[feat("A_new"), feat("B_new")]
     ok = ok and participation_ratio(an_bn, feat("A_new"), counts) == 0.5
     ok = ok and participation_ratio(an_bn, feat("B_new"), counts) == 0.5
     ok = ok and participation_index(an_bn, counts) == 0.5

@@ -30,7 +30,8 @@ from mdcolo.cli import main
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 
-SETTINGS = settings(max_examples=150, deadline=None, database=None)
+# A failure prints the blob that replays its example (`@reproduce_failure`).
+SETTINGS = settings(max_examples=150, deadline=None, database=None, print_blob=True)
 ALARM_S = 10
 
 KEYS = [(f, str(i)) for f in "ABCD" for i in range(1, 6)]

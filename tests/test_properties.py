@@ -29,7 +29,7 @@ from oracles import (
     brute_force_maximal,
     candidate_table_instance,
 )
-from conftest import bits, feat, summarize
+from conftest import bits, by_features, feat, summarize
 
 FEATURES = [feat(f"{base}_{kind}") for base in "ABCDE" for kind in ("new", "dead")]
 
@@ -112,18 +112,19 @@ def test_pair_tables_from_codes_equal_tables_of_the_pairs(inputs):
     series, spans, config = inputs
     tables = pair_tables(grid_join(series, spans, config))
     pairs = neighbor_pairs(series, spans, config)
-    reference = size2_table_instances(pairs)
-    assert list(tables) == list(reference)
+    reference = by_features(size2_table_instances(pairs))
+    assert list(by_features(tables)) == list(reference)
     grouped: dict = {}
     for a, b in pairs:
-        grouped.setdefault(Pattern((a.feature, b.feature)), []).append((a, b))
-    assert list(tables) == sorted(grouped, key=lambda p: p.sort_key)
-    for pattern, table in tables.items():
-        ref = reference[pattern]
-        assert len(table) == len(ref) == len(grouped[pattern])
+        grouped.setdefault(Pattern((a.feature, b.feature)).features, []).append((a, b))
+    assert list(by_features(tables)) == sorted(grouped, key=lambda fs: [f.sort_key for f in fs])
+    for table in tables.values():
+        features = table.features
+        ref = reference[features]
+        assert len(table) == len(ref) == len(grouped[features])
         assert table.columns() == ref.columns()
         assert table.pair_index() == ref.pair_index()
-        assert table.rows == ref.rows == tuple(grouped[pattern])
+        assert table.rows == ref.rows == tuple(grouped[features])
         assert table == ref
 
 
@@ -241,7 +242,7 @@ def test_columns_are_distinct_ordinals(candidate):
     pattern, tables = candidate
     for table in (*tables.values(), candidate_table_instance(pattern, tables)):
         for i, mask in enumerate(table.columns()):
-            assert bits(mask) == {row[i].ordinal for row in table.rows}, table.pattern.label
+            assert bits(mask) == {row[i].ordinal for row in table.rows}, table.label
 
 
 @st.composite

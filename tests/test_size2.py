@@ -4,11 +4,12 @@ import pytest
 
 from mdcolo import MiningConfig, Pattern, levelwise
 from mdcolo.model import compute_spans
-from mdcolo.neighborhood import neighbor_pairs
+from mdcolo.neighborhood import grid_join, neighbor_pairs
 from mdcolo.size2 import (
     FeatureGraph,
     build_feature_graph,
     feature_counts,
+    pair_tables,
     participation_index,
     participation_ratio,
     passes_prevalence,
@@ -16,10 +17,12 @@ from mdcolo.size2 import (
     size2_table_instances,
 )
 
+from oracles import candidate_table_instance
 from conftest import (
     BURST_EXPECTED_TABLES,
     SHOPS_EXPECTED_TABLES,
     bits,
+    by_features,
     feat,
     small_series,
 )
@@ -46,8 +49,8 @@ def table_labels(table):
 def test_shops_tables_exact(shops_tables, shops_series, config):
     counts = feature_counts(shops_series)
     got = {
-        pat.label: (table_labels(t), participation_index(t, counts))
-        for pat, t in shops_tables.items()
+        t.label: (table_labels(t), participation_index(t, counts))
+        for t in shops_tables.values()
     }
     expected = {
         label: (rows, pytest.approx(dpi))
@@ -59,8 +62,8 @@ def test_shops_tables_exact(shops_tables, shops_series, config):
 def test_burst_tables_exact(burst_tables, burst_series, config):
     counts = feature_counts(burst_series)
     got = {
-        pat.label: (table_labels(t), participation_index(t, counts))
-        for pat, t in burst_tables.items()
+        t.label: (table_labels(t), participation_index(t, counts))
+        for t in burst_tables.values()
     }
     expected = {
         label: (rows, pytest.approx(dpi))
@@ -83,7 +86,7 @@ def test_burst_feature_counts(burst_series):
 
 def test_burst_ratios_of_the_lopsided_pair(burst_tables, burst_series):
     counts = feature_counts(burst_series)
-    table = burst_tables[Pattern([feat("A_dead"), feat("B_dead")])]
+    table = by_features(burst_tables)[feat("A_dead"), feat("B_dead")]
     assert participation_ratio(table, feat("A_dead"), counts) == 0.5
     assert participation_ratio(table, feat("B_dead"), counts) == 1.0
     assert participation_index(table, counts) == 0.5
@@ -98,32 +101,64 @@ def test_participation_ratio_rejects_foreign_feature(burst_tables, burst_series)
 
 def test_columns_are_distinct_instances(burst_tables):
     # Three rows, in which A_dead.1 and B_new.1 each take part twice.
-    table = burst_tables[Pattern([feat("A_dead"), feat("B_new")])]
+    table = by_features(burst_tables)[feat("A_dead"), feat("B_new")]
     assert len(table) == 3
     assert [bits(mask) for mask in table.columns()] == [{1, 2}, {1, 2}]
 
 
 def test_join_tables_index_is_distinct_instance_ratio(monkeypatch):
-    # The level-wise miner builds tables of 3 and more features and reads
-    # their index; the reference counts each column's distinct instances.
-    seen = []
-    monkeypatch.setattr(
-        levelwise, "participation_index",
-        lambda table, counts: seen.append((table, counts)) or participation_index(table, counts),
-    )
+    # The level-wise miner scores patterns of 3 and more features from the
+    # participant masks of their ordinal columns: each mask holds its
+    # column's distinct ordinals, and each result's index is the distinct
+    # instance ratio over the pattern's rows, listed without the miner.
+    scored = []
+    masks = levelwise.participant_masks
+
+    def recorded(columns):
+        columns = list(map(list, columns))
+        scored.append((columns, masks(columns)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(levelwise, "participant_masks", recorded)
+    checked = 0
     for seed in (0, 4):
         series, features, cfg = small_series(seed, min_prev=0.05)
         life = {f.id: f.life_cycle for f in features}
         spans = compute_spans(series.features(), life, cfg.time_span)
         tables = size2_table_instances(neighbor_pairs(series, spans, cfg))
-        levelwise.join_based_mine(tables, feature_counts(series), cfg)
-    assert any(table.pattern.size >= 3 for table, _ in seen)
-    for table, counts in seen:
-        distinct = min(
-            len({row[i] for row in table.rows}) / counts[f]
-            for i, f in enumerate(table.pattern.features)
-        )
-        assert participation_index(table, counts) == distinct, table.pattern.label
+        counts = feature_counts(series)
+        for result in levelwise.join_based_mine(tables, counts, cfg):
+            table = candidate_table_instance(result.pattern, tables)
+            distinct = min(
+                len({row[i] for row in table.rows}) / counts[f]
+                for i, f in enumerate(result.pattern.features)
+            )
+            assert participation_index(table, counts) == distinct, result.pattern.label
+            assert (result.dpi, result.row_count) == (distinct, len(table)), result.pattern.label
+            checked += result.pattern.size >= 3
+    assert checked and any(len(columns) >= 3 for columns, _ in scored)
+    for columns, got in scored:
+        assert list(map(bits, got)) == list(map(set, columns))
+
+
+def test_pair_tables_and_prevalent_pairs_build_no_pattern(monkeypatch):
+    # Tables are keyed by rank pair; only the feature graph's edges, one per
+    # prevalent pair, are patterns.
+    built = []
+    init = Pattern.__init__
+    monkeypatch.setattr(
+        Pattern, "__init__", lambda self, features: built.append(1) or init(self, features)
+    )
+    for seed in (0, 4):
+        series, features, cfg = small_series(seed, min_prev=0.3)
+        life = {f.id: f.life_cycle for f in features}
+        spans = compute_spans(series.features(), life, cfg.time_span)
+        built.clear()
+        tables = pair_tables(grid_join(series, spans, cfg))
+        prevalent = prevalent_size2(tables, feature_counts(series), cfg)
+        assert built == [] and len(tables) > len(prevalent) > 0, f"seed {seed}"
+        graph = build_feature_graph(prevalent)
+        assert len(built) == len(graph.edges) == len(prevalent), f"seed {seed}"
 
 
 def test_passes_prevalence_modes():
@@ -147,7 +182,7 @@ def test_prevalent_size2_filters_by_threshold(shops_tables, shops_series):
     counts = feature_counts(shops_series)
     high = MiningConfig(d_d=2.0, min_prev=0.4, time_span=3.0)
     kept = prevalent_size2(shops_tables, counts, high)
-    assert sorted(p.label for p in kept) == ["A_dead,B_new", "A_dead,C_dead", "A_new,B_new"]
+    assert sorted(t.label for t in kept.values()) == ["A_dead,B_new", "A_dead,C_dead", "A_new,B_new"]
 
 
 def test_feature_graph_structure(burst_tables, burst_series, config):

@@ -11,6 +11,7 @@ from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
 from mdcolo.pipeline import mine_series
 from mdcolo.size2 import (
+    PairTables,
     TableInstance,
     build_feature_graph,
     feature_counts,
@@ -30,6 +31,7 @@ from conftest import (
     BURST_TRIPLE_ROWS,
     SHOPS_EXPECTED_MAXIMAL,
     bits,
+    by_features,
     feat,
     rank_masks,
     small_series,
@@ -188,23 +190,24 @@ def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, mo
     # The same pairs in reverse order: table rows keep it, the index must not care.
     pairs = [row for table in tables.values() for row in table.rows]
     reversed_tables = size2_table_instances(reversed(pairs))
-    assert any(reversed_tables[p].rows != t.rows for p, t in tables.items())
+    named = by_features(tables)
+    assert any(named[f].rows != t.rows for f, t in by_features(reversed_tables).items())
     for given in (tables, reversed_tables):
-        for pair, table in given.items():
+        for table in given.values():
             index = table.pair_index()
-            assert table.pair_index() is index, pair.label
-            rows = {(a.ordinal, b.ordinal) for a, b in tables[pair].rows}
+            assert table.pair_index() is index, table.label
+            rows = {(a.ordinal, b.ordinal) for a, b in named[table.features].rows}
             forward = {(a, b) for a, mask in enumerate(index.forward) for b in bits(mask)}
             reverse = {(a, b) for b, mask in enumerate(index.reverse) for a in bits(mask)}
-            assert forward == reverse == rows, pair.label
-            assert tuple(map(bits, index.columns)) == tuple(map(set, zip(*rows))), pair.label
+            assert forward == reverse == rows, table.label
+            assert tuple(map(bits, index.columns)) == tuple(map(set, zip(*rows))), table.label
     assert any(clique.size > 2 for clique in cliques)
     for clique in cliques:
         summary = summarize(clique, reversed_tables)
         assert summary == summarize(clique, tables), clique.label
-    pattern, table = max(tables.items(), key=lambda kv: len(kv[1]))
+    table = max(tables.values(), key=len)
     reversed_columns = tuple(column[::-1] for column in table.ordinals)
-    assert TableInstance(pattern, reversed_columns, table.series).rows == table.rows[::-1]
+    assert TableInstance(table.features, reversed_columns, table.series).rows == table.rows[::-1]
 
 
 def test_early_abort_indexes_only_anchor_tables(monkeypatch):
@@ -277,6 +280,49 @@ def test_feature_without_count_is_never_prevalent(burst_series, lifecycles, conf
     assert [r.dpi for r in derived if missing in r.pattern] == [0.0, 0.0, 0.0]
 
 
+def test_early_abort_judges_a_feature_without_count_as_the_summary_does(burst_series, lifecycles):
+    # Without a count C_dead's ratio is 0.0, which meets min_prev 0, so the
+    # triple is prevalent; the early bound must not read the 0 total as a miss.
+    cfg = MiningConfig(d_d=2.0, min_prev=0.0, time_span=3.0)
+    tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, cfg)
+    del counts[feat("C_dead")]
+    outcomes = []
+    for early_abort in (True, False):
+        results = verify_all(cliques, prevalent, counts, cfg, early_abort=early_abort)
+        outcomes.append([(r.pattern.label, r.dpi, r.row_count) for r in results])
+    assert outcomes[0] == outcomes[1]
+    assert ("A_dead,B_new,C_dead", 0.0, 1) in outcomes[0]
+
+
+class KeyedOnly(PairTables):
+    """Pair tables that may be read by key alone."""
+
+    def __iter__(self):
+        raise AssertionError("the table map was iterated")
+
+    keys = values = items = __iter__
+
+
+@pytest.mark.parametrize("early_abort", [True, False])
+@pytest.mark.parametrize("name, expected", [
+    ("burst", BURST_EXPECTED_MAXIMAL), ("shops", SHOPS_EXPECTED_MAXIMAL),
+])
+def test_verify_and_derive_read_tables_only_by_key(
+    request, lifecycles, config, name, expected, early_abort
+):
+    series = request.getfixturevalue(f"{name}_series")
+    tables, counts, prevalent, cliques = mining_state(series, lifecycles, config)
+    keyed = KeyedOnly(tables.series)
+    dict.update(keyed, tables)
+    maximal = verify_all(cliques, keyed, counts, config, early_abort=early_abort)
+    assert as_result_map(maximal) == {
+        label: (pytest.approx(d), n) for label, (d, n) in expected.items()
+    }
+    derived = derive_all_prevalent(maximal, keyed, counts, config)
+    assert derived == derive_all_prevalent(maximal, tables, counts, config)
+    assert len(derived) > len(maximal)
+
+
 def test_derive_takes_verify_results_as_patterns_give_them():
     for seed in (0, 4):
         series, features, cfg = small_series(seed, min_prev=0.05)
@@ -293,9 +339,9 @@ def test_mine_summarizes_no_maximal_pattern_twice(monkeypatch):
     summarized = []
     summarize_ranks = verify._summarize
 
-    def counted(ranks, run):
-        summarized.append(frozenset(run.features[r] for r in ranks))
-        return summarize_ranks(ranks, run)
+    def counted(ranks, tables):
+        summarized.append(frozenset(tables.series.columns.features[r] for r in ranks))
+        return summarize_ranks(ranks, tables)
 
     monkeypatch.setattr(verify, "_summarize", counted)
     for seed in (0, 4):

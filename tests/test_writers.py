@@ -24,6 +24,8 @@ from mdcolo.neighborhood import MAX_COORDINATE
 from mdcolo.size2 import size2_table_instances
 from mdcolo.snapshots import DynamicDatasetSeries
 
+from conftest import by_features
+
 # Without the explain phase, which takes minutes on a failing example here.
 SETTINGS = settings(
     max_examples=60, deadline=None, database=None, phases=[Phase.generate, Phase.shrink]
@@ -183,8 +185,9 @@ def test_size2_writer_matches_csv_writer(insts, dpi):
         (a, b) if a.feature.sort_key < b.feature.sort_key else (b, a) for a, b in pairs_of(insts)
     )
     dpis = dict.fromkeys(tables, dpi)
-    rows = [["|".join(f.label for f in p.features), repr(dpi), len(tables[p])]
-            for p in sorted(tables, key=lambda p: p.sort_key)]
+    named = by_features(tables)
+    rows = [["|".join(f.label for f in pair), repr(dpi), len(named[pair])]
+            for pair in sorted(named, key=lambda pair: [f.sort_key for f in pair])]
     assert written(io.write_size2_report_csv, tables, dpis) == reference(io.SIZE2_HEADER, rows)
 
 
