@@ -13,6 +13,8 @@ prevalent pattern, so it doubles as a whole-result cross-check of
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .model import MiningConfig, Pattern
 from .size2 import (
     FeatureCounts, PairTables, participant_masks, participation_share, passes_prevalence,
@@ -74,10 +76,11 @@ def join_based_mine(
                     all_prevalent[candidate] = (dpi, len(rows))
         level = next_level
 
-    sets = {ranks: frozenset(ranks) for ranks in all_prevalent}
+    # By anti-monotonicity, a pattern is maximal exactly when no prevalent
+    # pattern one feature larger contains it.
+    covered = {sub for ranks in all_prevalent for sub in combinations(ranks, len(ranks) - 1)}
     results = []
     for ranks, (dpi, rows) in sorted(all_prevalent.items()):
-        is_max = not any(sets[ranks] < other for other in sets.values() if len(other) > len(ranks))
         pattern = Pattern(map(features.__getitem__, ranks))
-        results.append(PatternResult(pattern, dpi, rows, is_max))
+        results.append(PatternResult(pattern, dpi, rows, ranks not in covered))
     return results

@@ -10,8 +10,8 @@ its instances (over the whole series) that appear in at least one row; the
 participation index of the table is the minimum ratio over the pattern's
 features, whose participants every stage reads as one ordinal bitmask each
 (`TableInstance.columns`).  Pairs whose index passes the threshold become
-the edges, each one `Pattern`, of the feature graph that seeds the clique
-search.
+the edges of the feature graph that seeds the clique search, held as one
+mask of partner ranks per feature rank (`FeatureGraph`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .model import DynamicFeature, DynamicInstance, MiningConfig, Pattern
+from .model import DynamicFeature, DynamicInstance, MiningConfig
 from .neighborhood import Join, NeighborPair
 from .snapshots import DynamicDatasetSeries
 
@@ -120,6 +120,17 @@ def participant_masks(ordinals: Iterable[Iterable[int]]) -> tuple[int, ...]:
     return tuple(sum(map(_BIT, set(column))) for column in ordinals)
 
 
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """The bits set in a mask, lowest first: a rank mask's ranks in
+    canonical order, or an ordinal mask's ordinals."""
+    ranks = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        ranks.append(low.bit_length() - 1)
+    return tuple(ranks)
+
+
 class PairTables(dict):
     """The pair tables of one series by the ranks of their two features,
     lower first: rank `r` is `series.columns.features[r]`, so rank pairs
@@ -186,16 +197,6 @@ def participation_share(participants: int, total: int) -> float:
     return participants.bit_count() / total if total else 0.0
 
 
-def participation_ratio(
-    table: TableInstance, feature: DynamicFeature, counts: Mapping[DynamicFeature, int]
-) -> float:
-    """Share of the feature's instances that participate in the table."""
-    if feature not in table.features:
-        raise ValueError(f"{feature} is not part of pattern {table.label}")
-    participants = table.columns()[table.features.index(feature)]
-    return participation_share(participants, counts.get(feature, 0))
-
-
 def participation_index(table: TableInstance, counts: Mapping[DynamicFeature, int]) -> float:
     """Minimum participation ratio over the pattern's features, reading
     each feature's mask by its position."""
@@ -235,34 +236,22 @@ def prevalent_size2(tables: PairTables, counts: FeatureCounts, config: MiningCon
     return prevalent
 
 
-class FeatureGraph:
-    """Undirected graph of dynamic features, one edge per pair pattern.
+class FeatureGraph(NamedTuple):
+    """Undirected graph of a series' features, in the ranks that key its
+    pair tables: `features[r]` is rank r's feature, and `adjacency[r]` the
+    mask of the ranks it shares an edge with (bit s for rank s).  A rank
+    without edges holds 0."""
 
-    Vertices are exactly the endpoints of edges unless extra isolated vertices
-    are supplied (useful for synthetic graphs in tests).
-    """
-
-    def __init__(self, edges: Iterable[Pattern], vertices: Iterable[DynamicFeature] = ()):
-        # `dict.fromkeys` keeps the input's order, so edges that arrive sorted,
-        # as `prevalent_size2` hands them, cost the sort one linear pass.
-        self.edges: tuple[Pattern, ...] = tuple(
-            sorted(dict.fromkeys(edges), key=attrgetter("sort_key"))
-        )
-        adjacency: dict[DynamicFeature, set[DynamicFeature]] = {v: set() for v in vertices}
-        for pat in self.edges:
-            if pat.size != 2:
-                raise ValueError(f"feature graph edges must be pairs, got {pat.label}")
-            a, b = pat.features
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
-        self.adjacency: dict[DynamicFeature, frozenset[DynamicFeature]] = {
-            v: frozenset(neigh) for v, neigh in adjacency.items()
-        }
-        self.vertices: tuple[DynamicFeature, ...] = tuple(
-            sorted(self.adjacency, key=lambda f: f.sort_key)
-        )
+    features: list[DynamicFeature]
+    adjacency: list[int]
 
 
-def build_feature_graph(prevalent: Mapping[object, TableInstance]) -> FeatureGraph:
-    """Feature graph whose edges are exactly the prevalent pairs."""
-    return FeatureGraph(Pattern(table.features) for table in prevalent.values())
+def build_feature_graph(prevalent: PairTables) -> FeatureGraph:
+    """Feature graph whose edges are exactly the prevalent pairs, filled
+    from their rank-pair keys."""
+    features = prevalent.series.columns.features
+    adjacency = [0] * len(features)
+    for a, b in prevalent:
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    return FeatureGraph(features, adjacency)

@@ -176,10 +176,6 @@ class DynamicDatasetSeries(Value):
             per_window[inst.t_index].append(inst)
         return tuple(map(tuple, per_window))
 
-    def all_instances(self) -> Iterator[DynamicInstance]:
-        for window in self.windows:
-            yield from window
-
     def window_rows(self) -> Iterator[tuple[int, DynamicFeature, int, float, float]]:
         """(t_index, feature, ordinal, x, y) of each instance, in the order
         of `windows`, read from the columns."""

@@ -32,7 +32,8 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .model import DynamicFeature, MiningConfig, Pattern, Value
 from .size2 import (
-    FeatureCounts, PairTables, meets_min_prev, participation_share, passes_prevalence,
+    FeatureCounts, PairTables, mask_bits, meets_min_prev, participation_share,
+    passes_prevalence,
 )
 
 
@@ -106,16 +107,6 @@ def _pattern(ranks: Iterable[int], tables: PairTables) -> Pattern:
 def _ratios(ranks: Sequence[int], participants: Sequence[int], totals: Mapping[int, int]):
     """Participation ratio per rank, 0.0 for a feature without instances."""
     return list(map(participation_share, participants, map(totals.__getitem__, ranks)))
-
-
-def _ranks(mask: int) -> tuple[int, ...]:
-    """The bits set in a mask, lowest first: a rank mask's canonical order."""
-    ranks = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        ranks.append(low.bit_length() - 1)
-    return tuple(ranks)
 
 
 def _summarize(ranks: Sequence[int], tables: PairTables) -> tuple[int, Sequence[int]]:
@@ -263,7 +254,7 @@ def _hopeless(
         common &= index.columns[0]
     if misses(anchor, common):
         return True
-    anchors = _ranks(common)
+    anchors = mask_bits(common)
     for r, index in zip(others, indexes):
         if misses(r, reduce(or_, map(index.forward.__getitem__, anchors), 0)):
             return True
@@ -300,7 +291,7 @@ def verify_all(
 
     for size in range(max(by_size, default=2), 1, -1):
         # Rank tuples sort as their patterns do.
-        for ranks, mask in sorted((_ranks(m), m) for m in by_size.pop(size, ())):
+        for ranks, mask in sorted((mask_bits(m), m) for m in by_size.pop(size, ())):
             if any(mask & acc == mask for acc in covering):
                 stats.subsumed_skips += 1
                 continue

@@ -12,6 +12,8 @@ clique enumeration, and verification all have exact known outcomes.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import pytest
@@ -28,7 +30,7 @@ from mdcolo import (
 )
 from mdcolo.datagen import GenConfig, generate
 from mdcolo.model import DEAD, NEW
-from mdcolo.size2 import TableInstance
+from mdcolo.size2 import FeatureGraph, TableInstance
 from mdcolo.verify import _summarize
 
 
@@ -49,7 +51,26 @@ def snap(t: int, *records: tuple[str, str, float, float]) -> Snapshot:
 
 
 def instances_by_label(series) -> dict:
-    return {inst.label: inst for inst in series.all_instances()}
+    return {inst.label: inst for inst in series.instances()}
+
+
+def window_instances(series):
+    """The series' instances window by window, each window in canonical order."""
+    return chain.from_iterable(series.windows)
+
+
+def feature_graph(edges, vertices=()) -> FeatureGraph:
+    """The rank-mask `FeatureGraph` of `edges`, feature pairs, over their
+    endpoints and the isolated `vertices`, ranked in canonical order."""
+    edges = list(edges)
+    features = sorted({f for edge in edges for f in edge}.union(vertices),
+                      key=attrgetter("sort_key"))
+    rank = {f: r for r, f in enumerate(features)}
+    adjacency = [0] * len(features)
+    for a, b in edges:
+        adjacency[rank[a]] |= 1 << rank[b]
+        adjacency[rank[b]] |= 1 << rank[a]
+    return FeatureGraph(features, adjacency)
 
 
 class Summary(NamedTuple):
@@ -300,6 +321,15 @@ def burst():
 @pytest.fixture
 def burst_series(burst):
     return diff_snapshots(burst)
+
+
+def planted(k: int) -> tuple[list[Snapshot], list[BaseFeature]]:
+    """A planted co-location and its life cycles: k one-instance features
+    `G0`.. appear at (0, 0) at t_point 1, beside a static `Z`, each with life
+    cycle 3.  At d_d 1 every subset of the k features is prevalent."""
+    z = ("Z", "z1", 50.0, 50.0)
+    snapshots = [snap(0, z), snap(1, z, *((f"G{i}", f"g{i}", 0.0, 0.0) for i in range(k)))]
+    return snapshots, [BaseFeature(f"G{i}", 3.0) for i in range(k)] + [BaseFeature("Z", 3.0)]
 
 
 def small_series(seed: int, **overrides):

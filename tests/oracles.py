@@ -40,7 +40,7 @@ class OracleConfig:
 
     def check(self, series: DynamicDatasetSeries) -> None:
         bases = {f.base for f in series.features()}
-        n_instances = sum(1 for _ in series.all_instances())
+        n_instances = len(series.instances())
         if len(bases) > self.max_base_features:
             raise CapExceededError(
                 f"{len(bases)} base features exceed the oracle cap of {self.max_base_features}"
@@ -65,7 +65,7 @@ def all_pairs_scan(
     The distance test uses the same squared-distance expression as the grid
     join so both sides of the equivalence check agree bit for bit.
     """
-    instances = sorted(series.all_instances(), key=lambda i: i.sort_key)
+    instances = sorted(series.instances(), key=lambda i: i.sort_key)
     for inst in instances:
         if inst.feature not in spans:
             raise ConfigError(f"no span for feature {inst.feature.label}")
@@ -121,8 +121,13 @@ def candidate_table_instance(clique: Pattern, size2: PairTables) -> TableInstanc
 
 
 def bron_kerbosch(graph: FeatureGraph) -> tuple[Pattern, ...]:
-    """Maximal cliques of size >= 2 via pivoted recursive enumeration."""
-    adj = graph.adjacency
+    """Maximal cliques of size >= 2 via pivoted recursive enumeration, over
+    the graph's masks turned into feature sets."""
+    features = graph.features
+    adj = {
+        f: {g for s, g in enumerate(features) if mask >> s & 1}
+        for f, mask in zip(features, graph.adjacency)
+    }
     found: list[frozenset[DynamicFeature]] = []
 
     def recurse(r: set, p: set, x: set) -> None:
@@ -136,7 +141,7 @@ def bron_kerbosch(graph: FeatureGraph) -> tuple[Pattern, ...]:
             p = p - {v}
             x = x | {v}
 
-    recurse(set(), set(graph.vertices), set())
+    recurse(set(), set(features), set())
     return tuple(sorted((Pattern(c) for c in found), key=lambda p: p.sort_key))
 
 
@@ -155,7 +160,7 @@ def brute_force_maximal(
     never prevalent.  Everything else is enumerated outright.
     """
     caps.check(series)
-    instances = sorted(series.all_instances(), key=lambda i: i.sort_key)
+    instances = sorted(series.instances(), key=lambda i: i.sort_key)
 
     related: set[tuple] = set()
     linked_features: dict[DynamicFeature, set[DynamicFeature]] = {}

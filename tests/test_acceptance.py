@@ -28,7 +28,7 @@ from mdcolo.size2 import (
     build_feature_graph,
     feature_counts,
     participation_index,
-    participation_ratio,
+    participation_share,
     prevalent_size2,
     size2_table_instances,
 )
@@ -49,6 +49,7 @@ from conftest import (
     LIFECYCLES,
     SHOPS_EXPECTED_INSTANCES,
     burst_snapshots,
+    bits,
     by_features,
     feat,
     instances_by_label,
@@ -161,8 +162,8 @@ def test_criterion_1_hand_built_series():
     counts = feature_counts(burst)
     tables = size2_table_instances(neighbor_pairs(burst, spans, CONFIG))
     an_bn = by_features(tables)[feat("A_new"), feat("B_new")]
-    ok = ok and participation_ratio(an_bn, feat("A_new"), counts) == 0.5
-    ok = ok and participation_ratio(an_bn, feat("B_new"), counts) == 0.5
+    ok = ok and participation_share(an_bn.columns()[0], counts[feat("A_new")]) == 0.5
+    ok = ok and participation_share(an_bn.columns()[1], counts[feat("B_new")]) == 0.5
     ok = ok and participation_index(an_bn, counts) == 0.5
 
     # Feature graph edge set = the prevalent pairs.
@@ -172,7 +173,11 @@ def test_criterion_1_hand_built_series():
         "A_new,B_new", "A_new,C_new", "A_dead,B_new",
         "A_dead,B_dead", "A_dead,C_dead", "B_new,C_dead",
     }
-    ok = ok and {p.label for p in graph.edges} == expected_edges
+    edges = {
+        f"{graph.features[a].label},{graph.features[b].label}"
+        for a, partners in enumerate(graph.adjacency) for b in bits(partners) if a < b
+    }
+    ok = ok and edges == expected_edges
 
     # Maximal cliques of that graph, canonically ordered.
     cliques = maximal_cliques(graph)

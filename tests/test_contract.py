@@ -8,7 +8,9 @@ and subnormal numbers, quotes and unterminated quotes, NUL, a BOM, CRLF,
 blank rows, duplicates, gaps, huge t_points and oversize fields.  `mdcolo
 mine` and `mdcolo diff` run in process on each input under an alarm, so a
 hang fails in seconds.  Each must exit 0, or exit 2 with one stderr line
-that names the file at fault."""
+that names the file at fault.  A planted co-location of twelve one-instance
+features, whose every subset is prevalent, runs as a fixed case through
+both mining routes under the same alarm."""
 
 from __future__ import annotations
 
@@ -26,7 +28,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdcolo import io
 from mdcolo.cli import main
+
+from conftest import planted
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 
@@ -213,3 +218,24 @@ def test_every_input_ends_in_a_report_or_exit_2(files, extra):
             assert out.exists()
         code, err = run(["diff", str(snaps), "-o", str(out)])
         check(code, err, str(snaps))
+
+
+@pytest.mark.parametrize("extra, reported", [([], 1), (["--algo", "join"], 4083)])
+def test_a_planted_co_location_ends_in_one_maximal_pattern(tmp_path, extra, reported):
+    # Twelve one-instance features at one point: all 4,083 of their subsets
+    # of two or more features are prevalent, and the whole set is maximal.
+    # The maximal route reports that one; the level-wise route reports all.
+    snapshots, lifecycles = planted(12)
+    snaps, lc, out = tmp_path / "snaps.csv", tmp_path / "lc.csv", tmp_path / "out"
+    io.write_snapshots_csv(str(snaps), snapshots)
+    io.write_lifecycles_csv(str(lc), lifecycles)
+    code, err = run([
+        "mine", str(snaps), "--lifecycles", str(lc), "-o", str(out),
+        "--dd", "1", "--min-prev", "0.1", *extra,
+    ])
+    assert code == 0, err
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.endswith(";true")] == [
+        ",".join(f"G{i}_new" for i in sorted(range(12), key=str)) + ";12;1.0;1;true"
+    ]
+    assert len(lines) == reported

@@ -138,7 +138,7 @@ def test_cluster_events_stay_near_their_site():
     config = small_config(churn_ratio=1.0, seed=6)
     snapshots, report = generate(config)
     series = diff_snapshots(snapshots)
-    for inst in series.all_instances():
+    for inst in series.instances():
         dists = [
             (inst.x - sx) ** 2 + (inst.y - sy) ** 2
             for (sx, sy) in (site.center for site in report.sites)

@@ -29,7 +29,7 @@ from mdcolo.neighborhood import grid_join
 from mdcolo.size2 import feature_counts
 from mdcolo.snapshots import DynamicDatasetSeries, number_instances
 
-from conftest import feat
+from conftest import feat, window_instances
 from oracles import all_pairs_scan
 
 SETTINGS = settings(max_examples=120, deadline=None, database=None)
@@ -106,10 +106,10 @@ def test_every_path_numbers_the_series_once(snapshots, spans, d_d):
     for other in read_both_paths(snapshots):
         assert other.columns == series.columns
         assert other == series
-    ordered, columns = number_instances(series.all_instances())
+    ordered, columns = number_instances(window_instances(series))
     assert columns == series.columns
     assert ordered == series.instances()
-    assert feature_counts(series) == Counter(inst.feature for inst in series.all_instances())
+    assert feature_counts(series) == Counter(inst.feature for inst in series.instances())
     assert series.window_count == len(snapshots) - 1
 
     built = DynamicDatasetSeries(series.windows)

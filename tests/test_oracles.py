@@ -12,7 +12,7 @@ from mdcolo import Pattern, mine_series
 from mdcolo.levelwise import join_based_mine
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
-from mdcolo.size2 import FeatureGraph, feature_counts, size2_table_instances
+from mdcolo.size2 import feature_counts, size2_table_instances
 
 from oracles import CapExceededError, OracleConfig, bron_kerbosch, brute_force_maximal
 from conftest import (
@@ -20,6 +20,7 @@ from conftest import (
     BURST_EXPECTED_TABLES,
     SHOPS_EXPECTED_MAXIMAL,
     feat,
+    feature_graph,
     small_series,
 )
 
@@ -123,12 +124,12 @@ def test_join_matches_derive_all():
 
 def test_bron_kerbosch_small_graphs():
     a, b, c, d = (feat(f"{x}_new") for x in "ABCD")
-    graph = FeatureGraph(Pattern(pair) for pair in [(a, b), (a, c), (b, c), (c, d)])
+    graph = feature_graph([(a, b), (a, c), (b, c), (c, d)])
     assert [p.label for p in bron_kerbosch(graph)] == [
         "A_new,B_new,C_new",
         "C_new,D_new",
     ]
-    assert bron_kerbosch(FeatureGraph([])) == ()
+    assert bron_kerbosch(feature_graph([])) == ()
 
 
 def test_production_modules_do_not_import_oracles():

@@ -20,7 +20,7 @@ from mdcolo import DynamicInstance, MiningConfig, Pattern, mine_series
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import _CELL_SLACK, grid_join, neighbor_pairs
-from mdcolo.size2 import FeatureGraph, feature_counts, pair_tables, size2_table_instances
+from mdcolo.size2 import feature_counts, pair_tables, size2_table_instances
 from mdcolo.snapshots import DynamicDatasetSeries
 from oracles import (
     OracleConfig,
@@ -29,7 +29,7 @@ from oracles import (
     brute_force_maximal,
     candidate_table_instance,
 )
-from conftest import bits, by_features, feat, summarize
+from conftest import bits, by_features, feat, feature_graph, summarize
 
 FEATURES = [feat(f"{base}_{kind}") for base in "ABCDE" for kind in ("new", "dead")]
 
@@ -251,8 +251,8 @@ def feature_graphs(draw):
     vertices = draw(st.lists(st.sampled_from(FEATURES), max_size=10, unique=True))
     pairs = list(combinations(vertices, 2))
     kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [Pattern(pair) for pair, keep in zip(pairs, kept) if keep]
-    return FeatureGraph(edges, vertices=vertices)
+    edges = [pair for pair, keep in zip(pairs, kept) if keep]
+    return feature_graph(edges, vertices=vertices)
 
 
 @SETTINGS

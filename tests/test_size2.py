@@ -6,12 +6,11 @@ from mdcolo import MiningConfig, Pattern, levelwise
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import grid_join, neighbor_pairs
 from mdcolo.size2 import (
-    FeatureGraph,
     build_feature_graph,
     feature_counts,
     pair_tables,
     participation_index,
-    participation_ratio,
+    participation_share,
     passes_prevalence,
     prevalent_size2,
     size2_table_instances,
@@ -87,16 +86,9 @@ def test_burst_feature_counts(burst_series):
 def test_burst_ratios_of_the_lopsided_pair(burst_tables, burst_series):
     counts = feature_counts(burst_series)
     table = by_features(burst_tables)[feat("A_dead"), feat("B_dead")]
-    assert participation_ratio(table, feat("A_dead"), counts) == 0.5
-    assert participation_ratio(table, feat("B_dead"), counts) == 1.0
+    assert participation_share(table.columns()[0], counts[feat("A_dead")]) == 0.5
+    assert participation_share(table.columns()[1], counts[feat("B_dead")]) == 1.0
     assert participation_index(table, counts) == 0.5
-
-
-def test_participation_ratio_rejects_foreign_feature(burst_tables, burst_series):
-    counts = feature_counts(burst_series)
-    table = next(iter(burst_tables.values()))
-    with pytest.raises(ValueError):
-        participation_ratio(table, feat("Z_new"), counts)
 
 
 def test_columns_are_distinct_instances(burst_tables):
@@ -142,8 +134,7 @@ def test_join_tables_index_is_distinct_instance_ratio(monkeypatch):
 
 
 def test_pair_tables_and_prevalent_pairs_build_no_pattern(monkeypatch):
-    # Tables are keyed by rank pair; only the feature graph's edges, one per
-    # prevalent pair, are patterns.
+    # Tables are keyed by rank pair, and the feature graph holds rank masks.
     built = []
     init = Pattern.__init__
     monkeypatch.setattr(
@@ -157,8 +148,8 @@ def test_pair_tables_and_prevalent_pairs_build_no_pattern(monkeypatch):
         tables = pair_tables(grid_join(series, spans, cfg))
         prevalent = prevalent_size2(tables, feature_counts(series), cfg)
         assert built == [] and len(tables) > len(prevalent) > 0, f"seed {seed}"
-        graph = build_feature_graph(prevalent)
-        assert len(built) == len(graph.edges) == len(prevalent), f"seed {seed}"
+        build_feature_graph(prevalent)
+        assert built == [], f"seed {seed}"
 
 
 def test_passes_prevalence_modes():
@@ -188,7 +179,7 @@ def test_prevalent_size2_filters_by_threshold(shops_tables, shops_series):
 def test_feature_graph_structure(burst_tables, burst_series, config):
     counts = feature_counts(burst_series)
     graph = build_feature_graph(prevalent_size2(burst_tables, counts, config))
-    assert [v.label for v in graph.vertices] == [
+    assert [v.label for v in graph.features] == [
         "A_new",
         "A_dead",
         "B_new",
@@ -196,20 +187,20 @@ def test_feature_graph_structure(burst_tables, burst_series, config):
         "C_new",
         "C_dead",
     ]
-    assert {n.label for n in graph.adjacency[feat("A_dead")]} == {
+    rank = graph.features.index
+    assert {graph.features[s].label for s in bits(graph.adjacency[rank(feat("A_dead"))])} == {
         "B_new",
         "B_dead",
         "C_dead",
     }
-    assert len(graph.adjacency[feat("C_new")]) == 1
+    assert graph.adjacency[rank(feat("C_new"))].bit_count() == 1
 
 
-def test_feature_graph_rejects_non_pair_edges():
-    triple = Pattern([feat("A_new"), feat("B_new"), feat("C_new")])
-    with pytest.raises(ValueError):
-        FeatureGraph([triple])
-
-
-def test_feature_graph_isolated_vertices():
-    graph = FeatureGraph([Pattern([feat("A_new"), feat("B_new")])], vertices=[feat("Z_dead")])
-    assert graph.adjacency[feat("Z_dead")] == frozenset()
+def test_feature_graph_isolated_vertices(shops_tables, shops_series):
+    # Above 1/3 neither pair of C_new is prevalent, so its rank holds no edge.
+    counts = feature_counts(shops_series)
+    high = MiningConfig(d_d=2.0, min_prev=0.4, time_span=3.0)
+    graph = build_feature_graph(prevalent_size2(shops_tables, counts, high))
+    assert graph.features == shops_series.columns.features
+    isolated = [f.label for f, mask in zip(graph.features, graph.adjacency) if not mask]
+    assert isolated == ["C_new"]

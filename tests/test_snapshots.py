@@ -18,7 +18,7 @@ from conftest import SHOPS_EXPECTED_INSTANCES, feat, instances_by_label, snap
 def test_shops_series_instances(shops_series):
     got = {
         inst.label: (inst.x, inst.y, inst.t_index)
-        for inst in shops_series.all_instances()
+        for inst in shops_series.instances()
     }
     assert got == SHOPS_EXPECTED_INSTANCES
 
@@ -64,7 +64,7 @@ def test_reappearing_id_is_a_fresh_instance():
             snap(2, ("A", "a1", 7.0, 0.0)),
         ]
     )
-    labels = sorted(inst.label for inst in series.all_instances())
+    labels = sorted(inst.label for inst in series.instances())
     assert labels == ["A_dead.1", "A_new.1"]
     by_label = instances_by_label(series)
     assert by_label["A_dead.1"].t_index == 0
