@@ -8,9 +8,11 @@ and inside one disk, so a co-location pattern over those dynamic features is
 recoverable by mining.  The rest of the events are uniform noise.
 
 Randomness comes from an in-repo SplitMix64 generator so identical seeds give
-byte-identical datasets on every platform and Python version.  Each planned
-disappearance gets its own instance, alive from the first snapshot until its
-event; each appearance gets an instance alive from its event to the end.
+byte-identical datasets on every platform and Python version; it computes its
+stream a block of outputs at a time, the same stream as one step at a time.
+Each planned disappearance gets its own instance, alive from the first
+snapshot until its event; each appearance gets an instance alive from its
+event to the end.
 Total dynamic instances therefore equal the configured budget exactly.
 Each event makes one record, shared by every snapshot it is alive in, and
 one sort of those records by (feature, id) orders every snapshot.
@@ -21,27 +23,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
+from struct import Struct
 
 from .model import DEAD, NEW, BaseFeature, ConfigError
 from .neighborhood import MAX_COORDINATE
 from .snapshots import Snapshot
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# `SplitMix64` computes `_BLOCK` outputs at a time in the 128-bit lanes of
+# one int, output i of a block in the low half of lane i, from the state
+# plus i + 1 gammas (lane i of `_RAMP` holds i + 1).  The high halves take
+# what a shift brings down from the lane above and what a product carries
+# out of the low half, and the 64-bit lane mask clears them.
+_BLOCK = 512
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _BLOCK, "little")
+_RAMP = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(1, _BLOCK + 1)), "little")
+_LANE_MASK = _MASK64 * _ONES
+# The low halves of a block's lanes written big-endian: the last lane first.
+_LOW_HALVES = Struct(">" + "8xQ" * _BLOCK)
 
 
 class SplitMix64:
     """SplitMix64: state advances by the 64-bit golden gamma, output is the
-    murmur-style finalizer of the new state.  Small, fast, and stable."""
+    murmur-style finalizer of the new state.  Small, fast, and stable.
+
+    Output k is the finalizer of `seed + k * gamma`, so a block of outputs
+    is computed at once, each step of the finalizer on all lanes of one int,
+    and the stream is the same as one step at a time."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
+        # The block's outputs not yet handed out, the next one last.
+        self._outputs: list[int] = []
+
+    def _refill(self) -> None:
+        m = _LANE_MASK
+        z = (self._state * _ONES + _GAMMA * _RAMP) & m
+        z = ((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9 & m
+        z = ((z ^ (z >> 27)) & m) * 0x94D049BB133111EB & m
+        z ^= z >> 31
+        self._outputs = list(_LOW_HALVES.unpack(z.to_bytes(16 * _BLOCK, "big")))
+        self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        if not self._outputs:
+            self._refill()
+        return self._outputs.pop()
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""

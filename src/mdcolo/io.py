@@ -2,12 +2,13 @@
 
 All writers emit LF line endings and repr-faithful floats so identical inputs
 produce byte-identical files on every platform.  The CSV writers format each
-row as one string and write it at once, so no file is held in memory; a text
-field is quoted as `_field` says.  The snapshot writer formats a record that
-recurs at many t_points once.  Readers report problems with one-based
-physical line numbers.  `read_series` diffs a snapshot CSV grouped by
-t_point while it reads it, one t_point's set of line texts against the
-next, and reads any file it cannot be sure of with the csv module.
+row as one string and write it at once, the snapshot writer in joined chunks of
+`_CHUNK` lines, so no file is held in memory; a text field is quoted as
+`_field` says.  The snapshot writer formats a record that recurs at many
+t_points once.  Readers report problems with one-based physical line
+numbers.  `read_series` diffs a snapshot CSV grouped by t_point while it
+reads it, one t_point's set of line texts against the next, and reads any
+file it cannot be sure of with the csv module.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ PAIRS_HEADER = ["feature_a", "ordinal_a", "t_a", "feature_b", "ordinal_b", "t_b"
 SIZE2_HEADER = ["pattern", "dpi", "rows"]
 BENCH_HEADER = ["param", "value", "algo", "maximal_count", "prevalent_count", "millis"]
 
-# The characters `read_series` reads at a time.
+# The characters `read_series` reads at a time, and the lines
+# `write_snapshots_csv` writes at a time.
 _BLOCK = 1 << 16
+_CHUNK = 256
 
 
 @contextmanager
@@ -350,6 +353,7 @@ def write_snapshots_csv(path: str, snapshots: Sequence[Snapshot]) -> None:
     with _open_writer(path, SNAPSHOT_HEADER) as write:
         for snap in sorted(snapshots, key=lambda s: s.t_point):
             t = f"{snap.t_point},"
+            lines = []
             for record in sorted(snap.records):
                 feature, instance_id, x, y = record
                 # Only equal non-zero floats are sure to print alike: 0.0 and
@@ -360,7 +364,12 @@ def write_snapshots_csv(path: str, snapshots: Sequence[Snapshot]) -> None:
                     text = f"{features[feature]},{_field(instance_id)},{x!r},{y!r}\n"
                     if kept:
                         texts[record] = text
-                write(t + text)
+                lines.append(text)
+                if len(lines) == _CHUNK:
+                    write(t + t.join(lines))
+                    lines.clear()
+            if lines:
+                write(t + t.join(lines))
 
 
 def write_series_csv(path: str, series: DynamicDatasetSeries) -> None:

@@ -47,14 +47,16 @@ def join_based_mine(
 
     while level:
         next_level: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        # Rank tuples sort as their patterns do.
+        # Rank tuples sort as their patterns do, so the patterns that share
+        # a_pat's prefix come right after it.
         patterns = sorted(level)
         for i, a_pat in enumerate(patterns):
             # a_pat's last ordinals by row prefix, built on its first join
             by_prefix: dict[tuple, list[int]] | None = None
-            for b_pat in patterns[i + 1:]:
+            for j in range(i + 1, len(patterns)):
+                b_pat = patterns[j]
                 if a_pat[:-1] != b_pat[:-1]:
-                    continue
+                    break
                 pairs = related.get((a_pat[-1], b_pat[-1]))
                 if pairs is None:
                     continue

@@ -8,9 +8,9 @@ and subnormal numbers, quotes and unterminated quotes, NUL, a BOM, CRLF,
 blank rows, duplicates, gaps, huge t_points and oversize fields.  `mdcolo
 mine` and `mdcolo diff` run in process on each input under an alarm, so a
 hang fails in seconds.  Each must exit 0, or exit 2 with one stderr line
-that names the file at fault.  A planted co-location of twelve one-instance
-features, whose every subset is prevalent, runs as a fixed case through
-both mining routes under the same alarm."""
+that names the file at fault.  Planted co-locations of twelve and fifteen
+one-instance features, whose every subset is prevalent, run as fixed cases
+through both mining routes under the same alarm."""
 
 from __future__ import annotations
 
@@ -220,12 +220,17 @@ def test_every_input_ends_in_a_report_or_exit_2(files, extra):
         check(code, err, str(snaps))
 
 
-@pytest.mark.parametrize("extra, reported", [([], 1), (["--algo", "join"], 4083)])
-def test_a_planted_co_location_ends_in_one_maximal_pattern(tmp_path, extra, reported):
-    # Twelve one-instance features at one point: all 4,083 of their subsets
+@pytest.mark.parametrize("k, extra, reported", [
+    pytest.param(12, [], 1, id="extra0-1"),
+    pytest.param(12, ["--algo", "join"], 4083, id="extra1-4083"),
+    pytest.param(15, [], 1, id="k15-extra0-1"),
+    pytest.param(15, ["--algo", "join"], 32752, id="k15-extra1-32752"),
+])
+def test_a_planted_co_location_ends_in_one_maximal_pattern(tmp_path, k, extra, reported):
+    # k one-instance features at one point: all 2^k - k - 1 of their subsets
     # of two or more features are prevalent, and the whole set is maximal.
     # The maximal route reports that one; the level-wise route reports all.
-    snapshots, lifecycles = planted(12)
+    snapshots, lifecycles = planted(k)
     snaps, lc, out = tmp_path / "snaps.csv", tmp_path / "lc.csv", tmp_path / "out"
     io.write_snapshots_csv(str(snaps), snapshots)
     io.write_lifecycles_csv(str(lc), lifecycles)
@@ -236,6 +241,6 @@ def test_a_planted_co_location_ends_in_one_maximal_pattern(tmp_path, extra, repo
     assert code == 0, err
     lines = out.read_text(encoding="utf-8").splitlines()
     assert [line for line in lines if line.endswith(";true")] == [
-        ",".join(f"G{i}_new" for i in sorted(range(12), key=str)) + ";12;1.0;1;true"
+        ",".join(f"G{i}_new" for i in sorted(range(k), key=str)) + f";{k};1.0;1;true"
     ]
     assert len(lines) == reported

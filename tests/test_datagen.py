@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import islice
 
 import pytest
 
 from mdcolo import ConfigError, diff_snapshots, io
-from mdcolo.datagen import GenConfig, SplitMix64, feature_name, generate
+from mdcolo.datagen import _BLOCK, GenConfig, SplitMix64, feature_name, generate
 
 
 # Reference outputs of the standard SplitMix64 stream, frozen so that any
@@ -20,6 +21,45 @@ def test_splitmix_reference_vectors():
     assert [rng.next_u64() for _ in range(3)] == SPLITMIX_SEED0
     rng = SplitMix64(1234567)
     assert [rng.next_u64() for _ in range(3)] == SPLITMIX_SEED1234567
+
+
+def splitmix_steps(seed: int):
+    """The SplitMix64 stream computed one output at a time."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+# A lane next to the top or bottom of the 64-bit range carries out of its
+# low half when the state is added and on every multiply.
+SEEDS = [0, 1234567, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_splitmix_blocks_match_one_step_at_a_time(seed):
+    # The golden configs draw only a few blocks; this draws every lane of
+    # three, so a wrong lane order or lane mask fails here.
+    n = 3 * _BLOCK + 5
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(n)] == list(islice(splitmix_steps(seed), n))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_splitmix_draws_across_a_block_boundary(seed):
+    rng, steps = SplitMix64(seed), splitmix_steps(seed)
+    for _ in range(_BLOCK - 3):
+        assert rng.next_u64() == next(steps)
+    # Seven outputs a round, so the first crosses into the next block.
+    for _ in range(3):
+        assert rng.random() == (next(steps) >> 11) * 2.0 ** -53
+        assert rng.uniform(-2.5, 7.0) == -2.5 + 9.5 * ((next(steps) >> 11) * 2.0 ** -53)
+        assert rng.randint(3, 9) == 3 + next(steps) % 7
+        pool = list(range(10))
+        assert rng.sample_indices(10, 4) == [pool.pop(next(steps) % len(pool)) for _ in range(4)]
 
 
 def test_splitmix_float_range():

@@ -199,6 +199,22 @@ def test_bench_writer_matches_csv_writer(rows):
     assert written(io.write_bench_csv, rows) == reference(io.BENCH_HEADER, expected)
 
 
+def test_snapshot_writer_joins_chunks_as_lines_one_at_a_time():
+    # One t_point of more lines than two chunks hold.  At each chunk
+    # boundary the last line of a chunk and the first of the next are
+    # coordinate twins: equal records that print differently.
+    chunk = io._CHUNK
+    records = [("A", f"{i:04d}", float(i), 0.5) for i in range(2 * chunk + 7)]
+    for end, (a, b) in ((chunk, (0.0, -0.0)), (2 * chunk, (1.0, 1))):
+        instance_id = records[end - 1][1]
+        records[end - 1] = ("A", instance_id, a, b)
+        records[end] = ("A", instance_id, b, a)
+    lines = [f"7,{f},{i},{x!r},{y!r}\n" for f, i, x, y in records]
+    assert written(io.write_snapshots_csv, [Snapshot(7, tuple(records))]) == (
+        ",".join(io.SNAPSHOT_HEADER) + "\n" + "".join(lines)
+    ).encode("utf-8")
+
+
 def test_carriage_return_is_quoted():
     # csv.writer would leave the `\r` bare, and the reader would then end
     # the record there.
