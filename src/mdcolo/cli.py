@@ -309,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ONE_LINE = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -319,7 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DataFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Escaped line breaks keep a message quoting raw ids or paths on one line.
+        print(f"error: {exc}".translate(_ONE_LINE), file=sys.stderr)
         return 2
     finally:
         if enabled:

@@ -39,14 +39,13 @@ class PairIndex(NamedTuple):
     """A pair table's partners as int bitsets, in the ordinal bits of
     `TableInstance.columns`.  Each direction is a list indexed by ordinal
     (ordinals run 1..count per feature), up to the column's largest; an
-    ordinal without partners, and index 0, hold 0."""
+    ordinal without partners, and index 0, hold 0.  The early bound reads
+    only the table's `columns()`, so a candidate it rules out builds none."""
 
     # first-column ordinal -> mask of its second-column partners
     forward: list[int]
     # second-column ordinal -> mask of its first-column partners
     reverse: list[int]
-    # the table's `columns()`: per column, the ordinals that have any partner
-    columns: tuple[int, int]
 
 
 class TableInstance:
@@ -111,7 +110,7 @@ class TableInstance:
             for i, j in zip(*self.ordinals):
                 forward[i] |= 1 << j
                 reverse[j] |= 1 << i
-            self._pair_index = PairIndex(forward, reverse, columns)
+            self._pair_index = PairIndex(forward, reverse)
         return self._pair_index
 
 

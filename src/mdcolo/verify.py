@@ -18,17 +18,16 @@ A candidate's table instance is defined by its pair tables: a row picks one
 instance per feature such that every feature pair is itself a pair-table
 row.  Verification counts those rows and collects each feature's
 participants as an ordinal bitmask, without building the rows, through one
-bitset index per pair table (`TableInstance.pair_index`) that verify, the
-early bound and derive share (`_summarize`).  The early bound never changes
-the outcome (`_hopeless`).
+bitset index per pair table (`TableInstance.pair_index`) that verify and
+derive share (`_summarize`).  The early bound tests the feature domains the
+search starts from, each a cap on its feature's participants, so it never
+changes the outcome.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
-from operator import or_
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .model import DynamicFeature, MiningConfig, Pattern, Value
 from .size2 import (
@@ -109,10 +108,13 @@ def _ratios(ranks: Sequence[int], participants: Sequence[int], totals: Mapping[i
     return list(map(participation_share, participants, map(totals.__getitem__, ranks)))
 
 
-def _summarize(ranks: Sequence[int], tables: PairTables) -> tuple[int, Sequence[int]]:
+def _summarize(
+    ranks: Sequence[int], tables: PairTables, misses: Callable[[int, int], bool] | None = None
+) -> tuple[int, Sequence[int]] | None:
     """Row count of the candidate's table instance, and per rank in the
     order given (canonical) the mask of its participants' ordinal bits, as
-    in `TableInstance.columns`.
+    in `TableInstance.columns`; None when `misses(rank, domain)` rules a
+    feature's domain out first.
 
     A pair reads them off its pair table's `columns()`.  A larger candidate
     runs a backtracking over the pair tables' bitset indexes that never
@@ -126,11 +128,14 @@ def _summarize(ranks: Sequence[int], tables: PairTables) -> tuple[int, Sequence[
     Memory stays linear in the pair tables plus at most MEMO_ENTRIES memo
     entries of at most k - 1 masks each, however many rows the candidate has.
 
-    A candidate of size three or more reads the indexes of all its pair
-    tables.  A feature's domain is the mask of its instances partnered in
-    every one of them.  The search takes its levels fail-first, smallest
-    domain first (ties in canonical order), and narrows every deeper level's
-    mask with `&` at each pick.
+    A feature's domain, the AND of its pair tables' `columns()`, holds all
+    its participants, so one that `misses` is an early bound that never
+    changes the outcome (a pair's domains are its participants, so it is not
+    tested).  The pairs (i, j > i) are walked row by row, and domain i is
+    tested once row i completes it: the first after k - 1 lookups.  The pair
+    tables' indexes are read only once every domain passes.  The search
+    takes its levels fail-first, smallest domain first (ties in canonical
+    order), and narrows every deeper level's mask with `&` at each pick.
 
     The memo maps the masks a level is called with to its row count; their
     number names the level.  A repeated call is exact to skip: it counts the
@@ -146,14 +151,20 @@ def _summarize(ranks: Sequence[int], tables: PairTables) -> tuple[int, Sequence[
     if k == 2:
         table = tables[ranks[0], ranks[1]]
         return len(table), table.columns()
+    domains = [-1] * k
+    for i, rank in enumerate(ranks):
+        domain = domains[i]
+        for j in range(i + 1, k):
+            first, second = tables[rank, ranks[j]].columns()
+            domain &= first
+            domains[j] &= second
+        if misses is not None and misses(rank, domain):
+            return None
+        domains[i] = domain
     # Pair-table indexes at canonical positions (i, j), i < j; feature i is column 0.
     indexes = {
         (i, j): tables[ranks[i], ranks[j]].pair_index() for i, j in combinations(range(k), 2)
     }
-    domains = [-1] * k
-    for (i, j), index in indexes.items():
-        domains[i] &= index.columns[0]
-        domains[j] &= index.columns[1]
     order = sorted(range(k), key=lambda i: (domains[i].bit_count(), i))
 
     def toward(i: int, j: int) -> list[int]:
@@ -230,37 +241,6 @@ def decompose(mask: int, accepted: Sequence[int], pending: Collection[int]) -> l
     return out
 
 
-def _hopeless(
-    ranks: Sequence[int], tables: PairTables, totals: Mapping[int, int], config: MiningConfig
-) -> bool:
-    """True when the early bound rules a candidate of size three or more out.
-
-    The bound takes the canonically first feature as the anchor: it allows
-    the anchor instances partnered in every anchor pair table, and for each
-    other feature their partners in its table.  Each caps its feature's
-    participants, so one whose share (as `participation_share` gives it)
-    misses `min_prev` decides; each is tested as soon as it is known, the
-    anchor's first.  Only the anchor tables are indexed, so a hopeless
-    candidate never indexes the others.
-    """
-
-    def misses(rank: int, bound: int) -> bool:
-        return not meets_min_prev(participation_share(bound, totals[rank]), config)
-
-    anchor, *others = ranks
-    indexes = [tables[anchor, r].pair_index() for r in others]
-    common = -1
-    for index in indexes:
-        common &= index.columns[0]
-    if misses(anchor, common):
-        return True
-    anchors = mask_bits(common)
-    for r, index in zip(others, indexes):
-        if misses(r, reduce(or_, map(index.forward.__getitem__, anchors), 0)):
-            return True
-    return False
-
-
 def verify_all(
     cliques: Sequence[Pattern],
     size2: PairTables,
@@ -280,6 +260,11 @@ def verify_all(
     """
     stats = stats if stats is not None else VerifyStats()
     tops, totals = _number(cliques, size2, counts)
+
+    def misses(rank: int, domain: int) -> bool:
+        return not meets_min_prev(participation_share(domain, totals[rank]), config)
+
+    abort = misses if early_abort else None
     # Pending candidates' masks by size.  Decomposition only adds cliques
     # one size smaller, so visiting sizes largest first sees every one once.
     by_size: dict[int, set[int]] = {}
@@ -295,10 +280,11 @@ def verify_all(
             if any(mask & acc == mask for acc in covering):
                 stats.subsumed_skips += 1
                 continue
-            if early_abort and size > 2 and _hopeless(ranks, size2, totals, config):
+            summary = _summarize(ranks, size2, abort)
+            if summary is None:
                 stats.early_aborts += 1
             else:
-                row_count, participants = _summarize(ranks, size2)
+                row_count, participants = summary
                 ratios = _ratios(ranks, participants, totals)
                 clique = _pattern(ranks, size2)
                 stats.verified += 1

@@ -55,8 +55,8 @@ def test_benchmark_outputs_equal_their_pins(bench, tmp_path, name):
 # Verify's counters in the seedless manifest of each workload's pinned mine.
 COUNTERS = {
     "dense": dict(
-        verified_candidates=24, early_aborts=156, subsumed_skips=16, decompositions=164,
-        rows_counted=617839, maximal_count=16, pattern_count=16,
+        verified_candidates=18, early_aborts=162, subsumed_skips=16, decompositions=164,
+        rows_counted=617809, maximal_count=16, pattern_count=16,
     ),
     "pruned": dict(
         verified_candidates=48, early_aborts=550, subsumed_skips=66, decompositions=550,

@@ -298,10 +298,12 @@ def test_snapshot_feature_with_a_report_separator_exits_2(tmp_path, capsys, sep)
     lc = tmp_path / "lc.csv"
     io.write_lifecycles_csv(str(lc), [BaseFeature("A", 3.0)])
     assert main(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(tmp_path / "o")]) == 2
-    # The record ends on line 6 when its id holds a line break.
+    # The record ends on line 6 when its id holds a line break, which the
+    # one-line error escapes.
     line = 6 if sep in "\n\r" else 5
+    shown = other.replace("\n", "\\n").replace("\r", "\\r")
     assert capsys.readouterr().err == (
-        f"error: {snaps}:{line}: no life cycle given for feature(s): {other}\n"
+        f"error: {snaps}:{line}: no life cycle given for feature(s): {shown}\n"
     )
     assert not (tmp_path / "o").exists()
 

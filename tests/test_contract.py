@@ -8,9 +8,10 @@ and subnormal numbers, quotes and unterminated quotes, NUL, a BOM, CRLF,
 blank rows, duplicates, gaps, huge t_points and oversize fields.  `mdcolo
 mine` and `mdcolo diff` run in process on each input under an alarm, so a
 hang fails in seconds.  Each must exit 0, or exit 2 with one stderr line
-that names the file at fault.  Planted co-locations of twelve and fifteen
-one-instance features, whose every subset is prevalent, run as fixed cases
-through both mining routes under the same alarm."""
+that names the file at fault; a fixed input checks that a feature id
+holding a line break is escaped in that line.  Planted co-locations of
+twelve and fifteen one-instance features, whose every subset is prevalent,
+run as fixed cases through both mining routes under the same alarm."""
 
 from __future__ import annotations
 
@@ -218,6 +219,19 @@ def test_every_input_ends_in_a_report_or_exit_2(files, extra):
             assert out.exists()
         code, err = run(["diff", str(snaps), "-o", str(out)])
         check(code, err, str(snaps))
+
+
+def test_an_error_quoting_a_line_break_stays_on_one_line(tmp_path):
+    # A feature id holding a line break, with dynamic instances and no life
+    # cycle: the message that names it escapes the break.
+    snaps, lc, out = tmp_path / "s.csv", tmp_path / "lc.csv", tmp_path / "out"
+    snaps.write_text(
+        SNAPSHOT_HEADER + '\n1,C,1,0.0,0.0\n2,"A\nB",1,0.0,0.0\n2,C,1,0.0,0.0\n',
+        encoding="utf-8",
+    )
+    lc.write_text(LIFECYCLE_HEADER + "\nC,3\n", encoding="utf-8")
+    code, err = run(["mine", str(snaps), "--lifecycles", str(lc), "-o", str(out), "--dd", "5"])
+    assert (code, err) == (2, f"error: {snaps}:4: no life cycle given for feature(s): A\\nB\n")
 
 
 @pytest.mark.parametrize("k, extra, reported", [

@@ -3,7 +3,8 @@ across several time blocks), the
 row-free candidate summary against the anchorless row reference (on small
 and on multi-word ordinals, and on instances grouped by shared partners),
 table participant masks against their rows, clique enumeration against
-Bron-Kerbosch, and the whole miner against the exhaustive search."""
+Bron-Kerbosch, and the whole miner, with and without its early abort,
+against the exhaustive search."""
 
 from __future__ import annotations
 
@@ -299,7 +300,9 @@ def test_miner_equals_exhaustive_search(inputs):
     series, life, config = inputs
     spans = compute_spans(series.features(), life, config.time_span)
     brute = brute_force_maximal(series, spans, feature_counts(series), config, CAPS)
-    mined = mine_series(series, life, config).results
-    assert [(r.pattern, r.dpi, r.row_count, r.maximal) for r in mined] == [
-        (r.pattern, r.dpi, r.row_count, r.maximal) for r in brute
-    ]
+    expected = [(r.pattern, r.dpi, r.row_count, r.maximal) for r in brute]
+    # The early bound never changes a result: with or without it, the miner
+    # reports what the exhaustive search finds.
+    for early_abort in (True, False):
+        mined = mine_series(series, life, config, early_abort=early_abort).results
+        assert [(r.pattern, r.dpi, r.row_count, r.maximal) for r in mined] == expected, early_abort

@@ -177,7 +177,7 @@ def test_summary_memo_stops_growing_at_its_cap():
 
 def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, monkeypatch):
     tables, counts, prevalent, cliques = mining_state(burst_series, lifecycles, config)
-    # Verify, the early abort and derive all read the one index of each table.
+    # Verify and derive read the one index of each table.
     built = []
     pair_index = size2.PairIndex
     monkeypatch.setattr(size2, "PairIndex", lambda *parts: built.append(parts) or pair_index(*parts))
@@ -200,7 +200,7 @@ def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, mo
             forward = {(a, b) for a, mask in enumerate(index.forward) for b in bits(mask)}
             reverse = {(a, b) for b, mask in enumerate(index.reverse) for a in bits(mask)}
             assert forward == reverse == rows, table.label
-            assert tuple(map(bits, index.columns)) == tuple(map(set, zip(*rows))), table.label
+            assert tuple(map(bits, table.columns())) == tuple(map(set, zip(*rows))), table.label
     assert any(clique.size > 2 for clique in cliques)
     for clique in cliques:
         summary = summarize(clique, reversed_tables)
@@ -210,10 +210,10 @@ def test_pair_index_indexes_each_table_once(burst_series, lifecycles, config, mo
     assert TableInstance(table.features, reversed_columns, table.series).rows == table.rows[::-1]
 
 
-def test_early_abort_indexes_only_anchor_tables(monkeypatch):
+def test_early_abort_indexes_no_pair_table(monkeypatch):
     # One instance each of three pairwise related features that have 100
-    # instances: the triple's bound fails at once, so only the anchor's two
-    # pair tables are indexed, and the pairs it decomposes into read columns.
+    # instances: the triple's bound fails at its first domain, so no pair
+    # table is indexed, and the pairs it decomposes into read columns.
     feats = [feat(label) for label in ("A_new", "B_new", "C_new")]
     insts = [DynamicInstance(f, 1, 0.0, 0.0, 0) for f in feats]
     counts = {f: 100 for f in feats}
@@ -221,7 +221,7 @@ def test_early_abort_indexes_only_anchor_tables(monkeypatch):
     built = []
     pair_index = size2.PairIndex
     monkeypatch.setattr(size2, "PairIndex", lambda *parts: built.append(parts) or pair_index(*parts))
-    for early_abort, builds, aborts in ((True, 2, 1), (False, 3, 0)):
+    for early_abort, builds, aborts in ((True, 0, 1), (False, 3, 0)):
         built.clear()
         tables = size2_table_instances(combinations(insts, 2))
         stats = VerifyStats()
@@ -339,9 +339,9 @@ def test_mine_summarizes_no_maximal_pattern_twice(monkeypatch):
     summarized = []
     summarize_ranks = verify._summarize
 
-    def counted(ranks, tables):
+    def counted(ranks, tables, misses=None):
         summarized.append(frozenset(tables.series.columns.features[r] for r in ranks))
-        return summarize_ranks(ranks, tables)
+        return summarize_ranks(ranks, tables, misses)
 
     monkeypatch.setattr(verify, "_summarize", counted)
     for seed in (0, 4):
@@ -372,8 +372,8 @@ def test_decompose_excludes_accepted_and_pending():
 
 
 def test_early_bound_checks_anchor_then_each_feature():
-    # A_new.1-3 each partner B_new.1 and C_new.1, which relate: the anchor
-    # A_new's bound allows 3 instances, B_new's and C_new's 1 each.
+    # A_new.1-3 each partner B_new.1 and C_new.1, which relate: A_new's
+    # domain holds 3 instances, B_new's and C_new's 1 each, tested in turn.
     a, b, c = feats = [feat(label) for label in ("A_new", "B_new", "C_new")]
     anchors = [DynamicInstance(a, i, 0.0, 0.0, 0) for i in (1, 2, 3)]
     b1, c1 = (DynamicInstance(f, 1, 0.0, 0.0, 0) for f in (b, c))
@@ -386,7 +386,7 @@ def test_early_bound_checks_anchor_then_each_feature():
         ({a: 10, b: 1, c: 1}, cfg, 0),  # 3/10 meets 0.3
         ({a: 11, b: 1, c: 1}, cfg, 1),  # 3/11 misses
         ({a: 10, b: 1, c: 1}, strict, 1),  # 3/10 is not above 0.3
-        ({a: 10, b: 4, c: 1}, cfg, 1),  # the anchor passes, B_new's 1/4 misses
+        ({a: 10, b: 4, c: 1}, cfg, 1),  # A_new passes, B_new's 1/4 misses
         ({a: 10, b: 1}, cfg, 1),  # C_new has no instances
     ]
     for counts, config, aborts in cases:
@@ -395,6 +395,21 @@ def test_early_bound_checks_anchor_then_each_feature():
         assert stats.early_aborts == aborts, counts
         if not aborts:
             assert [r.pattern for r in results] == [Pattern(feats)]
+    # A_new.i partners B_new.i and C_new.1, and only B_new.1 relates to
+    # C_new.1: every B_new partners some allowed A_new, but B_new's domain,
+    # 1/3, misses 0.5.  The one row gives A_new 1/3 as well, so the results
+    # are the same either way.
+    a_i, b_i = ([DynamicInstance(f, i, 0.0, 0.0, 0) for i in (1, 2, 3)] for f in (a, b))
+    tables = size2_table_instances([*zip(a_i, b_i), *[(x, c1) for x in a_i], (b_i[0], c1)])
+    counts, config = {a: 3, b: 3, c: 1}, MiningConfig(d_d=1.0, min_prev=0.5, time_span=1.0)
+    outcomes = []
+    for early_abort, aborts in ((True, 1), (False, 0)):
+        stats = VerifyStats()
+        outcomes.append(verify_all(
+            [Pattern(feats)], tables, counts, config, early_abort=early_abort, stats=stats
+        ))
+        assert stats.early_aborts == aborts, early_abort
+    assert outcomes[0] == outcomes[1]
 
 
 def test_subsumed_candidates_are_skipped(burst_series, lifecycles, config):
