@@ -8,7 +8,9 @@ row as one string and write it at once, the snapshot writer in joined chunks of
 t_points once.  Readers report problems with one-based physical line
 numbers.  `read_series` diffs a snapshot CSV grouped by t_point while it
 reads it, one t_point's set of line texts against the next, and reads any
-file it cannot be sure of with the csv module.
+file it cannot be sure of with the csv module.  The snapshot and life-cycle
+readers take only regular files: an input may be read again, and a pipe
+gives its bytes once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import stat
 from contextlib import contextmanager
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
@@ -45,6 +48,15 @@ BENCH_HEADER = ["param", "value", "algo", "maximal_count", "prevalent_count", "m
 # `write_snapshots_csv` writes at a time.
 _BLOCK = 1 << 16
 _CHUNK = 256
+
+
+def _check_regular(path: str) -> None:
+    """A DataFormatError naming `path` unless it is a regular file.  An input
+    of `mine` or `diff` may be read more than once (the csv path after the
+    set path, an error's line, the manifest's digest), which a pipe cannot
+    give.  `os.stat` opens nothing, so a FIFO does not block."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise DataFormatError(f"{path}: not a regular file; an input may be read more than once")
 
 
 @contextmanager
@@ -298,7 +310,9 @@ def read_series(path: str) -> tuple[DynamicDatasetSeries, set[str]]:
     """The series and feature ids of a snapshot CSV.  A file that `_stream`
     can diff while it reads it is diffed so; any other file is read whole
     (`read_snapshots_csv`) and diffed by `diff_snapshots`, with the errors
-    `located` names, so every error comes from the csv path."""
+    `located` names, so every error comes from the csv path.  The file must
+    be a regular file (`_check_regular`)."""
+    _check_regular(path)
     streamed = _stream(path)
     if streamed is not None:
         return streamed
@@ -384,7 +398,9 @@ def write_series_csv(path: str, series: DynamicDatasetSeries) -> None:
 
 
 def read_lifecycles_csv(path: str) -> list[BaseFeature]:
-    """Life-cycle CSV: feature,life_cycle with a mandatory header."""
+    """Life-cycle CSV: feature,life_cycle with a mandatory header, in a
+    regular file (`_check_regular`)."""
+    _check_regular(path)
     features: list[BaseFeature] = []
     seen: set[str] = set()
     with _open_csv(path) as reader:

@@ -16,8 +16,6 @@ mask of partner ranks per feature rank (`FeatureGraph`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import DynamicFeature, DynamicInstance, MiningConfig
@@ -134,19 +132,13 @@ class PairTables(dict):
     """The pair tables of one series by the ranks of their two features,
     lower first: rank `r` is `series.columns.features[r]`, so rank pairs
     sort as the patterns do.  A stage that reads tables by key ranks its
-    features through the map's series (`rank`), not through the tables."""
+    features by their places in the map's series, not through the tables."""
 
     __slots__ = ("series",)
 
     def __init__(self, series: DynamicDatasetSeries):
         super().__init__()
         self.series = series
-
-    def rank(self, feature: DynamicFeature) -> int:
-        """The feature's rank in the series; -1, which no key holds, if it has none."""
-        features = self.series.columns.features
-        r = bisect_left(features, feature.sort_key, key=attrgetter("sort_key"))
-        return r if r < len(features) and features[r].sort_key == feature.sort_key else -1
 
 
 def pair_tables(join: Join) -> PairTables:

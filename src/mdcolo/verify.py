@@ -59,15 +59,12 @@ class VerifyStats:
     # still reads these.  Class attributes, not slots, so no manifest shows them.
     shared_checks = shared_skips = 0
 
-    def __init__(self, verified: int = 0, early_aborts: int = 0, subsumed_skips: int = 0,
-                 decomposed: int = 0, rows_counted: int = 0,
-                 ratio_log: list[tuple[Pattern, dict[DynamicFeature, float]]] | None = None):
-        self.verified, self.early_aborts = verified, early_aborts
-        self.subsumed_skips, self.decomposed = subsumed_skips, decomposed
+    def __init__(self):
+        self.verified = self.early_aborts = self.subsumed_skips = self.decomposed = 0
         # rows summed over every fully verified candidate
-        self.rows_counted = rows_counted
+        self.rows_counted = 0
         # (pattern, feature -> participation ratio) for every fully verified table
-        self.ratio_log = [] if ratio_log is None else ratio_log
+        self.ratio_log: list[tuple[Pattern, dict[DynamicFeature, float]]] = []
 
     def as_manifest_entries(self) -> dict[str, int]:
         return {
@@ -81,12 +78,14 @@ class VerifyStats:
 
 def _number(
     patterns: Iterable[Pattern], tables: PairTables, counts: Mapping[DynamicFeature, int]
-) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+) -> tuple[list[tuple[int, ...]], list[int]]:
     """Each pattern's ranks in canonical order, once every pair of them is
-    known to have a table, and each rank's instance total from `counts`."""
-    tops, totals = [], {}
+    known to have a table, and per rank its instance total from `counts`."""
+    features = tables.series.columns.features
+    rank = {f: r for r, f in enumerate(features)}
+    tops = []
     for pattern in patterns:
-        ranks = tuple(map(tables.rank, pattern.features))
+        ranks = tuple([rank.get(f, -1) for f in pattern.features])
         if not all(map(tables.__contains__, combinations(ranks, 2))):
             pairs = combinations(zip(ranks, pattern.features), 2)
             a, b = next((a, b) for (ra, a), (rb, b) in pairs if (ra, rb) not in tables)
@@ -94,16 +93,14 @@ def _number(
                 f"no pair table for {a.label},{b.label}; candidate is not a clique over this data"
             )
         tops.append(ranks)
-        for r, f in zip(ranks, pattern.features):
-            totals[r] = counts.get(f, 0)
-    return tops, totals
+    return tops, [counts.get(f, 0) for f in features]
 
 
 def _pattern(ranks: Iterable[int], tables: PairTables) -> Pattern:
     return Pattern(map(tables.series.columns.features.__getitem__, ranks))
 
 
-def _ratios(ranks: Sequence[int], participants: Sequence[int], totals: Mapping[int, int]):
+def _ratios(ranks: Sequence[int], participants: Sequence[int], totals: Sequence[int]):
     """Participation ratio per rank, 0.0 for a feature without instances."""
     return list(map(participation_share, participants, map(totals.__getitem__, ranks)))
 
@@ -132,10 +129,11 @@ def _summarize(
     its participants, so one that `misses` is an early bound that never
     changes the outcome (a pair's domains are its participants, so it is not
     tested).  The pairs (i, j > i) are walked row by row, and domain i is
-    tested once row i completes it: the first after k - 1 lookups.  The pair
-    tables' indexes are read only once every domain passes.  The search
-    takes its levels fail-first, smallest domain first (ties in canonical
-    order), and narrows every deeper level's mask with `&` at each pick.
+    tested once row i completes it: the first after k - 1 lookups.  Once
+    every domain passes, the search reads each pair table's index where it
+    needs it (`toward`), built once per table.  It takes its levels
+    fail-first, smallest domain first (ties in canonical order), and narrows
+    every deeper level's mask with `&` at each pick.
 
     The memo maps the masks a level is called with to its row count; their
     number names the level.  A repeated call is exact to skip: it counts the
@@ -161,15 +159,12 @@ def _summarize(
         if misses is not None and misses(rank, domain):
             return None
         domains[i] = domain
-    # Pair-table indexes at canonical positions (i, j), i < j; feature i is column 0.
-    indexes = {
-        (i, j): tables[ranks[i], ranks[j]].pair_index() for i, j in combinations(range(k), 2)
-    }
     order = sorted(range(k), key=lambda i: (domains[i].bit_count(), i))
 
     def toward(i: int, j: int) -> list[int]:
         """Ordinal of feature i -> mask of its partners of feature j."""
-        return indexes[i, j].forward if i < j else indexes[j, i].reverse
+        index = tables[ranks[min(i, j)], ranks[max(i, j)]].pair_index()
+        return index.forward if i < j else index.reverse
 
     # deeper[p][d]: ordinal picked at level p -> mask of partners at level p + 1 + d
     deeper = [[toward(order[p], order[q]) for q in range(p + 1, k)] for p in range(k - 1)]

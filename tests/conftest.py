@@ -12,7 +12,7 @@ clique enumeration, and verification all have exact known outcomes.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -83,7 +83,9 @@ class Summary(NamedTuple):
 def summarize(pattern, tables):
     """The candidate's `Summary` over pair tables keyed by rank pair, as
     verify and derive compute it."""
-    row_count, participants = _summarize(tuple(map(tables.rank, pattern.features)), tables)
+    rank = {f: r for r, f in enumerate(tables.series.columns.features)}
+    row_count, participants = _summarize(tuple([rank.get(f, -1) for f in pattern.features]),
+                                         tables)
     return Summary(row_count, dict(zip(pattern.features, participants)))
 
 
@@ -330,6 +332,24 @@ def planted(k: int) -> tuple[list[Snapshot], list[BaseFeature]]:
     z = ("Z", "z1", 50.0, 50.0)
     snapshots = [snap(0, z), snap(1, z, *((f"G{i}", f"g{i}", 0.0, 0.0) for i in range(k)))]
     return snapshots, [BaseFeature(f"G{i}", 3.0) for i in range(k)] + [BaseFeature("Z", 3.0)]
+
+
+def pairs_only(k: int, groups: bool = False) -> tuple[list[Snapshot], list[BaseFeature]]:
+    """Every pair of k features co-located once, and no triple, with its
+    life cycles: for each pair i < j, one instance of `Fi` at (100i, 100j)
+    and one of `Fj` 1 east of it appear at t_point 1, beside a static `Z`,
+    each feature with life cycle 3.  At d_d 5 every pair has one row and
+    no triple has any.  With `groups`, the pairs inside each group of three
+    features (F0-F2, F3-F5, ...) are left out, so the feature graph is
+    Moon-Moser's, with 3^(k/3) maximal cliques."""
+    z = ("Z", "z0", -1000.0, -1000.0)
+    records = [z]
+    for i, j in combinations(range(k), 2):
+        if not (groups and i // 3 == j // 3):
+            records += [(f"F{i}", f"{i}-{j}", 100.0 * i, 100.0 * j),
+                        (f"F{j}", f"{i}-{j}", 100.0 * i + 1, 100.0 * j)]
+    snapshots = [snap(0, z), snap(1, *records)]
+    return snapshots, [BaseFeature(f"F{i}", 3.0) for i in range(k)] + [BaseFeature("Z", 3.0)]
 
 
 def small_series(seed: int, **overrides):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,17 @@ from mdcolo.cli import main
 
 from conftest import forbid_rows, shops_snapshots
 from mdcolo import BaseFeature, Snapshot, io
+
+
+def mdcolo_child(argv: list[str], *flags: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python <flags> -m mdcolo <argv>` in a child that imports this tree's
+    package, with text output captured and a 30 s timeout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "mdcolo", *argv], capture_output=True, text=True,
+        timeout=30, env=dict(os.environ, PYTHONPATH=path), **kwargs,
+    )
 
 
 def read_bytes(path) -> bytes:
@@ -545,6 +557,93 @@ def test_mine_directory_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+NOT_REGULAR = "not a regular file; an input may be read more than once"
+needs_dev_stdin = pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+
+
+@needs_dev_stdin
+@pytest.mark.parametrize("command, piped", [
+    ("mine", "snapshots"), ("mine", "lifecycles"), ("diff", "snapshots"),
+])
+def test_a_piped_input_exits_2_before_any_read(dataset, tmp_path, command, piped):
+    # `mine` and `diff` may read an input again (the csv path, an error's
+    # line, the manifest's digest), which a pipe cannot give.
+    files = {name: f"{dataset}.{name}.csv" for name in ("snapshots", "lifecycles")}
+    text = Path(files[piped]).read_text(encoding="utf-8")
+    files[piped] = "/dev/stdin"
+    argv = [command, files["snapshots"], "-o", str(tmp_path / "out.txt")]
+    if command == "mine":
+        argv += ["--lifecycles", files["lifecycles"]]
+    proc = mdcolo_child(argv, input=text)
+    assert (proc.returncode, proc.stderr) == (2, f"error: /dev/stdin: {NOT_REGULAR}\n")
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("command", ["mine", "diff"])
+def test_a_fifo_input_exits_2_without_blocking(dataset, tmp_path, command):
+    # Nothing writes to the FIFO, so opening it would block until the timeout.
+    fifo = tmp_path / "snaps.fifo"
+    os.mkfifo(fifo)
+    argv = [command, str(fifo), "-o", str(tmp_path / "out.txt")]
+    if command == "mine":
+        argv += ["--lifecycles", f"{dataset}.lifecycles.csv"]
+    proc = mdcolo_child(argv)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {fifo}: {NOT_REGULAR}\n")
+
+
+@needs_dev_stdin
+def test_a_redirected_input_mines_with_its_digest(dataset, tmp_path):
+    # A shell redirect makes stdin the file itself, which can be read again.
+    snapshots, lifecycles = f"{dataset}.snapshots.csv", f"{dataset}.lifecycles.csv"
+    with open(snapshots, "rb") as fh:
+        proc = mdcolo_child([
+            "mine", "/dev/stdin", "--lifecycles", lifecycles, "-o", str(tmp_path / "stdin.txt"),
+        ], stdin=fh)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["mine", snapshots, "--lifecycles", lifecycles,
+                 "-o", str(tmp_path / "path.txt")]) == 0
+    assert read_bytes(tmp_path / "stdin.txt") == read_bytes(tmp_path / "path.txt")
+    digest = hashlib.sha256(read_bytes(snapshots)).hexdigest()
+    manifest = (tmp_path / "stdin.txt.manifest").read_text(encoding="utf-8")
+    assert f"input: /dev/stdin\ninput_sha256: {digest}\n" in manifest
+
+
+@pytest.mark.parametrize("command, case, code", [
+    ("mine", "plain", 0),
+    ("mine", "quoted", 0),
+    ("mine", "missing life cycle", 2),
+    ("mine", "unknown life cycle", 2),
+    ("diff", "quoted", 0),
+])
+def test_no_file_is_left_open(dataset, tmp_path, command, case, code):
+    # In development mode an unclosed file warns when it is collected; the
+    # set path, the csv path and the errors that read a file again close
+    # every file they open.
+    snapshots, lifecycles = f"{dataset}.snapshots.csv", f"{dataset}.lifecycles.csv"
+    header, first, *rest = Path(snapshots).read_text(encoding="utf-8").splitlines(keepends=True)
+    if case == "quoted":
+        t, feature, instance_id, x, y = first.split(",")
+        snapshots = str(tmp_path / "quoted.csv")
+        Path(snapshots).write_text(
+            header + f'{t},{feature},"{instance_id}",{x},{y}' + "".join(rest), encoding="utf-8"
+        )
+    elif case != "plain":
+        features = io.read_lifecycles_csv(lifecycles)
+        features = features[:-1] if case == "missing life cycle" else features + [
+            BaseFeature("Y", 1.0)
+        ]
+        lifecycles = str(tmp_path / "lc.csv")
+        io.write_lifecycles_csv(lifecycles, features)
+    argv = [command, snapshots, "-o", str(tmp_path / "out.txt")]
+    if command == "mine":
+        argv += ["--lifecycles", lifecycles]
+    proc = mdcolo_child(argv, "-X", "dev", "-W", "error::ResourceWarning")
+    assert proc.returncode == code, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def write_lifecycles_text(path, features, life_cycle: str) -> None:
     path.write_text("feature,life_cycle\n" + "".join(f"{f.id},{life_cycle}\n" for f in features))
 
@@ -619,13 +718,7 @@ def test_gen_bad_life_cycle_exits_2(tmp_path, capsys):
 ])
 def test_gen_unrealizable_settings_exit_2_writing_nothing(tmp_path, settings):
     # A subprocess with a timeout, so a generator that never ends fails fast.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mdcolo", "gen", "-o", "g", "--instances", "50"] + settings,
-        cwd=tmp_path, capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = mdcolo_child(["gen", "-o", "g", "--instances", "50"] + settings, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert list(tmp_path.iterdir()) == []

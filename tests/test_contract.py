@@ -11,7 +11,9 @@ hang fails in seconds.  Each must exit 0, or exit 2 with one stderr line
 that names the file at fault; a fixed input checks that a feature id
 holding a line break is escaped in that line.  Planted co-locations of
 twelve and fifteen one-instance features, whose every subset is prevalent,
-run as fixed cases through both mining routes under the same alarm."""
+and twelve features whose pairs are all prevalent with no triple, in a
+complete or a Moon-Moser feature graph, run as fixed cases through both
+mining routes under the same alarm."""
 
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 from mdcolo import io
 from mdcolo.cli import main
 
-from conftest import planted
+from conftest import pairs_only, planted
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 
@@ -258,3 +260,29 @@ def test_a_planted_co_location_ends_in_one_maximal_pattern(tmp_path, k, extra, r
         ",".join(f"G{i}_new" for i in sorted(range(k), key=str)) + f";{k};1.0;1;true"
     ]
     assert len(lines) == reported
+
+
+@pytest.mark.parametrize("extra", [[], ["--algo", "join"]], ids=["mdc", "join"])
+@pytest.mark.parametrize("groups", [False, True], ids=["all-pairs", "moon-moser"])
+def test_pairs_without_a_triple_end_in_the_pairs(tmp_path, groups, extra):
+    # Twelve features whose pairs are prevalent and whose triples have no
+    # row: a failed clique descends through every subset of its features,
+    # and both routes report exactly the pairs, each maximal.
+    k = 12
+    snapshots, lifecycles = pairs_only(k, groups)
+    snaps, lc, out = tmp_path / "snaps.csv", tmp_path / "lc.csv", tmp_path / "out"
+    io.write_snapshots_csv(str(snaps), snapshots)
+    io.write_lifecycles_csv(str(lc), lifecycles)
+    code, err = run([
+        "mine", str(snaps), "--lifecycles", str(lc), "-o", str(out),
+        "--dd", "5", "--min-prev", "0.01", *extra,
+    ])
+    assert code == 0, err
+    # Each feature has one instance per partner, and each takes part once.
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if not (groups and i // 3 == j // 3)]
+    dpi = 1 / (k - 3 if groups else k - 1)
+    labels = sorted(tuple(sorted((f"F{i}", f"F{j}"))) for i, j in pairs)
+    assert out.read_text(encoding="utf-8") == "".join(
+        f"{a}_new,{b}_new;2;{dpi!r};1;true\n" for a, b in labels
+    )
+    assert len(labels) == (54 if groups else 66)

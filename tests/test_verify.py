@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from mdcolo import DynamicInstance, MiningConfig, Pattern, size2, verify
+from mdcolo import DynamicDatasetSeries, DynamicInstance, MiningConfig, Pattern, size2, verify
 from mdcolo.cliques import maximal_cliques
 from mdcolo.model import compute_spans
 from mdcolo.neighborhood import neighbor_pairs
@@ -492,4 +492,4 @@ def test_ratio_log_is_anti_monotone():
 
 def test_verify_all_empty():
     cfg = MiningConfig(d_d=1.0, min_prev=0.1, time_span=1.0)
-    assert verify_all([], {}, {}, cfg) == []
+    assert verify_all([], PairTables(DynamicDatasetSeries(())), {}, cfg) == []
